@@ -32,7 +32,15 @@ from .ir import (
     mcx,
 )
 from .decompose import DecomposeError, decompose
-from .driver import BenchmarkConfig, VariantSpec, aggregate, mixer_histogram, run_benchmark
+from .driver import (
+    BenchmarkConfig,
+    VariantSpec,
+    aggregate,
+    entangling_totals,
+    mixer_histogram,
+    run_benchmark,
+    trial_mixer_histogram,
+)
 from .graphs import erdos_renyi
 from .metrics import (
     MetricsError,
@@ -118,6 +126,8 @@ def _doubling_range(text: str) -> list[int]:
     # "m=40..640" doubles from 40 to 640
     body = text.split("=", 1)[-1]
     lo, hi = (int(v) for v in body.split(".."))
+    if not 1 <= lo <= hi:
+        raise CliError(f"--sweep needs 1 <= LO <= HI, got {text!r}")
     vals = []
     m = lo
     while m <= hi:
@@ -207,6 +217,8 @@ def _parse_pairs(text: str) -> dict[int, float]:
 
 def cmd_gdc(args) -> int:
     if args.counts:
+        if not args.fidelities:
+            raise CliError("gdc --counts needs --fidelities ARITY:F,...")
         hist = {k: int(v) for k, v in _parse_pairs(args.counts).items()}
         fids = _parse_pairs(args.fidelities)
         value = gdc(hist, fids)
@@ -245,6 +257,7 @@ def cmd_qaoa(args) -> int:
         optimizer = lambda f, x0: opt.maximize(f, x0, max_evals=args.max_evals)
     optimum, _ = brute_force_mis(graph)
     any_converged = True
+    nu = None
     if args.variant == DQVA:
         nu = args.nu if args.nu is not None else max(1, graph.n // 2)
         res = dqva_outer_loop(graph, nu, seed=args.seed, p=args.p, optimizer=optimizer)
@@ -261,14 +274,13 @@ def cmd_qaoa(args) -> int:
                                       seed=int(rng.integers(0, 2**31 - 1)),
                                       optimizer=optimizer)
             any_converged = any_converged or r.converged
-            bits = r.best_bits or (0,) * graph.n
+            bits = r.best_bits
             if best is None or sum(bits) > sum(best[0]):
                 best = (bits, r.evals, [float(v) for v in r.params])
         bits, evals, best_params = best
         rounds = 1
         n_params = 2 * args.p if args.variant == SA else args.p * (graph.n + 1)
-    hist = mixer_histogram(graph, args.p)
-    from .driver import entangling_totals
+    hist = trial_mixer_histogram(graph, VariantSpec(args.variant, args.p, nu))
 
     record = {
         "graph_id": args.graph,
@@ -421,7 +433,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (DecomposeError, MetricsError, ValueError) as exc:
+    except (DecomposeError, MetricsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

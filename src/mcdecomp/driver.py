@@ -135,6 +135,15 @@ def _dqva_live_nodes(graph: Graph, p: int, nu: int, sigma) -> list[int]:
     return nodes
 
 
+def trial_mixer_histogram(graph: Graph, spec: VariantSpec) -> dict[int, int]:
+    """Mixer histogram reported for one variant: every node in every layer,
+    or for the dynamic variant only the live mixers of the identity ordering."""
+    if spec.variant == DQVA:
+        sigma = tuple(range(graph.n))
+        return mixer_histogram(graph, 1, _dqva_live_nodes(graph, spec.p, spec.nu, sigma))
+    return mixer_histogram(graph, spec.p)
+
+
 def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
               graph_id: str, repetitions: int, mixer_rounds: int = 5,
               max_evals=None, tol: float = 1e-4) -> TrialRecord:
@@ -152,7 +161,7 @@ def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
         else:
             res = optimize_single_round(graph, spec.variant, spec.p, seed=sub,
                                         optimizer=optimizer)
-            bits = res.best_bits or (0,) * graph.n
+            bits = res.best_bits
             size, rounds, evals = sum(bits), 1, res.evals
         if not graph.is_independent(bits):
             raise DriverError("reported set is not independent")
@@ -160,11 +169,7 @@ def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
         if best is None or cand[0] > best[0]:
             best = cand
     size, bits, rounds, evals = best
-    if spec.variant == DQVA:
-        sigma = tuple(range(graph.n))
-        hist = mixer_histogram(graph, 1, _dqva_live_nodes(graph, spec.p, spec.nu, sigma))
-    else:
-        hist = mixer_histogram(graph, spec.p)
+    hist = trial_mixer_histogram(graph, spec)
     n_params = 2 * spec.p if spec.variant == SA else (
         spec.nu if spec.variant == DQVA else spec.p * (graph.n + 1))
     return TrialRecord(

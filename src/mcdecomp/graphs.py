@@ -45,15 +45,21 @@ def random_regular(m: int, degree: int = 3, seed=None, max_tries: int = 1000) ->
     raise GraphError(f"no simple {degree}-regular pairing found in {max_tries} tries")
 
 
+def neighbor_masks(graph: Graph) -> list[int]:
+    """Per-node neighbor bitmask; node v is bit v (little-endian in the node id)."""
+    masks = [0] * graph.n
+    for u, v in graph.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
 def brute_force_mis(graph: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact maximum independent set by branch and bound; m <= 30."""
     n = graph.n
     if n > 30:
         raise GraphError("exact search is limited to 30 nodes")
-    nbr_mask = [0] * n
-    for u, v in graph.edges:
-        nbr_mask[u] |= 1 << v
-        nbr_mask[v] |= 1 << u
+    nbr_mask = neighbor_masks(graph)
 
     best_size = 0
     best_set = 0
@@ -80,5 +86,6 @@ def brute_force_mis(graph: Graph) -> tuple[int, tuple[int, ...]]:
 
     search((1 << n) - 1, 0, 0)
     witness = tuple((best_set >> i) & 1 for i in range(n))
-    assert graph.is_independent(witness)
+    if not graph.is_independent(witness):
+        raise GraphError(f"search returned a dependent witness {witness}")
     return best_size, witness

@@ -441,4 +441,6 @@ class Graph:
     @staticmethod
     def from_json(text: str) -> "Graph":
         d = json.loads(text)
+        if not isinstance(d, dict) or not {"nodes", "edges"} <= d.keys():
+            raise IRError("graph JSON needs an object with 'nodes' and 'edges'")
         return Graph.from_edges(d["nodes"], d["edges"])

@@ -13,10 +13,10 @@ neighbors onto |0...0>.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
+from .graphs import neighbor_masks
 from .ir import Circuit, Gate, Graph, mcx, rx, ry, rz, x
 from .sim import Statevector, bits_to_index
 from . import optimize as opt
@@ -225,40 +225,65 @@ def objective_expectation(state: Statevector, graph: Graph) -> float:
     """Expected Hamming weight sum_i P(b_i = 1) of the measured bitstring."""
     if state.width != graph.n:
         raise AnsatzError("state width does not match the graph")
-    return float(state.probabilities() @ _weights(graph.n))
+    return float(state.probabilities() @ _popcount(np.arange(2**graph.n), graph.n))
 
 
-def _weights(n: int) -> np.ndarray:
-    idx = np.arange(2**n)
-    w = np.zeros(2**n, dtype=float)
+def _popcount(values: np.ndarray, n: int) -> np.ndarray:
+    w = np.zeros(len(values), dtype=float)
     for b in range(n):
-        w += (idx >> b) & 1
+        w += (values >> b) & 1
     return w
 
 
+def independent_set_indices(graph: Graph) -> np.ndarray:
+    """Sorted basis indices of every independent set (node i is bit n-1-i).
+
+    Enumerates by bitmask recursion: each set is extended only by nodes on
+    bits above its highest member that none of its members neighbor, so
+    every set is produced exactly once.
+    """
+    n = graph.n
+    nbr = _basis_neighbor_masks(graph)
+    sets = []
+
+    def extend(chosen: int, avail: int):
+        sets.append(chosen)
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            extend(chosen | low, avail & ~nbr[n - low.bit_length()])
+
+    extend(0, (1 << n) - 1)
+    return np.sort(np.array(sets, dtype=np.int64))
+
+
+def _basis_neighbor_masks(graph: Graph) -> list[int]:
+    """Per-node neighbor mask in basis-index bit order (node v on bit n-1-v)."""
+    return [int(format(m, f"0{graph.n}b")[::-1], 2) for m in neighbor_masks(graph)]
+
+
 def infeasible_probability(amps: np.ndarray, graph: Graph) -> float:
-    """Total probability mass outside the independent-set subspace."""
-    return float(np.sum(np.abs(amps[_infeasible_mask(graph)]) ** 2))
+    """Total probability mass of a 2^n state outside the independent-set subspace."""
+    bad = np.ones(2**graph.n, dtype=bool)
+    bad[independent_set_indices(graph)] = False
+    return float(np.sum(np.abs(amps[bad]) ** 2))
 
 
-@lru_cache(maxsize=256)
-def _infeasible_mask(graph: Graph) -> np.ndarray:
-    idx = np.arange(2**graph.n)
-    bad = np.zeros(2**graph.n, dtype=bool)
-    for u, v in graph.edges:
-        bu = (idx >> (graph.n - 1 - u)) & 1
-        bv = (idx >> (graph.n - 1 - v)) & 1
-        bad |= (bu & bv).astype(bool)
-    return bad
+def _unaccounted_mass(amps: np.ndarray) -> float:
+    """Norm a subspace state fails to account for: max(0, 1 - |psi|^2)."""
+    return max(0.0, 1.0 - float(np.vdot(amps, amps).real))
 
 
 class AnsatzEngine:
-    """Vectorized statevector evaluation of one ansatz configuration.
+    """Statevector evaluation of one ansatz configuration on the independent sets.
 
-    Precomputes, per node, the index pairs on which the gated rotation acts
-    (neighbors all |0>), so one mixer application is a couple of fancy-indexed
-    updates instead of a gate-by-gate walk.  Cross-checked against the
-    circuit path in the tests.
+    The partial mixers never leave the independent-set subspace, so the state
+    holds one amplitude per independent set: ``basis`` lists their sorted
+    2^n-register indices and ``statevector`` returns amplitudes in that
+    order.  Per node, the rotation pairs are precomputed as subspace
+    positions, and per round the live (pairs, parameter slot) list in
+    permutation order, so one call is a few fancy-indexed updates per mixer.
+    Cross-checked against the circuit path in the tests.
     """
 
     def __init__(self, graph: Graph, variant: str, p: int = 1,
@@ -266,25 +291,40 @@ class AnsatzEngine:
         self.graph = graph
         self.variant = variant
         self.p = p
-        self.n = graph.n
-        self.sigma = tuple(permutation) if permutation is not None else tuple(range(self.n))
+        self.n = n = graph.n
+        self.sigma = tuple(permutation) if permutation is not None else tuple(range(n))
         self.mask = tuple(mask) if mask is not None else None
-        self.warm_start = tuple(warm_start) if warm_start is not None else (0,) * self.n
-        idx = np.arange(2**self.n)
-        self._pairs = {}
-        for node in range(self.n):
-            nb_bits = 0
-            for v in graph.neighbors(node):
-                nb_bits |= 1 << (self.n - 1 - v)
-            tbit = 1 << (self.n - 1 - node)
-            sel = idx[(idx & nb_bits) == 0]
-            sel0 = sel[(sel & tbit) == 0]
-            self._pairs[node] = (sel0, sel0 | tbit)
-        self._w = _weights(self.n)
-        self._layout = list(layout_slots(variant, p, self.n))
-        total = len(self._layout)
-        live = [i for i in range(total) if self.mask is None or self.mask[i]]
-        self._live = live
+        self.warm_start = tuple(warm_start) if warm_start is not None else (0,) * n
+        self.basis = basis = independent_set_indices(graph)
+        start = bits_to_index(self.warm_start)
+        self._start = int(np.searchsorted(basis, start))
+        if self._start == len(basis) or basis[self._start] != start:
+            raise AnsatzError("warm start is not an independent set")
+        tbits = 1 << (n - 1 - np.arange(n, dtype=np.int64))
+        blocks = np.array(_basis_neighbor_masks(graph), dtype=np.int64) | tbits
+        # node i rotates only where it and all of its neighbors are |0>
+        nodes, sel0 = np.nonzero((basis & blocks[:, None]) == 0)
+        partner = basis[sel0] | tbits[nodes]
+        sel1 = np.searchsorted(basis, partner)
+        if not np.array_equal(basis[np.minimum(sel1, len(basis) - 1)], partner):
+            raise AnsatzError("a rotation partner is not an independent set")
+        cuts = np.cumsum(np.bincount(nodes, minlength=n))[:-1]
+        pairs = list(zip(np.split(sel0, cuts), np.split(sel1, cuts)))
+        self._w = _popcount(basis, n)
+        self._layout = list(layout_slots(variant, p, n))
+        self._live = [i for i in range(len(self._layout)) if self.mask is None or self.mask[i]]
+        live = set(self._live)
+        # per round: the live mixers as (sel0, sel1, slot) in sigma order, and
+        # the live phase slot or None
+        self._rounds = []
+        for k in range(p):
+            if variant == SA:
+                slots, gamma_slot = [2 * k] * n, 2 * k + 1
+            else:
+                base = k * (n + 1)
+                slots, gamma_slot = [base + node for node in range(n)], base + n
+            mixers = [pairs[node] + (slots[node],) for node in self.sigma if slots[node] in live]
+            self._rounds.append((mixers, gamma_slot if gamma_slot in live else None))
 
     @property
     def live_param_count(self) -> int:
@@ -296,35 +336,20 @@ class AnsatzEngine:
         return full
 
     def statevector(self, full_params) -> np.ndarray:
-        amps = np.zeros(2**self.n, dtype=complex)
-        amps[bits_to_index(self.warm_start)] = 1.0
-        n = self.n
+        amps = np.zeros(len(self.basis), dtype=complex)
+        amps[self._start] = 1.0
         params = np.asarray(full_params)
-        for k in range(self.p):
-            if self.variant == SA:
-                beta, gamma = params[2 * k], params[2 * k + 1]
-                betas = {node: beta for node in range(n)}
-            else:
-                base = k * (n + 1)
-                betas = {}
-                for node in range(n):
-                    if self.mask is not None and not self.mask[base + node]:
-                        continue
-                    betas[node] = params[base + node]
-                gamma = params[base + n]
-                if self.mask is not None and not self.mask[base + n]:
-                    gamma = 0.0
-            for node in self.sigma:
-                beta = betas.get(node)
-                if beta is None or beta == 0.0:
+        for mixers, gamma_slot in self._rounds:
+            for sel0, sel1, slot in mixers:
+                beta = params[slot]
+                if beta == 0.0:
                     continue
-                sel0, sel1 = self._pairs[node]
                 c, s = np.cos(beta), np.sin(beta)
                 a0, a1 = amps[sel0], amps[sel1]
                 amps[sel0] = c * a0 - 1j * s * a1
                 amps[sel1] = c * a1 - 1j * s * a0
-            if gamma != 0.0:
-                amps = amps * np.exp(1j * gamma * self._w)
+            if gamma_slot is not None and params[gamma_slot] != 0.0:
+                amps = amps * np.exp(1j * params[gamma_slot] * self._w)
         return amps
 
     def statevector_live(self, live_values) -> np.ndarray:
@@ -338,26 +363,22 @@ class AnsatzEngine:
         return self.expectation(self.full_params(live_values))
 
 
-def best_measured_set(amps: np.ndarray, graph: Graph, threshold: float = 1e-4):
-    """Largest feasible bitstring among outcomes above the probability floor.
+def best_measured_set(amps: np.ndarray, basis: np.ndarray, n: int, threshold: float = 1e-4):
+    """Largest set among subspace outcomes above the probability floor.
 
-    Mirrors taking the best feasible sample from a finite-shot measurement;
-    ties break toward higher probability.  Returns None if nothing qualifies.
+    ``amps`` are amplitudes over ``basis`` (see ``AnsatzEngine``), so every
+    outcome is an independent set.  Mirrors taking the best sample from a
+    finite-shot measurement; ties break toward higher probability, then
+    toward the lower basis index.
     """
     probs = np.abs(amps) ** 2
     cand = np.flatnonzero(probs >= threshold)
     if len(cand) == 0:
         cand = np.array([int(np.argmax(probs))])
-    n = graph.n
-    best = None
-    for i in cand:
-        bits = tuple((int(i) >> (n - 1 - j)) & 1 for j in range(n))
-        if not graph.is_independent(bits):
-            continue
-        key = (sum(bits), probs[i])
-        if best is None or key > best[0]:
-            best = (key, bits)
-    return None if best is None else best[1]
+    sizes = _popcount(basis[cand], n)
+    cand = cand[sizes == sizes.max()]
+    index = int(basis[cand[np.argmax(probs[cand])]])
+    return tuple((index >> (n - 1 - j)) & 1 for j in range(n))
 
 
 @dataclass
@@ -407,11 +428,11 @@ def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
             evals += res.evals
             converged = converged or getattr(res, "converged", True)
             amps = engine.statevector_live(res.x)
-            worst_inf = max(worst_inf, infeasible_probability(amps, graph))
-            cand = best_measured_set(amps, graph, threshold)
+            worst_inf = max(worst_inf, _unaccounted_mass(amps))
+            cand = best_measured_set(amps, engine.basis, n, threshold)
             history.append({"sigma": sigma, "value": res.value,
                             "candidate": cand, "rounds": rounds})
-            if cand is not None and sum(cand) > sum(best):
+            if sum(cand) > sum(best):
                 best = cand
                 cur = cand
             else:
@@ -421,7 +442,7 @@ def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
 
 @dataclass
 class SingleRoundResult:
-    best_bits: tuple[int, ...] | None
+    best_bits: tuple[int, ...]
     value: float
     evals: int
     params: np.ndarray
@@ -441,7 +462,7 @@ def optimize_single_round(graph: Graph, variant: str, p: int = 1, seed=None,
     x0 = rng.uniform(0.0, np.pi, engine.live_param_count)
     res = maximize(engine.expectation_live, x0)
     amps = engine.statevector_live(res.x)
-    bits = best_measured_set(amps, graph, threshold)
+    bits = best_measured_set(amps, engine.basis, graph.n, threshold)
     return SingleRoundResult(bits, res.value, res.evals, np.asarray(res.x),
-                             infeasible_probability(amps, graph),
+                             _unaccounted_mass(amps),
                              getattr(res, "converged", True))

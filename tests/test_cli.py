@@ -1,7 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from mcdecomp.cli import main
+from mcdecomp.graphs import erdos_renyi
 from mcdecomp.ir import Circuit, Graph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args):
@@ -125,3 +134,56 @@ def test_bench_preset_outputs(tmp_path, monkeypatch):
     assert trials[0] == "# schema: mcdecomp/1"
     agg = json.loads((tmp_path / "run_aggregate.json").read_text())
     assert "ma(p=1)" in agg["aggregate"]
+
+
+def assert_one_line_error(capsys, code):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def _limit_memory():
+    # a regression that loops while growing a list must fail, not exhaust the host
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("sweep", ["m=0..10", "m=-4..10", "m=10..5"])
+def test_count_sweep_rejects_bad_range_without_hanging(sweep):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "mcdecomp.cli", "count", "--sweep", sweep],
+                         capture_output=True, text=True, timeout=30, env=env,
+                         preexec_fn=_limit_memory)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr
+
+
+def test_gdc_counts_without_fidelities(capsys):
+    assert_one_line_error(capsys, run_cli(["gdc", "--counts", "2:300"]))
+
+
+@pytest.mark.parametrize("content", [None, '{"nodes": 3}', "[1, 2]"])
+def test_qaoa_unreadable_graph_file(tmp_path, capsys, content):
+    graph = tmp_path / "graph.json"
+    if content is not None:
+        graph.write_text(content)
+    assert_one_line_error(capsys, run_cli(["qaoa", "--variant", "sa", "--graph", str(graph)]))
+
+
+def test_bench_missing_config_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert_one_line_error(capsys, run_cli(["bench", "--config", str(missing)]))
+
+
+def test_qaoa_dqva_histogram_counts_live_mixers(tmp_path):
+    graph = tmp_path / "er10.json"
+    graph.write_text(erdos_renyi(10, 4.5, seed=1).to_json())
+    out = tmp_path / "r.json"
+    code = run_cli(["qaoa", "--variant", "dqva", "--nu", "5", "--graph", str(graph),
+                    "--seed", "1", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["mixer_histogram"] == {"4": 2, "5": 1, "6": 1}

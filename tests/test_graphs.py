@@ -76,3 +76,10 @@ def test_mis_petersen():
 def test_mis_size_guard():
     with pytest.raises(GraphError):
         brute_force_mis(Graph.from_edges(31, []))
+
+
+def test_mis_dependent_witness_raises(monkeypatch):
+    # the witness check must survive python -O, so it may not be an assert
+    monkeypatch.setattr(Graph, "is_independent", lambda self, bits: False)
+    with pytest.raises(GraphError):
+        brute_force_mis(Graph.from_edges(3, [(0, 1)]))

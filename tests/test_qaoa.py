@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcdecomp.graphs import brute_force_mis
+from mcdecomp.graphs import brute_force_mis, erdos_renyi
 from mcdecomp.ir import Graph
 from mcdecomp.qaoa import (
     DQVA,
@@ -10,9 +10,11 @@ from mcdecomp.qaoa import (
     AnsatzEngine,
     AnsatzError,
     AnsatzSpec,
+    best_measured_set,
     build_ansatz,
     dqva_default_mask,
     dqva_outer_loop,
+    independent_set_indices,
     infeasible_probability,
     objective_expectation,
     param_count,
@@ -47,6 +49,19 @@ def mixer_projector_unitary(graph, node, beta):
         u[b1, b] = rxm[1, 0]
         u[b1, b1] = rxm[1, 1]
     return u
+
+
+def scatter(engine, amps):
+    """Subspace amplitudes placed into the full 2^n register."""
+    full = np.zeros(2**engine.n, dtype=complex)
+    full[engine.basis] = amps
+    return full
+
+
+def independent_bitstrings(graph):
+    n = graph.n
+    return [b for b in range(2**n)
+            if graph.is_independent([(b >> (n - 1 - i)) & 1 for i in range(n)])]
 
 
 def test_isolated_node_mixer_is_bare_rx():
@@ -193,7 +208,7 @@ def test_engine_matches_circuit_path():
         spec = AnsatzSpec(variant, p=p, params=params)
         circ_state = apply_circuit(Statevector.zero(5), build_ansatz(PATH5, spec)).amplitudes
         eng = AnsatzEngine(PATH5, variant, p)
-        fast = eng.statevector(np.asarray(params))
+        fast = scatter(eng, eng.statevector(np.asarray(params)))
         assert phase_aligned_deviation(fast, circ_state) < 1e-11
 
 
@@ -210,8 +225,72 @@ def test_engine_matches_circuit_dqva():
     circ_state = apply_circuit(Statevector.zero(n), build_ansatz(PATH5, spec)).amplitudes
     eng = AnsatzEngine(PATH5, DQVA, 1, sigma, mask, warm)
     masked_params = [v if mask[i] else 0.0 for i, v in enumerate(params)]
-    fast = eng.statevector(np.asarray(masked_params))
+    fast = scatter(eng, eng.statevector(np.asarray(masked_params)))
     assert phase_aligned_deviation(fast, circ_state) < 1e-11
+
+
+@pytest.mark.parametrize("graph, count", [
+    (PATH5, 13), (K4, 5), (Graph.from_edges(6, []), 64),
+])
+def test_engine_basis_small_graphs(graph, count):
+    basis = AnsatzEngine(graph, SA).basis
+    assert len(basis) == count
+    assert basis.tolist() == independent_bitstrings(graph)
+
+
+def test_engine_basis_is_the_independent_bitstrings():
+    for seed, (n, d) in enumerate([(7, 2.0), (9, 3.0), (10, 4.5), (11, 2.5), (12, 3.0)]):
+        graph = erdos_renyi(n, d, seed=seed)
+        assert AnsatzEngine(graph, MA).basis.tolist() == independent_bitstrings(graph)
+        assert independent_set_indices(graph).tolist() == independent_bitstrings(graph)
+
+
+def seeded_engine_cases():
+    """Seeded ER graphs n <= 10 with SA p=2, MA p=1 and masked warm-start DQVA."""
+    for seed, (n, d) in enumerate([(6, 2.0), (8, 3.0), (10, 4.5)]):
+        graph = erdos_renyi(n, d, seed=100 + seed)
+        rng = np.random.default_rng(seed)
+        for variant, p in ((SA, 2), (MA, 1)):
+            params = tuple(rng.uniform(-np.pi, np.pi, param_count(variant, p, n)))
+            yield graph, AnsatzSpec(variant, p=p, params=params)
+        _, witness = brute_force_mis(graph)
+        warm = tuple(witness[:n // 2]) + (0,) * (n - n // 2)
+        sigma = tuple(int(v) for v in rng.permutation(n))
+        nu = n // 2 + 1
+        mask = dqva_default_mask(1, n, nu, sigma, in_set=warm)
+        params = tuple(rng.uniform(-np.pi, np.pi, n + 1))
+        yield graph, AnsatzSpec(DQVA, p=1, params=params, permutation=sigma, mask=mask,
+                                warm_start=warm, nu=nu)
+
+
+def test_engine_matches_circuit_on_seeded_graphs():
+    for graph, spec in seeded_engine_cases():
+        n = graph.n
+        circ = apply_circuit(Statevector.zero(n), build_ansatz(graph, spec)).amplitudes
+        eng = AnsatzEngine(graph, spec.variant, spec.p, spec.permutation, spec.mask,
+                           spec.warm_start)
+        amps = eng.statevector(np.asarray(spec.params))
+        assert phase_aligned_deviation(scatter(eng, amps), circ) < 1e-11
+        assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
+        want = objective_expectation(Statevector(circ, n), graph)
+        assert abs(eng.expectation(np.asarray(spec.params)) - want) < 1e-11
+
+
+def test_engine_rejects_dependent_warm_start():
+    with pytest.raises(AnsatzError):
+        AnsatzEngine(PATH5, DQVA, 1, warm_start=(1, 1, 0, 0, 0))
+
+
+def test_best_measured_set_prefers_size_then_probability():
+    eng = AnsatzEngine(PATH5, SA)
+    amps = np.zeros(len(eng.basis), dtype=complex)
+    pos = {b: i for i, b in enumerate(eng.basis.tolist())}
+    amps[pos[0b10000]] = np.sqrt(0.9)
+    amps[pos[0b10100]] = np.sqrt(0.04)
+    amps[pos[0b01010]] = np.sqrt(0.06)
+    assert best_measured_set(amps, eng.basis, 5) == (0, 1, 0, 1, 0)
+    # below the floor everywhere: the most probable outcome is reported
+    assert best_measured_set(amps * 1e-3, eng.basis, 5) == (1, 0, 0, 0, 0)
 
 
 def test_ansatz_spec_json_round_trip():

@@ -20,8 +20,6 @@ from .ir import (
     BURNABLE,
     GateSetSpec,
     Graph,
-    N_PER_CONTROLS,
-    ONE,
     S2_2,
     S2_3,
     S3_2,
@@ -33,6 +31,7 @@ from .ir import (
 )
 from .decompose import DecomposeError, decompose
 from .driver import (
+    COUNT_COLUMNS,
     BenchmarkConfig,
     VariantSpec,
     aggregate,
@@ -136,13 +135,8 @@ def _doubling_range(text: str) -> list[int]:
     return vals
 
 
-SWEEP_COLUMNS = (
-    (S2_2, ONE),
-    (S2_3, ONE),
-    (S2_2, N_PER_CONTROLS),
-    (S2_3, N_PER_CONTROLS),
-    (S3_2, "none"),
-)
+# The sweep reports the same gate-set / budget columns as every trial record.
+SWEEP_COLUMNS = COUNT_COLUMNS
 
 
 def sweep_counts(sizes, density, variant, p, nu_rule, seed, regime=BURNABLE,

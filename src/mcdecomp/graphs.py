@@ -47,11 +47,7 @@ def random_regular(m: int, degree: int = 3, seed=None, max_tries: int = 1000) ->
 
 def neighbor_masks(graph: Graph) -> list[int]:
     """Per-node neighbor bitmask; node v is bit v (little-endian in the node id)."""
-    masks = [0] * graph.n
-    for u, v in graph.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
+    return [sum(1 << u for u in nbrs) for nbrs in graph.adjacency]
 
 
 def brute_force_mis(graph: Graph) -> tuple[int, tuple[int, ...]]:

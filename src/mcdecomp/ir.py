@@ -398,10 +398,15 @@ class AncillaBudget:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on nodes 0..n-1."""
+    """Undirected simple graph on nodes 0..n-1.
+
+    ``adjacency`` holds each node's sorted neighbors; it is built once from
+    the edges and takes no part in equality, hashing or repr.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         norm = set()
@@ -412,24 +417,26 @@ class Graph:
                 raise IRError(f"edge ({u},{v}) out of range for {self.n} nodes")
             norm.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(norm))
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in norm:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in nbrs))
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         return Graph(n, frozenset((min(u, v), max(u, v)) for u, v in edges))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        out = [b if a == v else a for a, b in self.edges if v in (a, b)]
-        return tuple(sorted(out))
+        if not 0 <= v < self.n:
+            raise IRError(f"node {v} out of range for {self.n} nodes")
+        return self.adjacency[v]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     def degrees(self) -> list[int]:
-        d = [0] * self.n
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        return [len(a) for a in self.adjacency]
 
     def is_independent(self, bits) -> bool:
         """True if the selected nodes (bits[i] == 1) form an independent set."""

@@ -274,32 +274,20 @@ def _unaccounted_mass(amps: np.ndarray) -> float:
     return max(0.0, 1.0 - float(np.vdot(amps, amps).real))
 
 
-class AnsatzEngine:
-    """Statevector evaluation of one ansatz configuration on the independent sets.
+class IndependentSets:
+    """The per-graph part of an engine: the independent-set subspace.
 
-    The partial mixers never leave the independent-set subspace, so the state
-    holds one amplitude per independent set: ``basis`` lists their sorted
-    2^n-register indices and ``statevector`` returns amplitudes in that
-    order.  Per node, the rotation pairs are precomputed as subspace
-    positions, and per round the live (pairs, parameter slot) list in
-    permutation order, so one call is a few fancy-indexed updates per mixer.
-    Cross-checked against the circuit path in the tests.
+    ``basis`` lists the sorted 2^n-register indices of the independent sets,
+    ``pairs[node]`` the subspace positions ``(sel0, sel1)`` that the node's
+    rotation couples (the node and all of its neighbors |0> in ``sel0``; the
+    node flipped to |1> in ``sel1``), and ``weights`` the set sizes.  It does
+    not depend on the ansatz, so one instance serves every engine on a graph.
     """
 
-    def __init__(self, graph: Graph, variant: str, p: int = 1,
-                 permutation=None, mask=None, warm_start=None):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.variant = variant
-        self.p = p
         self.n = n = graph.n
-        self.sigma = tuple(permutation) if permutation is not None else tuple(range(n))
-        self.mask = tuple(mask) if mask is not None else None
-        self.warm_start = tuple(warm_start) if warm_start is not None else (0,) * n
         self.basis = basis = independent_set_indices(graph)
-        start = bits_to_index(self.warm_start)
-        self._start = int(np.searchsorted(basis, start))
-        if self._start == len(basis) or basis[self._start] != start:
-            raise AnsatzError("warm start is not an independent set")
         tbits = 1 << (n - 1 - np.arange(n, dtype=np.int64))
         blocks = np.array(_basis_neighbor_masks(graph), dtype=np.int64) | tbits
         # node i rotates only where it and all of its neighbors are |0>
@@ -309,8 +297,36 @@ class AnsatzEngine:
         if not np.array_equal(basis[np.minimum(sel1, len(basis) - 1)], partner):
             raise AnsatzError("a rotation partner is not an independent set")
         cuts = np.cumsum(np.bincount(nodes, minlength=n))[:-1]
-        pairs = list(zip(np.split(sel0, cuts), np.split(sel1, cuts)))
-        self._w = _popcount(basis, n)
+        self.pairs = list(zip(np.split(sel0, cuts), np.split(sel1, cuts)))
+        self.weights = _popcount(basis, n)
+
+
+class AnsatzEngine:
+    """Statevector evaluation of one ansatz configuration on the independent sets.
+
+    The partial mixers never leave the independent-set subspace, so the state
+    holds one amplitude per independent set of ``sets`` (an
+    ``IndependentSets``), and ``statevector`` returns amplitudes in the order
+    of ``basis``.  Per round the live (pairs, parameter slot) list is
+    precomputed in permutation order, so one call is a few fancy-indexed
+    updates per mixer.  Cross-checked against the circuit path in the tests.
+    """
+
+    def __init__(self, sets: IndependentSets, variant: str, p: int = 1,
+                 permutation=None, mask=None, warm_start=None):
+        self.graph = sets.graph
+        self.variant = variant
+        self.p = p
+        self.n = n = sets.n
+        self.sigma = tuple(permutation) if permutation is not None else tuple(range(n))
+        self.mask = tuple(mask) if mask is not None else None
+        self.warm_start = tuple(warm_start) if warm_start is not None else (0,) * n
+        self.basis = basis = sets.basis
+        start = bits_to_index(self.warm_start)
+        self._start = int(np.searchsorted(basis, start))
+        if self._start == len(basis) or basis[self._start] != start:
+            raise AnsatzError("warm start is not an independent set")
+        self._w = sets.weights
         self._layout = list(layout_slots(variant, p, n))
         self._live = [i for i in range(len(self._layout)) if self.mask is None or self.mask[i]]
         live = set(self._live)
@@ -323,7 +339,8 @@ class AnsatzEngine:
             else:
                 base = k * (n + 1)
                 slots, gamma_slot = [base + node for node in range(n)], base + n
-            mixers = [pairs[node] + (slots[node],) for node in self.sigma if slots[node] in live]
+            mixers = [sets.pairs[node] + (slots[node],) for node in self.sigma
+                      if slots[node] in live]
             self._rounds.append((mixers, gamma_slot if gamma_slot in live else None))
 
     @property
@@ -416,12 +433,13 @@ def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
     converged = False
     history = []
     cap = inner_cap if inner_cap is not None else n
+    sets = IndependentSets(graph)
     for _ in range(mixer_rounds):
         sigma = tuple(int(v) for v in rng.permutation(n))
         cur = best
         for _ in range(cap):
             mask = dqva_default_mask(p, n, nu, sigma, in_set=cur)
-            engine = AnsatzEngine(graph, DQVA, p, sigma, mask, cur)
+            engine = AnsatzEngine(sets, DQVA, p, sigma, mask, cur)
             x0 = rng.uniform(0.0, np.pi, engine.live_param_count)
             res = maximize(engine.expectation_live, x0)
             rounds += 1
@@ -458,7 +476,7 @@ def optimize_single_round(graph: Graph, variant: str, p: int = 1, seed=None,
         raise AnsatzError("use dqva_outer_loop for the dynamic variant")
     rng = np.random.default_rng(seed)
     maximize = optimizer or (lambda f, x0: opt.maximize(f, x0))
-    engine = AnsatzEngine(graph, variant, p, permutation)
+    engine = AnsatzEngine(IndependentSets(graph), variant, p, permutation)
     x0 = rng.uniform(0.0, np.pi, engine.live_param_count)
     res = maximize(engine.expectation_live, x0)
     amps = engine.statevector_live(res.x)

@@ -15,16 +15,6 @@ class SchemeError(ValueError):
     pass
 
 
-# Scheme identifiers, used by the dispatcher and the verification suite.
-SU2_SPLIT = "su2_split"
-HALF_ZEROED = "half_zeroed"
-BORROWED_LADDER = "borrowed_ladder"
-N_ANCILLA_ZEROED = "n_ancilla_zeroed"
-HALF_BORROWED = "half_borrowed"
-GENERALIZED_BORROWED_LADDER = "generalized_borrowed_ladder"
-BURNABLE_LADDER = "burnable_ladder"
-
-
 def su2_split(n: int, theta: float) -> Circuit:
     """C^n(Rx(theta)) as two C^n(X) plus four single-qubit rotations; no ancilla."""
     if n < 1:

@@ -65,43 +65,53 @@ def bits_to_index(bits) -> int:
     return idx
 
 
-def index_to_bits(idx: int, width: int) -> tuple[int, ...]:
-    return tuple((idx >> (width - 1 - i)) & 1 for i in range(width))
+def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int) -> None:
+    """Apply a gate to raw amplitudes in place; amps is 1-D or (2^w, batch).
 
-
-def control_mask(width: int, controls) -> np.ndarray:
-    """Boolean mask over basis indices where every control is satisfied."""
-    idx = np.arange(2**width)
-    mask = np.ones(len(idx), dtype=bool)
-    for line, pol in controls:
-        bit = (idx >> (width - 1 - line)) & 1
+    The amplitudes are viewed as a (2,)*width (+ batch) tensor.  Each control
+    axis is fixed to the index its polarity fires on, and the target axis
+    split into its 0 and 1 halves; both halves are views, updated in place.
+    """
+    if not amps.flags.c_contiguous:
+        raise SimulationError("amplitudes must be C-contiguous to be updated in place")
+    lines = gate.lines
+    if len(set(lines)) != len(lines):
+        raise SimulationError(f"gate uses a line twice (target or control): {lines}")
+    for line in lines:
+        if not 0 <= line < width:
+            raise SimulationError(f"gate line {line} exceeds width {width}")
+    idx: list = [slice(None)] * width
+    for line, pol in gate.controls:
         if pol == POS1:
-            mask &= bit == 1
+            idx[line] = 1
         elif pol == NEG0:
-            mask &= bit == 0
+            idx[line] = 0
         elif pol == POS2:
             raise SimulationError("qutrit controls cannot be simulated on a 2-level register")
         else:
             raise SimulationError(f"unknown polarity {pol!r}")
-    return mask
-
-
-def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int) -> None:
-    """Apply a gate to raw amplitudes in place; amps is 1-D or (2^w, batch)."""
+    tensor = amps.reshape((2,) * width + amps.shape[1:])
     target = gate.targets[0]
-    tbit = 1 << (width - 1 - target)
-    idx = np.arange(2**width)
-    sel = control_mask(width, gate.controls) if gate.controls else np.ones(2**width, dtype=bool)
-    sel0 = idx[sel & ((idx & tbit) == 0)]
-    sel1 = sel0 | tbit
+    idx[target] = 0
+    a0 = tensor[(*idx, ...)]  # the trailing ellipsis keeps width-1 halves 0-d views
+    idx[target] = 1
+    a1 = tensor[(*idx, ...)]
 
-    a0, a1 = amps[sel0].copy(), amps[sel1].copy()
-    if gate.kind in ("x", "mcx"):
-        amps[sel0], amps[sel1] = a1, a0
-        return
     m = gate.matrix1q()
-    amps[sel0] = m[0, 0] * a0 + m[0, 1] * a1
-    amps[sel1] = m[1, 0] * a0 + m[1, 1] * a1
+    if m[0, 1] == 0 and m[1, 0] == 0:  # diagonal: t, s, rz and their kin
+        a0 *= m[0, 0]
+        a1 *= m[1, 1]
+        return
+    old0 = a0.copy()
+    if gate.kind in ("x", "mcx"):
+        a0[...] = a1
+        a1[...] = old0
+        return
+    a0 *= m[0, 0]
+    a0 += m[0, 1] * a1
+    a1 *= m[1, 1]
+    old0 *= m[1, 0]
+    a1 += old0
 
 
 def _apply_gate_array(amps: np.ndarray, gate: Gate, width: int) -> np.ndarray:
@@ -112,9 +122,6 @@ def _apply_gate_array(amps: np.ndarray, gate: Gate, width: int) -> np.ndarray:
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     """Return gate . state; multi-controlled gates are applied natively."""
-    for line in gate.lines:
-        if not 0 <= line < state.width:
-            raise SimulationError(f"gate line {line} exceeds width {state.width}")
     return Statevector(_apply_gate_array(state.amplitudes, gate, state.width), state.width)
 
 
@@ -171,6 +178,19 @@ def sample(state: Statevector, shots: int, seed: int | None = None) -> list[str]
     return [format(d, f"0{state.width}b") for d in draws]
 
 
+# Rows per block are chosen so that one block holds about this many entries.
+_DEVIATION_BLOCK = 1 << 16
+
+
+def _max_deviation(a: np.ndarray, b: np.ndarray, phase: complex = 1.0) -> float:
+    """max |a - phase * b| over blocks of leading-axis rows, never full-size temporaries."""
+    a2 = a.reshape(len(a), -1) if a.ndim else a.reshape(1, 1)
+    b2 = b.reshape(a2.shape)
+    rows = max(1, _DEVIATION_BLOCK // max(1, a2.shape[1]))
+    return max(float(np.max(np.abs(a2[r:r + rows] - phase * b2[r:r + rows])))
+               for r in range(0, len(a2), rows))
+
+
 def phase_aligned_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """min over global phase of the elementwise max deviation |a - e^{i phi} b|."""
     a = np.asarray(a)
@@ -179,14 +199,10 @@ def phase_aligned_deviation(a: np.ndarray, b: np.ndarray) -> float:
         raise SimulationError(f"shape mismatch {a.shape} vs {b.shape}")
     k = np.argmax(np.abs(b))
     ref = b.flat[k]
-    if abs(ref) < 1e-12:
-        return float(np.max(np.abs(a - b)))
-    phase = (a.flat[k] / ref)
-    mag = abs(phase)
-    if mag < 1e-12:
-        return float(np.max(np.abs(a - b)))
-    phase /= mag
-    return float(np.max(np.abs(a - phase * b)))
+    phase = a.flat[k] / ref if abs(ref) >= 1e-12 else 0.0
+    # no usable reference amplitude: compare without phase alignment
+    phase = phase / abs(phase) if abs(phase) >= 1e-12 else 1.0
+    return _max_deviation(a, b, phase)
 
 
 def allclose_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> bool:

@@ -160,6 +160,35 @@ def test_graph_neighbors_symmetric(n, data):
             assert u in g.neighbors(v)
 
 
+@given(st.integers(1, 9), st.data())
+@settings(max_examples=60, deadline=None)
+def test_graph_adjacency_equals_edge_scan(n, data):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda e: e[0] != e[1]), max_size=20))
+    g = Graph.from_edges(n, pairs)
+    for v in range(n):
+        scan = tuple(sorted(b if a == v else a for a, b in g.edges if v in (a, b)))
+        assert g.neighbors(v) == scan
+        assert g.degree(v) == len(scan)
+    assert g.degrees() == [len(g.neighbors(v)) for v in range(n)]
+
+
+def test_graph_adjacency_stays_out_of_eq_hash_and_repr():
+    a = Graph.from_edges(3, [(0, 1), (1, 2)])
+    b = Graph(3, frozenset({(2, 1), (1, 0)}))
+    assert a == b and hash(a) == hash(b)
+    assert "adjacency" not in repr(a)
+
+
+def test_graph_rejects_nodes_out_of_range():
+    g = Graph.from_edges(5, [(0, 1), (3, 4)])
+    for bad in (5, 99, -1):
+        with pytest.raises(IRError):
+            g.neighbors(bad)
+        with pytest.raises(IRError):
+            g.degree(bad)
+
+
 def test_graph_json_round_trip():
     g = Graph.from_edges(5, [(0, 1), (1, 2)])
     assert Graph.from_json(g.to_json()) == g

@@ -10,6 +10,7 @@ from mcdecomp.qaoa import (
     AnsatzEngine,
     AnsatzError,
     AnsatzSpec,
+    IndependentSets,
     best_measured_set,
     build_ansatz,
     dqva_default_mask,
@@ -207,7 +208,7 @@ def test_engine_matches_circuit_path():
         params = tuple(rng.uniform(-np.pi, np.pi, param_count(variant, p, PATH5.n)))
         spec = AnsatzSpec(variant, p=p, params=params)
         circ_state = apply_circuit(Statevector.zero(5), build_ansatz(PATH5, spec)).amplitudes
-        eng = AnsatzEngine(PATH5, variant, p)
+        eng = AnsatzEngine(IndependentSets(PATH5), variant, p)
         fast = scatter(eng, eng.statevector(np.asarray(params)))
         assert phase_aligned_deviation(fast, circ_state) < 1e-11
 
@@ -223,7 +224,7 @@ def test_engine_matches_circuit_dqva():
                       warm_start=warm, nu=4)
     validate_spec(PATH5, spec)
     circ_state = apply_circuit(Statevector.zero(n), build_ansatz(PATH5, spec)).amplitudes
-    eng = AnsatzEngine(PATH5, DQVA, 1, sigma, mask, warm)
+    eng = AnsatzEngine(IndependentSets(PATH5), DQVA, 1, sigma, mask, warm)
     masked_params = [v if mask[i] else 0.0 for i, v in enumerate(params)]
     fast = scatter(eng, eng.statevector(np.asarray(masked_params)))
     assert phase_aligned_deviation(fast, circ_state) < 1e-11
@@ -233,7 +234,7 @@ def test_engine_matches_circuit_dqva():
     (PATH5, 13), (K4, 5), (Graph.from_edges(6, []), 64),
 ])
 def test_engine_basis_small_graphs(graph, count):
-    basis = AnsatzEngine(graph, SA).basis
+    basis = AnsatzEngine(IndependentSets(graph), SA).basis
     assert len(basis) == count
     assert basis.tolist() == independent_bitstrings(graph)
 
@@ -241,7 +242,7 @@ def test_engine_basis_small_graphs(graph, count):
 def test_engine_basis_is_the_independent_bitstrings():
     for seed, (n, d) in enumerate([(7, 2.0), (9, 3.0), (10, 4.5), (11, 2.5), (12, 3.0)]):
         graph = erdos_renyi(n, d, seed=seed)
-        assert AnsatzEngine(graph, MA).basis.tolist() == independent_bitstrings(graph)
+        assert AnsatzEngine(IndependentSets(graph), MA).basis.tolist() == independent_bitstrings(graph)
         assert independent_set_indices(graph).tolist() == independent_bitstrings(graph)
 
 
@@ -267,8 +268,8 @@ def test_engine_matches_circuit_on_seeded_graphs():
     for graph, spec in seeded_engine_cases():
         n = graph.n
         circ = apply_circuit(Statevector.zero(n), build_ansatz(graph, spec)).amplitudes
-        eng = AnsatzEngine(graph, spec.variant, spec.p, spec.permutation, spec.mask,
-                           spec.warm_start)
+        eng = AnsatzEngine(IndependentSets(graph), spec.variant, spec.p, spec.permutation,
+                           spec.mask, spec.warm_start)
         amps = eng.statevector(np.asarray(spec.params))
         assert phase_aligned_deviation(scatter(eng, amps), circ) < 1e-11
         assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
@@ -278,11 +279,11 @@ def test_engine_matches_circuit_on_seeded_graphs():
 
 def test_engine_rejects_dependent_warm_start():
     with pytest.raises(AnsatzError):
-        AnsatzEngine(PATH5, DQVA, 1, warm_start=(1, 1, 0, 0, 0))
+        AnsatzEngine(IndependentSets(PATH5), DQVA, 1, warm_start=(1, 1, 0, 0, 0))
 
 
 def test_best_measured_set_prefers_size_then_probability():
-    eng = AnsatzEngine(PATH5, SA)
+    eng = AnsatzEngine(IndependentSets(PATH5), SA)
     amps = np.zeros(len(eng.basis), dtype=complex)
     pos = {b: i for i, b in enumerate(eng.basis.tolist())}
     amps[pos[0b10000]] = np.sqrt(0.9)
@@ -348,3 +349,19 @@ def test_dqva_path5_reaches_optimum():
         assert res.rounds >= 1
         assert PATH5.is_independent(res.best_bits)
     assert best == 3
+
+
+def test_dqva_builds_the_independent_sets_once(monkeypatch):
+    import mcdecomp.qaoa as qaoa
+
+    built = []
+
+    class Counting(IndependentSets):
+        def __init__(self, graph):
+            built.append(graph)
+            super().__init__(graph)
+
+    monkeypatch.setattr(qaoa, "IndependentSets", Counting)
+    res = dqva_outer_loop(Graph.from_edges(6, []), nu=2, seed=4, mixer_rounds=2)
+    assert res.rounds > 1
+    assert len(built) == 1

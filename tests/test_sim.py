@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcdecomp.ir import Circuit, Gate, NEG0, ccx, cx, h, mcrx, mcx, rx, ry, rz, x
+from mcdecomp.ir import Circuit, Gate, NEG0, POS1, POS2, ccx, cx, h, mcrx, mcx, rx, ry, rz, x
 from mcdecomp.sim import (
     SimulationError,
+    _apply_gate_inplace,
     Statevector,
     allclose_up_to_global_phase,
     apply_circuit,
@@ -100,3 +101,123 @@ def test_phase_alignment():
     a = np.diag([1, 1j])
     assert allclose_up_to_global_phase(a, np.exp(0.7j) * a, atol=1e-12)
     assert phase_aligned_deviation(a, np.diag([1, -1j])) > 0.5
+
+
+# --- cross-checks against unitaries built from np.kron ----------------------
+
+_I2 = np.eye(2)
+_X = np.array([[0, 1], [1, 0]])
+_Y = np.array([[0, -1j], [1j, 0]])
+_Z = np.diag([1, -1])
+_PROJ = {POS1: np.diag([0, 1]), NEG0: np.diag([1, 0])}
+
+
+def _rotation(pauli, angle):
+    return np.cos(angle / 2) * _I2 - 1j * np.sin(angle / 2) * pauli
+
+
+def _block(kind, angle=None, matrix=None):
+    """The 2x2 target action, written out here independently of ir."""
+    return {
+        "x": lambda: _X, "mcx": lambda: _X,
+        "h": lambda: (_X + _Z) / np.sqrt(2),
+        "t": lambda: np.diag([1, np.exp(1j * np.pi / 4)]),
+        "tdg": lambda: np.diag([1, np.exp(-1j * np.pi / 4)]),
+        "s": lambda: np.diag([1, 1j]), "sdg": lambda: np.diag([1, -1j]),
+        "rx": lambda: _rotation(_X, angle), "mcrx": lambda: _rotation(_X, angle),
+        "ry": lambda: _rotation(_Y, angle), "rz": lambda: _rotation(_Z, angle),
+        "u": lambda: np.asarray(matrix),
+    }[kind]()
+
+
+def _kron_unitary(gate, width):
+    """I + P_fire (x) (U - I) on the target, as a kron product over lines 0..width-1."""
+    controls = dict(gate.controls)
+    target = gate.targets[0]
+
+    def kron_all(target_block):
+        out = np.eye(1)
+        for line in range(width):
+            if line == target:
+                factor = target_block
+            else:
+                factor = _PROJ[controls[line]] if line in controls else _I2
+            out = np.kron(out, factor)
+        return out
+
+    return np.eye(2**width) + kron_all(_block(gate.kind, gate.angle, gate.matrix) - _I2)
+
+
+SINGLE = ("x", "h", "t", "tdg", "s", "sdg", "rx", "ry", "rz", "u")
+
+
+def _random_gate(rng, width, kind):
+    """A gate of the given kind on random lines; mcx/mcrx get random +/- controls."""
+    target, *rest = (int(v) for v in rng.permutation(width))
+    angle = float(rng.uniform(-2 * np.pi, 2 * np.pi))
+    if kind in ("mcx", "mcrx"):
+        controls = tuple((line, POS1 if rng.random() < 0.5 else NEG0)
+                         for line in rest[:rng.integers(1, len(rest) + 1)])
+        return Gate(kind, (target,), controls, angle if kind == "mcrx" else None)
+    if kind == "u":
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        return Gate("u", (target,), matrix=tuple(tuple(complex(v) for v in row) for row in q))
+    return Gate(kind, (target,), angle=angle if kind in ("rx", "ry", "rz") else None)
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_kernel_matches_kron_unitary(width):
+    rng = np.random.default_rng(100 + width)
+    kinds = SINGLE + (("mcx", "mcrx") * 5 if width > 1 else ())
+    gates = [_random_gate(rng, width, kind) for kind in kinds * 2]
+    for gate in gates:
+        u = _kron_unitary(gate, width)
+        state = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
+        batch = rng.normal(size=(2**width, 3)) + 1j * rng.normal(size=(2**width, 3))
+        want_state, want_batch = u @ state, u @ batch
+        _apply_gate_inplace(state, gate, width)
+        _apply_gate_inplace(batch, gate, width)
+        assert np.max(np.abs(state - want_state)) < 1e-12, gate
+        assert np.max(np.abs(batch - want_batch)) < 1e-12, gate
+    product = np.linalg.multi_dot([np.eye(2**width)] + [_kron_unitary(g, width) for g in reversed(gates)])
+    assert np.max(np.abs(circuit_unitary(Circuit(2, width, tuple(gates))) - product)) < 1e-10
+
+
+def test_kernel_rejects_target_that_is_also_a_control():
+    bad = Gate("mcx", (1,), ((0, POS1), (1, POS1)))
+    with pytest.raises(SimulationError):
+        apply_gate(Statevector.zero(2), bad)
+    with pytest.raises(SimulationError):
+        circuit_unitary(Circuit(2, 2, (Gate("mcrx", (0,), ((0, NEG0),), 0.3),)))
+
+
+def test_kernel_rejects_non_contiguous_amplitudes():
+    with pytest.raises(SimulationError):
+        _apply_gate_inplace(np.zeros((3, 4), dtype=complex).T, x(0), 2)
+    with pytest.raises(SimulationError):
+        _apply_gate_inplace(np.zeros(8, dtype=complex)[::2], x(0), 2)
+
+
+def test_kernel_rejects_qutrit_and_unknown_polarities():
+    for pol in (POS2, "?"):
+        with pytest.raises(SimulationError):
+            apply_gate(Statevector.zero(2), Gate("mcx", (1,), ((0, pol),)))
+
+
+def _reference_deviation(a, b):
+    k = np.argmax(np.abs(b))
+    phase = a.flat[k] / b.flat[k]
+    phase /= abs(phase)
+    return float(np.max(np.abs(a - phase * b)))
+
+
+@pytest.mark.parametrize("shape", [(1,), (1000,), (70_001,), (300, 7), (513, 200), (3, 70_000)])
+def test_blockwise_deviation_matches_full_array(shape):
+    rng = np.random.default_rng(sum(shape))
+    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    a = np.exp(0.4j) * b + 1e-6 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    assert abs(phase_aligned_deviation(a, b) - _reference_deviation(a, b)) < 1e-15
+    zero = np.zeros(shape, dtype=complex)
+    assert phase_aligned_deviation(a, zero) == float(np.max(np.abs(a)))
+    strided = np.repeat(a, 2, axis=-1)[..., ::2]  # equal to a, but a strided view
+    assert phase_aligned_deviation(strided, b) == phase_aligned_deviation(a, b)

@@ -41,6 +41,8 @@ class TrialRecord:
     seed: int
     mixer_histogram: dict[int, int]
     entangling: dict[str, int]
+    converged: bool
+    max_infeasible: float
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -147,10 +149,17 @@ def trial_mixer_histogram(graph: Graph, spec: VariantSpec) -> dict[int, int]:
 def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
               graph_id: str, repetitions: int, mixer_rounds: int = 5,
               max_evals=None, tol: float = 1e-4) -> TrialRecord:
-    """Best-of-N executions of one variant on one graph (fresh random starts)."""
+    """Best-of-N executions of one variant on one graph (fresh random starts).
+
+    The record keeps the best execution's size, rounds and evals; ``converged``
+    holds when every execution converged, and ``max_infeasible`` is the worst
+    unaccounted mass over the executions.
+    """
     rng = np.random.default_rng(seed)
     optimizer = lambda f, x0: opt.maximize(f, x0, max_evals=max_evals, tol=tol)
     best = None
+    converged = True
+    worst_inf = 0.0
     for _ in range(repetitions):
         sub = int(rng.integers(0, 2**31 - 1))
         if spec.variant == DQVA:
@@ -158,11 +167,14 @@ def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
                                   mixer_rounds=mixer_rounds, optimizer=optimizer)
             size, rounds, evals = res.best_size, res.rounds, res.evals
             bits = res.best_bits
+            converged = converged and res.any_converged
         else:
             res = optimize_single_round(graph, spec.variant, spec.p, seed=sub,
                                         optimizer=optimizer)
             bits = res.best_bits
             size, rounds, evals = sum(bits), 1, res.evals
+            converged = converged and res.converged
+        worst_inf = max(worst_inf, res.max_infeasible)
         if not graph.is_independent(bits):
             raise DriverError("reported set is not independent")
         cand = (size, bits, rounds, evals)
@@ -184,6 +196,8 @@ def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
         seed=int(seed) if np.isscalar(seed) else -1,
         mixer_histogram=hist,
         entangling=entangling_totals(hist),
+        converged=converged,
+        max_infeasible=worst_inf,
     )
 
 

@@ -278,10 +278,12 @@ class IndependentSets:
     """The per-graph part of an engine: the independent-set subspace.
 
     ``basis`` lists the sorted 2^n-register indices of the independent sets,
-    ``pairs[node]`` the subspace positions ``(sel0, sel1)`` that the node's
-    rotation couples (the node and all of its neighbors |0> in ``sel0``; the
-    node flipped to |1> in ``sel1``), and ``weights`` the set sizes.  It does
-    not depend on the ansatz, so one instance serves every engine on a graph.
+    ``pairs[node]`` the subspace positions ``(idx, swp)`` that the node's
+    rotation couples, and ``weights`` the set sizes.  ``idx`` stacks ``sel0``
+    (the node and all of its neighbors |0>) on ``sel1`` (the node flipped to
+    |1>), and ``swp`` is ``sel1`` on ``sel0``, so ``amps[swp]`` lines each
+    amplitude up with its rotation partner.  It does not depend on the
+    ansatz, so one instance serves every engine on a graph.
     """
 
     def __init__(self, graph: Graph):
@@ -297,7 +299,8 @@ class IndependentSets:
         if not np.array_equal(basis[np.minimum(sel1, len(basis) - 1)], partner):
             raise AnsatzError("a rotation partner is not an independent set")
         cuts = np.cumsum(np.bincount(nodes, minlength=n))[:-1]
-        self.pairs = list(zip(np.split(sel0, cuts), np.split(sel1, cuts)))
+        self.pairs = [(np.concatenate((s0, s1)), np.concatenate((s1, s0)))
+                      for s0, s1 in zip(np.split(sel0, cuts), np.split(sel1, cuts))]
         self.weights = _popcount(basis, n)
 
 
@@ -307,9 +310,11 @@ class AnsatzEngine:
     The partial mixers never leave the independent-set subspace, so the state
     holds one amplitude per independent set of ``sets`` (an
     ``IndependentSets``), and ``statevector`` returns amplitudes in the order
-    of ``basis``.  Per round the live (pairs, parameter slot) list is
-    precomputed in permutation order, so one call is a few fancy-indexed
-    updates per mixer.  Cross-checked against the circuit path in the tests.
+    of ``basis``.  Per round the live (idx, swp, parameter slot) list is
+    precomputed in permutation order.  A call takes cos and i*sin of all
+    parameters once, and each live mixer is then one gather-update-scatter
+    over its stacked pair, with the same complex arithmetic per amplitude as
+    the pairwise update.  Cross-checked against the circuit path in the tests.
     """
 
     def __init__(self, sets: IndependentSets, variant: str, p: int = 1,
@@ -330,7 +335,7 @@ class AnsatzEngine:
         self._layout = list(layout_slots(variant, p, n))
         self._live = [i for i in range(len(self._layout)) if self.mask is None or self.mask[i]]
         live = set(self._live)
-        # per round: the live mixers as (sel0, sel1, slot) in sigma order, and
+        # per round: the live mixers as (idx, swp, slot) in sigma order, and
         # the live phase slot or None
         self._rounds = []
         for k in range(p):
@@ -356,15 +361,14 @@ class AnsatzEngine:
         amps = np.zeros(len(self.basis), dtype=complex)
         amps[self._start] = 1.0
         params = np.asarray(full_params)
+        betas = params.tolist()
+        c = np.cos(params).tolist()
+        js = (1j * np.sin(params)).tolist()
         for mixers, gamma_slot in self._rounds:
-            for sel0, sel1, slot in mixers:
-                beta = params[slot]
-                if beta == 0.0:
+            for idx, swp, slot in mixers:
+                if betas[slot] == 0.0:
                     continue
-                c, s = np.cos(beta), np.sin(beta)
-                a0, a1 = amps[sel0], amps[sel1]
-                amps[sel0] = c * a0 - 1j * s * a1
-                amps[sel1] = c * a1 - 1j * s * a0
+                amps[idx] = c[slot] * amps[idx] - js[slot] * amps[swp]
             if gamma_slot is not None and params[gamma_slot] != 0.0:
                 amps = amps * np.exp(1j * params[gamma_slot] * self._w)
         return amps

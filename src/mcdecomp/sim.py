@@ -205,5 +205,27 @@ def phase_aligned_deviation(a: np.ndarray, b: np.ndarray) -> float:
     return _max_deviation(a, b, phase)
 
 
+def identity_deviation(a: np.ndarray) -> float:
+    """``phase_aligned_deviation(a, I)`` for a square matrix, without a dense identity.
+
+    The phase comes from ``a[0, 0]`` as it would from I's first entry; off the
+    diagonal each entry is compared with 0 and on it with the phase, over
+    blocks of rows.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise SimulationError(f"expected a square matrix, got shape {a.shape}")
+    phase = a[0, 0]
+    phase = phase / abs(phase) if abs(phase) >= 1e-12 else 1.0
+    rows = max(1, _DEVIATION_BLOCK // len(a))
+    worst = 0.0
+    for r in range(0, len(a), rows):
+        block = np.abs(a[r:r + rows])
+        i = np.arange(len(block))
+        block[i, r + i] = np.abs(a[r + i, r + i] - phase)
+        worst = max(worst, float(block.max()))
+    return worst
+
+
 def allclose_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> bool:
     return phase_aligned_deviation(a, b) <= atol

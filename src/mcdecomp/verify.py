@@ -38,8 +38,10 @@ from .schemes import (
 )
 from .sim import (
     MAX_UNITARY_WIDTH,
+    _apply_gate_inplace,
     circuit_unitary,
     gate_unitary,
+    identity_deviation,
     phase_aligned_deviation,
 )
 
@@ -77,10 +79,18 @@ def restricted_deviation(circuit: Circuit, ideal_gate, register_width: int) -> f
 
 
 def exact_deviation(circuit: Circuit, ideal_gate) -> float:
-    """Deviation from ideal (x) identity over the full register (borrowed contract)."""
+    """Deviation from ideal (x) identity over the full register (borrowed contract).
+
+    The ideal is an X or MCX, a permutation that is its own inverse, so it is
+    applied to the rows of the circuit's unitary in place and the product is
+    compared with e^{i phi} I: the same entries as U - e^{i phi} V, one for
+    one, without a second dense matrix.
+    """
+    if ideal_gate.kind not in ("x", "mcx"):
+        raise VerifyError(f"exact_deviation needs an x or mcx ideal, got {ideal_gate.kind!r}")
     u = circuit_unitary(circuit)
-    ideal = gate_unitary(ideal_gate, circuit.width)
-    return phase_aligned_deviation(u, ideal)
+    _apply_gate_inplace(u, ideal_gate, circuit.width)
+    return identity_deviation(u)
 
 
 def _basis_ladder_check(n: int) -> float:

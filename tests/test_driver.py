@@ -84,6 +84,44 @@ def test_benchmark_record_invariants():
         assert (r.ratio == 1.0) == (r.best_size == r.optimum)
         assert r.rounds >= 1
         assert r.entangling == entangling_totals(r.mixer_histogram)
+        assert isinstance(r.converged, bool)
+        assert 0.0 <= r.max_infeasible < 1e-9
+        d = r.to_dict()
+        assert d["converged"] == r.converged and d["max_infeasible"] == r.max_infeasible
+
+
+def test_record_flags_an_unconverged_execution():
+    # a 5-eval budget stops every MA optimization before it converges
+    records = list(run_benchmark(_tiny_config(variants=[VariantSpec("ma", 1)], max_evals=5)))
+    assert records and not any(r.converged for r in records)
+
+
+# (graph_id, variant, evals, best_size, rounds) of the desk recipe, 4 graphs, seed 0.
+# Any change to the engine's arithmetic or to the optimizer's path moves these.
+PINNED_DESK_RECORDS = [
+    ("erdos_renyi-10-0", "sa(p=1)", 115, 5, 1),
+    ("erdos_renyi-10-0", "ma(p=1)", 1101, 5, 1),
+    ("erdos_renyi-10-0", "dqva(p=1,nu=5)", 588, 5, 8),
+    ("erdos_renyi-10-1", "sa(p=1)", 109, 4, 1),
+    ("erdos_renyi-10-1", "ma(p=1)", 455, 4, 1),
+    ("erdos_renyi-10-1", "dqva(p=1,nu=5)", 577, 4, 7),
+    ("erdos_renyi-10-2", "sa(p=1)", 62, 3, 1),
+    ("erdos_renyi-10-2", "ma(p=1)", 378, 3, 1),
+    ("erdos_renyi-10-2", "dqva(p=1,nu=5)", 623, 4, 7),
+    ("erdos_renyi-10-3", "sa(p=1)", 102, 4, 1),
+    ("erdos_renyi-10-3", "ma(p=1)", 714, 4, 1),
+    ("erdos_renyi-10-3", "dqva(p=1,nu=5)", 188, 2, 6),
+]
+
+
+def test_desk_recipe_records_are_pinned():
+    cfg = BenchmarkConfig(
+        ensemble="erdos_renyi", nodes=10, edge_prob=0.5, graph_count=4,
+        variants=[VariantSpec("sa", 1), VariantSpec("ma", 1), VariantSpec("dqva", 1, 5)],
+        repetitions=1, seed=0,
+    )
+    got = [(r.graph_id, r.variant, r.evals, r.best_size, r.rounds) for r in run_benchmark(cfg)]
+    assert got == PINNED_DESK_RECORDS
 
 
 def test_empty_edge_ensemble_all_optimal():

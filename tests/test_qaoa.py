@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcdecomp.graphs import brute_force_mis, erdos_renyi
 from mcdecomp.ir import Graph
@@ -7,6 +9,7 @@ from mcdecomp.qaoa import (
     DQVA,
     MA,
     SA,
+    VARIANTS,
     AnsatzEngine,
     AnsatzError,
     AnsatzSpec,
@@ -275,6 +278,54 @@ def test_engine_matches_circuit_on_seeded_graphs():
         assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
         want = objective_expectation(Statevector(circ, n), graph)
         assert abs(eng.expectation(np.asarray(spec.params)) - want) < 1e-11
+
+
+@st.composite
+def engine_cases(draw):
+    """A random graph on n <= 7 nodes and an ansatz spec for it.
+
+    Every variant at p in {1, 2} under a random mixer order, with angles that
+    are sometimes exactly zero; the dynamic variant also gets a random mask
+    and a warm start drawn from the graph's independent sets.
+    """
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = Graph.from_edges(n, edges)
+    variant = draw(st.sampled_from(VARIANTS))
+    p = draw(st.integers(1, 2))
+    k = param_count(variant, p, n)
+    angle = st.one_of(st.just(0.0), st.floats(-np.pi, np.pi))
+    params = tuple(draw(st.lists(angle, min_size=k, max_size=k)))
+    sigma = tuple(draw(st.permutations(range(n))))
+    mask = warm = None
+    if variant == DQVA:
+        mask = tuple(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+        start = draw(st.sampled_from(independent_set_indices(graph).tolist()))
+        warm = tuple((start >> (n - 1 - i)) & 1 for i in range(n))
+    return graph, AnsatzSpec(variant, p=p, params=params, permutation=sigma, mask=mask,
+                             warm_start=warm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_cases())
+def test_engine_matches_circuit_path_on_random_graphs(case):
+    graph, spec = case
+    validate_spec(graph, spec)
+    circ = apply_circuit(Statevector.zero(graph.n), build_ansatz(graph, spec)).amplitudes
+    eng = AnsatzEngine(IndependentSets(graph), spec.variant, spec.p, spec.permutation,
+                       spec.mask, spec.warm_start)
+    fast = scatter(eng, eng.statevector(np.asarray(spec.params)))
+    assert phase_aligned_deviation(fast, circ) < 1e-11
+
+
+def test_engine_pairs_stack_each_rotation_with_its_partner():
+    sets = IndependentSets(PATH5)
+    for node, (idx, swp) in enumerate(sets.pairs):
+        half = len(idx) // 2
+        assert np.array_equal(swp, np.concatenate((idx[half:], idx[:half])))
+        flipped = sets.basis[idx[:half]] | (1 << (PATH5.n - 1 - node))
+        assert np.array_equal(sets.basis[idx[half:]], flipped)
 
 
 def test_engine_rejects_dependent_warm_start():

@@ -13,6 +13,7 @@ from mcdecomp.sim import (
     apply_gate,
     bits_to_index,
     circuit_unitary,
+    identity_deviation,
     phase_aligned_deviation,
     sample,
 )
@@ -221,3 +222,16 @@ def test_blockwise_deviation_matches_full_array(shape):
     assert phase_aligned_deviation(a, zero) == float(np.max(np.abs(a)))
     strided = np.repeat(a, 2, axis=-1)[..., ::2]  # equal to a, but a strided view
     assert phase_aligned_deviation(strided, b) == phase_aligned_deviation(a, b)
+
+
+@pytest.mark.parametrize("dim", [1, 8, 512])
+def test_identity_deviation_matches_the_dense_identity(dim):
+    rng = np.random.default_rng(dim)
+    a = np.exp(0.7j) * np.eye(dim) + 1e-3 * (rng.normal(size=(dim, dim))
+                                            + 1j * rng.normal(size=(dim, dim)))
+    assert identity_deviation(a) == phase_aligned_deviation(a, np.eye(dim, dtype=complex))
+
+
+def test_identity_deviation_needs_a_square_matrix():
+    with pytest.raises(SimulationError):
+        identity_deviation(np.zeros((4, 2)))

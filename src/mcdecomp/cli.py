@@ -35,6 +35,7 @@ from .driver import (
     BenchmarkConfig,
     VariantSpec,
     aggregate,
+    dqva_live_nodes,
     entangling_totals,
     mixer_histogram,
     run_benchmark,
@@ -45,11 +46,10 @@ from .metrics import (
     MetricsError,
     exact_count_zeroed,
     gdc,
-    mixer_entangling_count,
     threshold_chain,
     threshold_requirement,
 )
-from .qaoa import DQVA, MA, SA, dqva_outer_loop, optimize_single_round
+from .qaoa import DQVA, MA, SA, dqva_outer_loop, optimize_single_round, param_count
 from .verify import verify_schemes
 
 SCHEMA = "mcdecomp/1"
@@ -144,28 +144,21 @@ def sweep_counts(sizes, density, variant, p, nu_rule, seed, regime=BURNABLE,
     """Mean entangling totals per graph size and gate-set column (count-only).
 
     Each size draws a small seeded ensemble so the series reflect the trend
-    rather than single-instance degree fluctuations.
+    rather than single-instance degree fluctuations.  The dynamic variant
+    counts the live mixers of ``driver.dqva_live_nodes``.
     """
     rows = []
     for m in sizes:
-        totals = {f"{family}/{budget}": 0.0 for family, budget in SWEEP_COLUMNS}
+        totals = dict.fromkeys((f"{family}/{budget}" for family, budget in SWEEP_COLUMNS), 0)
         for gi in range(graphs_per_size):
             graph = erdos_renyi(m, density, seed=seed + 1000 * m + gi)
             if variant == DQVA:
                 nu = max(1, m // 2) if nu_rule in (None, "m/2") else int(nu_rule)
-                layers = 1
-                live = min(max(nu - p, 0), m)
-                # evenly spaced live mixers: deterministic and representative
-                nodes = sorted(set(int(v) for v in np.linspace(0, m - 1, live)))
+                hist = mixer_histogram(graph, 1, dqva_live_nodes(graph, p, nu))
             else:
-                layers = p
-                nodes = None
-            hist = mixer_histogram(graph, layers, nodes)
-            for family, budget in SWEEP_COLUMNS:
-                totals[f"{family}/{budget}"] += sum(
-                    cnt * mixer_entangling_count(ell, family, budget, regime=regime)
-                    for ell, cnt in hist.items()
-                )
+                hist = mixer_histogram(graph, p)
+            for key, total in entangling_totals(hist, regime).items():
+                totals[key] += total
         row = {"m": m}
         row.update({k: round(v / graphs_per_size) for k, v in totals.items()})
         rows.append(row)
@@ -226,15 +219,10 @@ def cmd_gdc(args) -> int:
     rows = []
     for gi in range(args.graphs):
         graph = erdos_renyi(args.nodes, args.density, seed=args.seed + gi)
-        hist = mixer_histogram(graph, args.p)
+        totals = entangling_totals(mixer_histogram(graph, args.p), BURNABLE)
         for f in grid:
-            for family, budget in SWEEP_COLUMNS:
-                total = sum(
-                    cnt * mixer_entangling_count(ell, family, budget, regime=BURNABLE)
-                    for ell, cnt in hist.items()
-                )
-                rows.append([gi, f"{f:.6f}", f"{family}/{budget}",
-                             f"{total * (-math.log(f)):.6f}"])
+            for column, total in totals.items():
+                rows.append([gi, f"{f:.6f}", column, f"{total * (-math.log(f)):.6f}"])
     _write_csv(_out_path(args.out, "gdc_sweep.csv"),
                ["graph", "fidelity", "gateset", "gdc"], rows)
     return EXIT_OK
@@ -250,30 +238,29 @@ def cmd_qaoa(args) -> int:
     if args.max_evals is not None:
         optimizer = lambda f, x0: opt.maximize(f, x0, max_evals=args.max_evals)
     optimum, _ = brute_force_mis(graph)
-    any_converged = True
     nu = None
     if args.variant == DQVA:
         nu = args.nu if args.nu is not None else max(1, graph.n // 2)
         res = dqva_outer_loop(graph, nu, seed=args.seed, p=args.p, optimizer=optimizer)
         bits, rounds, evals = res.best_bits, res.rounds, res.evals
-        any_converged = res.any_converged
+        converged = res.converged
         n_params = nu
         best_params = None
     else:
         best = None
-        any_converged = False
+        converged = True
         rng = np.random.default_rng(args.seed)
         for _ in range(args.restarts):
             r = optimize_single_round(graph, args.variant, args.p,
                                       seed=int(rng.integers(0, 2**31 - 1)),
                                       optimizer=optimizer)
-            any_converged = any_converged or r.converged
+            converged = converged and r.converged
             bits = r.best_bits
             if best is None or sum(bits) > sum(best[0]):
                 best = (bits, r.evals, [float(v) for v in r.params])
         bits, evals, best_params = best
         rounds = 1
-        n_params = 2 * args.p if args.variant == SA else args.p * (graph.n + 1)
+        n_params = param_count(args.variant, args.p, graph.n)
     hist = trial_mixer_histogram(graph, VariantSpec(args.variant, args.p, nu))
 
     record = {
@@ -294,9 +281,9 @@ def cmd_qaoa(args) -> int:
     }
     print(f"parameters: {n_params}", file=sys.stderr)
     _write_json(_out_path(args.out, "qaoa.json"), record)
-    if args.max_evals is not None and not any_converged:
-        print("warning: evaluation budget exhausted before convergence; "
-              "best-so-far reported", file=sys.stderr)
+    if args.max_evals is not None and not converged:
+        print("warning: an optimization exhausted its evaluation budget before "
+              "converging; best-so-far reported", file=sys.stderr)
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -397,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--max-evals", type=int,
-                   help="optimizer budget; exit 4 if nothing converges within it")
+                   help="evaluations per optimization; exit 4 if any optimization "
+                        "stops on it before converging")
     p.add_argument("--out")
     p.set_defaults(func=cmd_qaoa)
 

@@ -17,7 +17,6 @@ from .ir import (
     NEG0,
     N_PER_CONTROLS,
     ONE,
-    POS1,
     POS2,
     S2_2,
     S2_3,
@@ -25,6 +24,7 @@ from .ir import (
     ZEROED,
     ccx,
     cx,
+    mcx,
     x,
 )
 from .gadgets import (
@@ -34,7 +34,6 @@ from .gadgets import (
     mcx_cx_gates,
     su2_split_gates,
     toffoli_cx_gates,
-    vchain_dirty_cx_gates,
 )
 from .schemes import _chain_toffolis, _ladder_toffolis
 
@@ -57,8 +56,17 @@ def _mcx_s23(controls, target: int, dirty) -> list[Gate]:
     return _ladder_toffolis(controls, dirty[: k - 2], target)
 
 
-def _mcx_s22(controls, target: int, dirty) -> list[Gate]:
-    return mcx_cx_gates(controls, target, list(dirty))
+# C^k(X) builder of each gate set, called as build(controls, target, dirty).
+_MCX = {S2_2: mcx_cx_gates, S2_3: _mcx_s23}
+
+
+def _lower_ccx(ccxs, gadget) -> list[Gate]:
+    """Expand each Toffoli of a chain with a CX-level gadget(a, b, target)."""
+    out: list[Gate] = []
+    for g in ccxs:
+        (a, _), (b, _) = g.controls
+        out += gadget(a, b, g.targets[0])
+    return out
 
 
 def _split_halves(n: int) -> tuple[list[int], list[int]]:
@@ -68,8 +76,6 @@ def _split_halves(n: int) -> tuple[list[int], list[int]]:
 def _small_rx(n: int, theta: float, family: str) -> list[Gate]:
     """Base cases n <= 2, identical across budgets."""
     if n == 1:
-        if family == S2_3:
-            return su2_split_gates([0], 1, theta)
         return crx_gates(0, 1, theta)
     if family == S2_3:
         return su2_split_gates([0, 1], 2, theta)
@@ -82,53 +88,43 @@ def _zeroed_one_rx(n: int, theta: float, family: str) -> tuple[list[Gate], int]:
         return _small_rx(n, theta, family), 0
     target, anc = n, n + 1
     top, bottom = _split_halves(n)
-    mid_c = bottom + [anc]
-    if family == S2_3:
-        outer = _mcx_s23(top, anc, dirty=bottom)
-        middle = su2_split_gates(
-            mid_c, target, theta, mcx_gates=lambda: _mcx_s23(mid_c, target, dirty=top)
-        )
+    build = _MCX[family]
+    if family == S2_2 and len(top) == 2:
+        outer = margolus_gates(top[0], top[1], anc)
     else:
-        if len(top) == 2:
-            outer = margolus_gates(top[0], top[1], anc)
-        else:
-            outer = vchain_dirty_cx_gates(top, bottom, anc)
-        if len(mid_c) == 2:
-            mk = lambda: toffoli_cx_gates(mid_c[0], mid_c[1], target)
-        else:
-            mk = lambda: vchain_dirty_cx_gates(mid_c, top, target)
-        middle = su2_split_gates(mid_c, target, theta, mcx_gates=mk)
+        outer = build(top, anc, bottom)
+    mid_c = bottom + [anc]
+    middle = su2_split_gates(mid_c, target, theta, build(mid_c, target, top))
     return outer + middle + outer, 1
+
+
+def _zeroed_chain(n: int, family: str, middle) -> tuple[list[Gate], int]:
+    """n-2 zeroed ancillas: compute chain, ``middle(controls)``, uncompute.
+
+    The chain's Toffolis are lowered to Margolus gates on s2_2, whose relative
+    phases cancel between the compute and the uncompute.
+    """
+    ancillas = list(range(n + 1, n + 1 + (n - 2)))
+    chain = _chain_toffolis(range(n), ancillas)
+    if family == S2_2:
+        chain = _lower_ccx(chain, margolus_gates)
+    uncompute = [g.inverse() for g in reversed(chain)]
+    return chain + middle([n - 1, ancillas[-1]]) + uncompute, n - 2
 
 
 def _zeroed_n_rx(n: int, theta: float, family: str) -> tuple[list[Gate], int]:
     """C^n(Rx) with n-2 zeroed ancillas (compute chain around a C^2(Rx))."""
     if n <= 2:
         return _small_rx(n, theta, family), 0
-    target = n
-    ancillas = list(range(n + 1, n + 1 + (n - 2)))
-    chain_ccx = _chain_toffolis(range(n), ancillas)
-    mid_c = [n - 1, ancillas[-1]]
-    if family == S2_3:
-        middle = su2_split_gates(
-            mid_c, target, theta, mcx_gates=lambda: [ccx(mid_c[0], mid_c[1], target)]
-        )
-        return chain_ccx + middle + chain_ccx[::-1], n - 2
-    chain: list[Gate] = []
-    for g in chain_ccx:
-        (a, _), (b, _) = g.controls
-        chain += margolus_gates(a, b, g.targets[0])
-    uncompute = [g.inverse() for g in reversed(chain)]
-    middle = su2_split_gates(
-        mid_c, target, theta, mcx_gates=lambda: toffoli_cx_gates(mid_c[0], mid_c[1], target)
-    )
-    return chain + middle + uncompute, n - 2
+    build = _MCX[family]
+    return _zeroed_chain(
+        n, family, lambda mid: su2_split_gates(mid, n, theta, build(mid, n, [])))
 
 
 def _zeroed_mcx(n: int, family: str, budget_count: str) -> tuple[list[Gate], int]:
     """C^n(X) under a zeroed budget (outer compute pair plus middle MCX)."""
     target = n
-    build = _mcx_s23 if family == S2_3 else _mcx_s22
+    build = _MCX[family]
     if n <= 2:
         return build(range(n), target, []), 0
     if budget_count == ONE:
@@ -137,17 +133,7 @@ def _zeroed_mcx(n: int, family: str, budget_count: str) -> tuple[list[Gate], int
         outer = build(top, anc, bottom)
         middle = build(bottom + [anc], target, top)
         return outer + middle + outer, 1
-    ancillas = list(range(n + 1, n + 1 + (n - 2)))
-    chain_ccx = _chain_toffolis(range(n), ancillas)
-    middle = [ccx(n - 1, ancillas[-1], target)]
-    if family == S2_3:
-        return chain_ccx + middle + chain_ccx[::-1], n - 2
-    chain: list[Gate] = []
-    for g in chain_ccx:
-        (a, _), (b, _) = g.controls
-        chain += margolus_gates(a, b, g.targets[0])
-    mid = toffoli_cx_gates(n - 1, ancillas[-1], target)
-    return chain + mid + [g.inverse() for g in reversed(chain)], n - 2
+    return _zeroed_chain(n, family, lambda mid: build(mid, target, []))
 
 
 def _burnable_rx_one(n: int, theta: float, family: str) -> tuple[list[Gate], int]:
@@ -161,7 +147,7 @@ def _burnable_rx_one(n: int, theta: float, family: str) -> tuple[list[Gate], int
         return _small_rx(n, theta, family), 0
     target, anc = n, n + 1
     top, bottom = _split_halves(n)
-    build = _mcx_s23 if family == S2_3 else _mcx_s22
+    build = _MCX[family]
     first = build(top, target, bottom)  # target line doubles as the borrowed carry
     second = build(bottom + [target], anc, top)
     return first + second + first + second + crx_gates(anc, target, theta), 1
@@ -170,7 +156,7 @@ def _burnable_rx_one(n: int, theta: float, family: str) -> tuple[list[Gate], int
 def _burnable_x_one(n: int, family: str) -> tuple[list[Gate], int]:
     """C^n(X), one burnable ancilla: compute-only half split (no restore)."""
     target, anc = n, n + 1
-    build = _mcx_s23 if family == S2_3 else _mcx_s22
+    build = _MCX[family]
     if n <= 2:
         return build(range(n), target, []), 0
     top, bottom = _split_halves(n)
@@ -185,34 +171,24 @@ def _burnable_rx_n(n: int, theta: float, family: str) -> tuple[list[Gate], int]:
         return _small_rx(n, theta, family), 0
     target = n
     ancillas = list(range(n + 1, n + 1 + (n - 2)))
-    chain_ccx = _chain_toffolis(range(n - 1), ancillas)
+    chain = _chain_toffolis(range(n - 1), ancillas)
     mid_c = [n - 1, ancillas[-1]]
     if family == S2_3:
-        middle = su2_split_gates(
-            mid_c, target, theta, mcx_gates=lambda: [ccx(mid_c[0], mid_c[1], target)]
-        )
-        return chain_ccx + middle, n - 2
-    chain: list[Gate] = []
-    for g in chain_ccx:
-        (a, _), (b, _) = g.controls
-        chain += toffoli_cx_gates(a, b, g.targets[0])
-    return chain + compact_c2rx_gates(mid_c[0], mid_c[1], target, theta), n - 2
+        return chain + su2_split_gates(mid_c, target, theta, [ccx(*mid_c, target)]), n - 2
+    return (_lower_ccx(chain, toffoli_cx_gates)
+            + compact_c2rx_gates(mid_c[0], mid_c[1], target, theta)), n - 2
 
 
 def _burnable_x_n(n: int, family: str) -> tuple[list[Gate], int]:
     """C^n(X), n-2 burnable ancillas: the n-1 Toffoli compute ladder."""
     target = n
-    build = _mcx_s23 if family == S2_3 else _mcx_s22
+    build = _MCX[family]
     if n <= 2:
         return build(range(n), target, []), 0
     ancillas = list(range(n + 1, n + 1 + (n - 2)))
     ladder = _chain_toffolis(range(n), ancillas) + [ccx(n - 1, ancillas[-1], target)]
     if family == S2_2:
-        out: list[Gate] = []
-        for g in ladder:
-            (a, _), (b, _) = g.controls
-            out += toffoli_cx_gates(a, b, g.targets[0])
-        return out, n - 2
+        return _lower_ccx(ladder, toffoli_cx_gates), n - 2
     return ladder, n - 2
 
 
@@ -294,26 +270,12 @@ def compile_partial_mixer(n_controls: int, theta: float, gateset: GateSetSpec,
     budgets restore them within each expansion already.
     """
     n = n_controls
-    target = n
     if gateset.family not in (S2_2, S2_3):
         raise DecomposeError(f"unsupported gate set {gateset.family!r} for synthesis")
     if n == 0:
         raise DecomposeError("mixer with no controls is a bare rotation")
-    sub = decompose(mcx_gate := Gate("mcx", (target,), tuple((i, POS1) for i in range(n))),
-                    gateset, budget)
+    sub = decompose(mcx(range(n), n), gateset, budget)
     first = list(sub.gates)
-    if budget.regime == BURNABLE:
-        second = [g.inverse() for g in reversed(first)]
-    else:
-        second = first
-    from .ir import ry, rz
-    import numpy as np
-
-    body = (
-        [rz(target, np.pi / 2), ry(target, theta / 2)]
-        + first
-        + [ry(target, -theta / 2)]
-        + second
-        + [rz(target, -np.pi / 2)]
-    )
+    second = [g.inverse() for g in reversed(first)] if budget.regime == BURNABLE else None
+    body = su2_split_gates(range(n), n, theta, first, second)
     return Circuit(2, sub.width, tuple(body), sub.ancilla)

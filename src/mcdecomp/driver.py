@@ -7,11 +7,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .ir import Graph, N_PER_CONTROLS, ONE, S2_2, S2_3, S3_2
+from .ir import Graph, N_PER_CONTROLS, ONE, S2_2, S2_3, S3_2, ZEROED
 from .graphs import brute_force_mis, erdos_renyi, random_regular
 from .metrics import mixer_entangling_count
 from . import optimize as opt
-from .qaoa import DQVA, SA, dqva_default_mask, dqva_outer_loop, optimize_single_round
+from .qaoa import (
+    DQVA, SA, dqva_default_mask, dqva_outer_loop, optimize_single_round, param_count,
+)
 
 
 class DriverError(ValueError):
@@ -116,33 +118,31 @@ def mixer_histogram(graph: Graph, p: int, nodes=None) -> dict[int, int]:
     return dict(hist)
 
 
-def entangling_totals(hist: dict[int, int]) -> dict[str, int]:
-    out = {}
-    for family, budget in COUNT_COLUMNS:
-        total = 0
-        for ell, count in hist.items():
-            total += count * mixer_entangling_count(ell, family, budget)
-        out[f"{family}/{budget}"] = total
-    return out
+def entangling_totals(hist: dict[int, int], regime: str = ZEROED) -> dict[str, int]:
+    """Entangling total of a mixer histogram per count column, in one regime."""
+    return {
+        f"{family}/{budget}": sum(count * mixer_entangling_count(ell, family, budget, regime)
+                                  for ell, count in hist.items())
+        for family, budget in COUNT_COLUMNS
+    }
 
 
-def _dqva_live_nodes(graph: Graph, p: int, nu: int, sigma) -> list[int]:
-    mask = dqva_default_mask(p, graph.n, nu, sigma)
-    nodes = []
+def dqva_live_nodes(graph: Graph, p: int, nu: int, sigma=None) -> list[int]:
+    """Nodes of the live mixers of a dynamic ansatz, layer by layer.
+
+    The live slots are those of ``dqva_default_mask`` with an empty current
+    set; ``sigma`` is the mixer order, the identity by default.
+    """
     n = graph.n
-    for k in range(p):
-        for node in range(n):
-            if mask[k * (n + 1) + node]:
-                nodes.append(node)
-    return nodes
+    mask = dqva_default_mask(p, n, nu, range(n) if sigma is None else sigma)
+    return [node for k in range(p) for node in range(n) if mask[k * (n + 1) + node]]
 
 
 def trial_mixer_histogram(graph: Graph, spec: VariantSpec) -> dict[int, int]:
     """Mixer histogram reported for one variant: every node in every layer,
     or for the dynamic variant only the live mixers of the identity ordering."""
     if spec.variant == DQVA:
-        sigma = tuple(range(graph.n))
-        return mixer_histogram(graph, 1, _dqva_live_nodes(graph, spec.p, spec.nu, sigma))
+        return mixer_histogram(graph, 1, dqva_live_nodes(graph, spec.p, spec.nu))
     return mixer_histogram(graph, spec.p)
 
 
@@ -167,7 +167,7 @@ def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
                                   mixer_rounds=mixer_rounds, optimizer=optimizer)
             size, rounds, evals = res.best_size, res.rounds, res.evals
             bits = res.best_bits
-            converged = converged and res.any_converged
+            converged = converged and res.converged
         else:
             res = optimize_single_round(graph, spec.variant, spec.p, seed=sub,
                                         optimizer=optimizer)
@@ -182,8 +182,7 @@ def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
             best = cand
     size, bits, rounds, evals = best
     hist = trial_mixer_histogram(graph, spec)
-    n_params = 2 * spec.p if spec.variant == SA else (
-        spec.nu if spec.variant == DQVA else spec.p * (graph.n + 1))
+    n_params = spec.nu if spec.variant == DQVA else param_count(spec.variant, spec.p, graph.n)
     return TrialRecord(
         graph_id=graph_id,
         variant=spec.label,

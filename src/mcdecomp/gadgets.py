@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ir import Gate, ccx, cx, h, mcx, ry, rz, t_gate, tdg, u_gate
+from .ir import Gate, cx, h, mcx, ry, rz, t_gate, tdg, u_gate
 
 QUARTER = np.pi / 4
 
@@ -22,14 +22,7 @@ _H_AFTER_T = (np.array([[1, 1], [1, -1]]) / np.sqrt(2)) @ np.diag(
 
 def crx_gates(c: int, t: int, theta: float) -> list[Gate]:
     """Controlled Rx from 2 CX and 4 single-qubit rotations (1-control SU(2) split)."""
-    return [
-        rz(t, np.pi / 2),
-        ry(t, theta / 2),
-        cx(c, t),
-        ry(t, -theta / 2),
-        cx(c, t),
-        rz(t, -np.pi / 2),
-    ]
+    return su2_split_gates([c], t, theta, [cx(c, t)])
 
 
 def compact_c2rx_gates(c1: int, c2: int, t: int, theta: float) -> list[Gate]:
@@ -136,19 +129,22 @@ def mcx_cx_gates(controls, target: int, dirty) -> list[Gate]:
     return vchain_dirty_cx_gates(controls, dirty, target)
 
 
-def su2_split_gates(controls, target: int, theta: float, mcx_gates=None) -> list[Gate]:
+def su2_split_gates(controls, target: int, theta: float,
+                    first=None, second=None) -> list[Gate]:
     """Rotation split of C^n(Rx): Rz, Ry, MCX, Ry, MCX, Rz on the target.
 
-    ``mcx_gates`` optionally supplies the expansion of each multi-controlled
-    NOT; by default the bare MCX gate is emitted.
+    ``first`` and ``second`` optionally supply the gates of each
+    multi-controlled NOT; ``second`` defaults to ``first``, and both default to
+    the bare MCX gate.
     """
-    controls = list(controls)
-    first = mcx_gates() if mcx_gates is not None else [mcx(controls, target)]
-    second = mcx_gates() if mcx_gates is not None else [mcx(controls, target)]
+    if first is None:
+        first = [mcx(controls, target)]
+    if second is None:
+        second = first
     return (
         [rz(target, np.pi / 2), ry(target, theta / 2)]
-        + first
+        + list(first)
         + [ry(target, -theta / 2)]
-        + second
+        + list(second)
         + [rz(target, -np.pi / 2)]
     )

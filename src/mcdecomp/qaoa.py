@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gadgets import su2_split_gates
 from .graphs import neighbor_masks
-from .ir import Circuit, Gate, Graph, mcx, rx, ry, rz, x
+from .ir import Circuit, Gate, Graph, rx, rz, x
 from .sim import Statevector, bits_to_index
 from . import optimize as opt
 
@@ -34,9 +35,8 @@ class AnsatzError(ValueError):
 def partial_mixer(graph: Graph, node: int, theta: float) -> Circuit:
     """Mixer body for one node: rotation gated on all neighbors being |0>.
 
-    Open controls are realized by X conjugation around two multi-controlled
-    NOTs with the rotation split across them; an isolated node degenerates to
-    a bare Rx.
+    Open controls are realized by X conjugation around the rotation split
+    (two multi-controlled NOTs); an isolated node degenerates to a bare Rx.
     """
     if not 0 <= node < graph.n:
         raise AnsatzError(f"node {node} not in graph")
@@ -44,14 +44,7 @@ def partial_mixer(graph: Graph, node: int, theta: float) -> Circuit:
     if not nbrs:
         return Circuit(2, graph.n, (rx(node, theta),))
     flips = [x(v) for v in nbrs]
-    gates = (
-        [rz(node, np.pi / 2)]
-        + flips
-        + [ry(node, theta / 2), mcx(nbrs, node), ry(node, -theta / 2), mcx(nbrs, node)]
-        + flips
-        + [rz(node, -np.pi / 2)]
-    )
-    return Circuit(2, graph.n, tuple(gates))
+    return Circuit(2, graph.n, tuple(flips + su2_split_gates(nbrs, node, theta) + flips))
 
 
 def phase_separator(graph: Graph, gamma: float) -> Circuit:
@@ -409,7 +402,7 @@ class DqvaResult:
     rounds: int
     evals: int
     max_infeasible: float = 0.0
-    any_converged: bool = True
+    converged: bool = True
     history: list = field(default_factory=list)
 
 
@@ -421,7 +414,8 @@ def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
     re-optimization inside, growing the independent set until it stalls.
 
     Returns the best feasible set found and the number of optimizer
-    invocations (the rounds-of-variational-optimization count).
+    invocations (the rounds-of-variational-optimization count);
+    ``converged`` holds only when every inner optimization converged.
     """
     if nu < 1:
         raise AnsatzError("nu must be >= 1")
@@ -434,7 +428,7 @@ def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
     rounds = 0
     evals = 0
     worst_inf = 0.0
-    converged = False
+    converged = True
     history = []
     cap = inner_cap if inner_cap is not None else n
     sets = IndependentSets(graph)
@@ -448,7 +442,7 @@ def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
             res = maximize(engine.expectation_live, x0)
             rounds += 1
             evals += res.evals
-            converged = converged or getattr(res, "converged", True)
+            converged = converged and getattr(res, "converged", True)
             amps = engine.statevector_live(res.x)
             worst_inf = max(worst_inf, _unaccounted_mass(amps))
             cand = best_measured_set(amps, engine.basis, n, threshold)

@@ -3,7 +3,7 @@
 Each scheme returns a Circuit laid out as: controls on lines 0..n-1, target
 on line n, ancilla lines after that (unless the caller passes explicit
 borrowed lines).  The CNOT-level compilation of these circuits lives in
-``cnot``/``decompose``.
+``decompose``.
 """
 from __future__ import annotations
 

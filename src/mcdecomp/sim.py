@@ -114,17 +114,6 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int) -> None:
     a1 += old0
 
 
-def _apply_gate_array(amps: np.ndarray, gate: Gate, width: int) -> np.ndarray:
-    out = amps.copy()
-    _apply_gate_inplace(out, gate, width)
-    return out
-
-
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    """Return gate . state; multi-controlled gates are applied natively."""
-    return Statevector(_apply_gate_array(state.amplitudes, gate, state.width), state.width)
-
-
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     amps = state.amplitudes.copy()
     for g in circuit.gates:
@@ -226,6 +215,3 @@ def identity_deviation(a: np.ndarray) -> float:
         worst = max(worst, float(block.max()))
     return worst
 
-
-def allclose_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> bool:
-    return phase_aligned_deviation(a, b) <= atol

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from mcdecomp.cli import main
+from mcdecomp.driver import VariantSpec, entangling_totals, mixer_histogram, trial_mixer_histogram
 from mcdecomp.graphs import erdos_renyi
-from mcdecomp.ir import Circuit, Graph
+from mcdecomp.ir import BURNABLE, Circuit, Graph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -187,3 +188,31 @@ def test_qaoa_dqva_histogram_counts_live_mixers(tmp_path):
                     "--seed", "1", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["mixer_histogram"] == {"4": 2, "5": 1, "6": 1}
+
+
+def test_qaoa_exits_4_when_one_dqva_round_stops_on_the_budget(tmp_path, capsys):
+    graph = tmp_path / "er10.json"
+    graph.write_text(erdos_renyi(10, 4.5, seed=1).to_json())
+    code = run_cli(["qaoa", "--variant", "dqva", "--nu", "5", "--graph", str(graph),
+                    "--seed", "3", "--max-evals", "30", "--out", str(tmp_path / "r.json")])
+    assert code == 4
+    assert "budget" in capsys.readouterr().err
+
+
+def test_dqva_sweep_counts_the_trial_live_mixers(monkeypatch):
+    import mcdecomp.cli as cli
+
+    seen = []
+
+    def capture(graph, layers, nodes=None):
+        hist = mixer_histogram(graph, layers, nodes)
+        seen.append((graph, hist))
+        return hist
+
+    monkeypatch.setattr(cli, "mixer_histogram", capture)
+    rows = cli.sweep_counts([40], 6.0, "dqva", 1, "m/2", seed=90, graphs_per_size=1)
+    (graph, hist), = seen
+    assert graph == erdos_renyi(40, 6.0, seed=90 + 1000 * 40)
+    want = trial_mixer_histogram(graph, VariantSpec("dqva", 1, 20))
+    assert hist == want
+    assert rows == [{"m": 40, **entangling_totals(want, BURNABLE)}]

@@ -2,10 +2,19 @@ import numpy as np
 import pytest
 
 from mcdecomp.decompose import DecomposeError, compile_partial_mixer, decompose
+from mcdecomp.gadgets import (
+    compact_c2rx_gates,
+    crx_gates,
+    margolus_gates,
+    toffoli_cx_gates,
+    vchain_dirty_cx_gates,
+)
 from mcdecomp.ir import (
     AncillaBudget,
+    Circuit,
     GateSetSpec,
     NEG0,
+    ccx,
     count_tuple,
     entangling_total,
     mcrx,
@@ -14,8 +23,8 @@ from mcdecomp.ir import (
     validate_circuit,
 )
 from mcdecomp.metrics import exact_count_zeroed
-from mcdecomp.sim import circuit_unitary, gate_unitary
-from mcdecomp.verify import restricted_deviation
+from mcdecomp.sim import circuit_unitary, gate_unitary, phase_aligned_deviation
+from mcdecomp.verify import exact_deviation, restricted_deviation
 
 COLUMNS = [("s2_2", "one"), ("s2_3", "one"), ("s2_2", "n"), ("s2_3", "n")]
 
@@ -117,3 +126,47 @@ def test_decompose_remaps_to_gate_lines():
         used.update(gg.lines)
     assert {0, 2, 4} <= used
     assert restricted_deviation(c, g, 5) < 1e-10
+
+
+# --- CX-level gadgets of the s2_2 routes ---------------------------------------
+
+def test_exact_toffoli_gadget():
+    u = circuit_unitary(Circuit(2, 3, tuple(toffoli_cx_gates(0, 1, 2))))
+    assert np.max(np.abs(u - gate_unitary(ccx(0, 1, 2), 3))) < 1e-12
+    assert sum(1 for g in toffoli_cx_gates(0, 1, 2) if g.arity == 1) == 8
+
+
+def test_margolus_exact_on_zero_target():
+    gates = margolus_gates(0, 1, 2)
+    u = circuit_unitary(Circuit(2, 3, tuple(gates)))
+    t = gate_unitary(ccx(0, 1, 2), 3)
+    zero_cols = [i for i in range(8) if i % 2 == 0]  # target = line 2 = LSB
+    assert np.max(np.abs(u[:, zero_cols] - t[:, zero_cols])) < 1e-12
+    # involution: applying it twice is the identity
+    u2 = circuit_unitary(Circuit(2, 3, tuple(gates + gates)))
+    assert np.max(np.abs(u2 - np.eye(8))) < 1e-12
+
+
+def test_compact_c2rx_is_raw_exact_with_6_cx():
+    gates = compact_c2rx_gates(0, 1, 2, 1.234)
+    assert sum(1 for g in gates if g.arity == 2) == 6
+    u = circuit_unitary(Circuit(2, 3, tuple(gates)))
+    assert np.max(np.abs(u - gate_unitary(mcrx([0, 1], 2, 1.234), 3))) < 1e-12
+
+
+def test_crx_gadget():
+    gates = crx_gates(0, 1, 0.37)
+    assert sum(1 for g in gates if g.arity == 2) == 2
+    u = circuit_unitary(Circuit(2, 2, tuple(gates)))
+    assert phase_aligned_deviation(u, gate_unitary(mcrx([0], 1, 0.37), 2)) < 1e-12
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_vchain_dirty_count_and_exactness(k):
+    controls = list(range(k))
+    ancillas = list(range(k + 1, k + 1 + k - 2))
+    gates = vchain_dirty_cx_gates(controls, ancillas, k)
+    n_cx = sum(1 for g in gates if g.kind == "mcx")
+    assert n_cx == 8 * k - 6
+    c = Circuit(2, 2 * k - 1, tuple(gates))
+    assert exact_deviation(c, mcx(controls, k)) < 1e-12

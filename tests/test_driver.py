@@ -11,6 +11,7 @@ from mcdecomp.driver import (
 from mcdecomp.graphs import random_regular
 from mcdecomp.metrics import exact_count_zeroed
 from mcdecomp.optimize import maximize
+from mcdecomp.qaoa import param_count
 
 
 def test_maximize_quadratic():
@@ -76,9 +77,14 @@ def test_benchmark_parallel_matches_serial():
 
 
 def test_benchmark_record_invariants():
-    records = list(run_benchmark(_tiny_config()))
+    cfg = _tiny_config()
+    specs = {spec.label: spec for spec in cfg.variants}
+    records = list(run_benchmark(cfg))
     assert records
     for r in records:
+        spec = specs[r.variant]
+        want = spec.nu if spec.variant == "dqva" else param_count(spec.variant, spec.p, cfg.nodes)
+        assert r.param_count == want
         assert 0 < r.ratio <= 1.0
         assert r.best_size <= r.optimum
         assert (r.ratio == 1.0) == (r.best_size == r.optimum)

@@ -416,3 +416,19 @@ def test_dqva_builds_the_independent_sets_once(monkeypatch):
     res = dqva_outer_loop(Graph.from_edges(6, []), nu=2, seed=4, mixer_rounds=2)
     assert res.rounds > 1
     assert len(built) == 1
+
+
+def test_dqva_converged_needs_every_inner_round():
+    # a 30-eval budget stops some inner rounds and not others
+    from mcdecomp import optimize as opt
+
+    flags = []
+
+    def optimizer(f, x0):
+        res = opt.maximize(f, x0, max_evals=30)
+        flags.append(res.converged)
+        return res
+
+    res = dqva_outer_loop(erdos_renyi(10, 4.5, seed=1), nu=5, seed=3, optimizer=optimizer)
+    assert any(flags) and not all(flags)
+    assert res.converged is False

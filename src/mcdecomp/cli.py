@@ -319,8 +319,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_controls > 6:
-        raise CliError("matrix oracle is limited to --max-controls 6")
     results = verify_schemes(max_controls=args.max_controls, angles=args.angles,
                              seed=args.seed, tol=args.tol)
     failures = [r for r in results if not r.ok]
@@ -398,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("verify", help="matrix-oracle suite for all schemes")
+    p = sub.add_parser("verify", help="matrix oracle: every decompose route under its ancilla contract")
     p.add_argument("--max-controls", type=int, default=5)
     p.add_argument("--angles", type=int, default=20)
     p.add_argument("--seed", type=int, default=11)

@@ -23,7 +23,6 @@ from .ir import (
     S3_2,
     ZEROED,
     ccx,
-    cx,
     mcx,
     x,
 )
@@ -35,29 +34,51 @@ from .gadgets import (
     su2_split_gates,
     toffoli_cx_gates,
 )
-from .schemes import _chain_toffolis, _ladder_toffolis
 
 
 class DecomposeError(ValueError):
     pass
 
 
-def _mcx_s23(controls, target: int, dirty) -> list[Gate]:
-    """C^k(X) at the Toffoli level: borrowed-ancilla ladder for k >= 3."""
+def _chain_toffolis(controls, ancillas) -> list[Gate]:
+    """Compute chain: ancilla j accumulates the AND of controls 0..j+1."""
+    gates = [ccx(controls[0], controls[1], ancillas[0])]
+    for i in range(1, len(ancillas)):
+        gates.append(ccx(controls[i + 1], ancillas[i - 1], ancillas[i]))
+    return gates
+
+
+def ladder_gates(controls, borrowed, target: int, m: int = 3) -> list[Gate]:
+    """C^k(X) from (m-1)-controlled NOTs through borrowed carry lines (any state).
+
+    The bottom gate absorbs m-1 controls and every further rung up to m-2, so
+    ceil((k-m+1)/(m-2)) borrowed lines suffice; extra lines are ignored.  At
+    m=3 this is the 4k-8 Toffoli ladder (Barenco et al., quant-ph/9503016).
+    """
+    if m < 3:
+        raise DecomposeError("gate size parameter m must be >= 3")
     controls = list(controls)
     k = len(controls)
-    if k == 1:
-        return [cx(controls[0], target)]
-    if k == 2:
-        return [ccx(controls[0], controls[1], target)]
-    dirty = list(dirty)
-    if len(dirty) < k - 2:
-        raise DecomposeError(f"need {k - 2} borrowed lines for a {k}-control ladder")
-    return _ladder_toffolis(controls, dirty[: k - 2], target)
+    if k <= m - 1:
+        return [mcx(controls, target)]
+    r = -(-(k - (m - 1)) // (m - 2))  # number of borrowed carry lines
+    borrowed = list(borrowed)[:r]
+    if len(borrowed) < r:
+        raise DecomposeError(f"need {r} borrowed lines for a {k}-control ladder")
+    if set(borrowed) & (set(controls) | {target}):
+        raise DecomposeError("borrowed lines must be disjoint from controls and target")
+    groups = [controls[:m - 1]] + [controls[p:p + m - 2] for p in range(m - 1, k, m - 2)]
+    # groups[0] feeds the bottom gate; groups[j] rides carry line borrowed[j-1]
+    rungs = [mcx(groups[-1] + [borrowed[r - 1]], target)]
+    for i in range(1, r):
+        rungs.append(mcx(groups[r - i] + [borrowed[r - 1 - i]], borrowed[r - i]))
+    inner = rungs[1:] + [mcx(groups[0], borrowed[0])] + rungs[-1:0:-1]
+    return [rungs[0]] + inner + [rungs[0]] + inner
 
 
 # C^k(X) builder of each gate set, called as build(controls, target, dirty).
-_MCX = {S2_2: mcx_cx_gates, S2_3: _mcx_s23}
+_MCX = {S2_2: mcx_cx_gates,
+        S2_3: lambda controls, target, dirty: ladder_gates(controls, dirty, target)}
 
 
 def _lower_ccx(ccxs, gadget) -> list[Gate]:
@@ -259,23 +280,3 @@ def _remap(gate: Gate, canon_gates: list[Gate], n_anc: int, regime: str) -> Circ
         tuple(gates),
         ancilla=tuple((a, regime) for a in anc_lines),
     )
-
-
-def compile_partial_mixer(n_controls: int, theta: float, gateset: GateSetSpec,
-                          budget: AncillaBudget) -> Circuit:
-    """Rotation-split mixer body with both MCX occurrences expanded.
-
-    Under a burnable budget the second expansion is the mirror of the first,
-    so the paired compute/uncompute restores the ancillas to |0>; zeroed
-    budgets restore them within each expansion already.
-    """
-    n = n_controls
-    if gateset.family not in (S2_2, S2_3):
-        raise DecomposeError(f"unsupported gate set {gateset.family!r} for synthesis")
-    if n == 0:
-        raise DecomposeError("mixer with no controls is a bare rotation")
-    sub = decompose(mcx(range(n), n), gateset, budget)
-    first = list(sub.gates)
-    second = [g.inverse() for g in reversed(first)] if budget.regime == BURNABLE else None
-    body = su2_split_gates(range(n), n, theta, first, second)
-    return Circuit(2, sub.width, tuple(body), sub.ancilla)

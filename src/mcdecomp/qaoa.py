@@ -18,7 +18,7 @@ import numpy as np
 
 from .gadgets import su2_split_gates
 from .graphs import neighbor_masks
-from .ir import Circuit, Gate, Graph, rx, rz, x
+from .ir import Circuit, Gate, Graph, NEG0, rx, rz, x
 from .sim import Statevector, bits_to_index
 from . import optimize as opt
 
@@ -35,16 +35,15 @@ class AnsatzError(ValueError):
 def partial_mixer(graph: Graph, node: int, theta: float) -> Circuit:
     """Mixer body for one node: rotation gated on all neighbors being |0>.
 
-    Open controls are realized by X conjugation around the rotation split
-    (two multi-controlled NOTs); an isolated node degenerates to a bare Rx.
+    The rotation split's two multi-controlled NOTs carry open (|0>) controls
+    on the neighbors; an isolated node degenerates to a bare Rx.
     """
     if not 0 <= node < graph.n:
         raise AnsatzError(f"node {node} not in graph")
     nbrs = graph.neighbors(node)
     if not nbrs:
         return Circuit(2, graph.n, (rx(node, theta),))
-    flips = [x(v) for v in nbrs]
-    return Circuit(2, graph.n, tuple(flips + su2_split_gates(nbrs, node, theta) + flips))
+    return Circuit(2, graph.n, tuple(su2_split_gates([(v, NEG0) for v in nbrs], node, theta)))
 
 
 def phase_separator(graph: Graph, gamma: float) -> Circuit:

@@ -1,11 +1,11 @@
-"""Unitary-equivalence checks for every decomposition scheme.
+"""Unitary-equivalence checks for every circuit that ``decompose`` emits.
 
-Each check builds the scheme circuit, computes its dense unitary, and
-compares against the ideal multi-controlled gate under the scheme's ancilla
-contract: zeroed ancillas are restricted to |0> inputs and must return to
-|0>; borrowed lines must be exact for every basis state; burnable schemes are
-checked on computational-basis inputs and as paired compute/uncompute inside
-the mixer body.
+Each check simulates a circuit and compares it with the ideal multi-controlled
+gate under its ancilla contract: zeroed ancillas start in |0> and must return
+to |0>; borrowed lines must be exact for every basis state; burnable
+ancillas start in |0> and may end in one basis state fixed by the controls.
+The suite runs every (gate set, count, regime, kind) route of ``decompose``
+under the check of its regime, and the borrowed-line ladder exactly.
 """
 from __future__ import annotations
 
@@ -26,19 +26,10 @@ from .ir import (
     mcrx,
     mcx,
 )
-from .decompose import compile_partial_mixer, decompose
-from .schemes import (
-    borrowed_ladder,
-    burnable_ladder,
-    generalized_ladder,
-    half_split_borrowed_x,
-    half_split_zeroed,
-    n_ancilla_ladder,
-    su2_split,
-)
+from .decompose import decompose, ladder_gates
 from .sim import (
-    MAX_UNITARY_WIDTH,
     _apply_gate_inplace,
+    circuit_columns,
     circuit_unitary,
     gate_unitary,
     identity_deviation,
@@ -57,25 +48,51 @@ class CheckResult:
     deviation: float
 
 
-def restricted_deviation(circuit: Circuit, ideal_gate, register_width: int) -> float:
-    """Deviation of the circuit from ideal (x) |0><0| on its ancilla lines.
+def _ancilla_zero_block(circuit: Circuit, register_width: int) -> np.ndarray:
+    """The circuit on its ancilla-|0> inputs, as (register out, ancilla out, input).
 
-    Ancilla lines are the trailing lines; the check covers both the restricted
-    block (up to global phase) and leakage out of the ancilla-|0> subspace.
-    Only the ancilla-|0> input columns are simulated.
+    Ancilla lines are the trailing lines; only these input columns are
+    simulated.
     """
-    from .sim import circuit_columns
+    step = 2 ** (circuit.width - register_width)
+    u = circuit_columns(circuit, np.arange(2**register_width) * step)
+    return u.reshape(2**register_width, step, 2**register_width)
 
-    ideal = gate_unitary(ideal_gate, register_width)
-    n_anc = circuit.width - register_width
-    step = 2**n_anc
-    cols = np.arange(2**register_width) * step
-    u = circuit_columns(circuit, cols)
-    sub = u[::step, :]
-    dev = phase_aligned_deviation(sub, ideal)
-    leak = np.abs(u).copy()
-    leak[::step, :] = 0.0
+
+def _slot_deviation(block: np.ndarray, slots: np.ndarray, ideal: np.ndarray) -> float:
+    """Deviation from ideal when input column j may only reach ancilla state slots[j].
+
+    Covers the block in those slots (up to one global phase) and any
+    amplitude that leaks out of them.
+    """
+    cols = np.arange(block.shape[2])
+    dev = phase_aligned_deviation(block[:, slots, cols], ideal)
+    leak = np.abs(block)
+    leak[:, slots, cols] = 0.0
     return max(dev, float(leak.max()))
+
+
+def restricted_deviation(circuit: Circuit, ideal_gate, register_width: int) -> float:
+    """Deviation of the circuit from ideal (x) |0><0| on its ancilla lines (zeroed contract)."""
+    block = _ancilla_zero_block(circuit, register_width)
+    return _slot_deviation(block, np.zeros(block.shape[2], dtype=int),
+                           gate_unitary(ideal_gate, register_width))
+
+
+def burnable_deviation(circuit: Circuit, ideal_gate, register_width: int) -> float:
+    """Deviation from the burnable contract on ancilla-|0> inputs.
+
+    Each output must be e^{i phi} (ideal |c,t>) (x) |a(c)>: one ancilla basis
+    state a(c) that depends on the control bits c alone, and one phase phi
+    for all inputs.  The register holds the controls and the ideal's target;
+    a(c) is the ancilla state that carries the most weight over both target
+    values.
+    """
+    block = _ancilla_zero_block(circuit, register_width)
+    weight = (np.abs(block) ** 2).sum(axis=0)  # (ancilla out, input)
+    flip_target = np.arange(block.shape[2]) ^ (1 << (register_width - 1 - ideal_gate.targets[0]))
+    slots = (weight + weight[:, flip_target]).argmax(axis=0)
+    return _slot_deviation(block, slots, gate_unitary(ideal_gate, register_width))
 
 
 def exact_deviation(circuit: Circuit, ideal_gate) -> float:
@@ -93,103 +110,43 @@ def exact_deviation(circuit: Circuit, ideal_gate) -> float:
     return identity_deviation(u)
 
 
-def _basis_ladder_check(n: int) -> float:
-    """Burnable ladder on basis inputs: target flips iff all controls are 1."""
-    c = burnable_ladder(n)
-    width = c.width
-    u = circuit_unitary(c)
-    worst = 0.0
-    for controls_bits in range(2**n):
-        for tbit in (0, 1):
-            bits = [(controls_bits >> (n - 1 - i)) & 1 for i in range(n)]
-            idx_in = 0
-            for i in range(n):
-                idx_in |= bits[i] << (width - 1 - i)
-            idx_in |= tbit << (width - 1 - n)
-            col = u[:, idx_in]
-            out = int(np.argmax(np.abs(col)))
-            if abs(abs(col[out]) - 1.0) > 1e-9:
-                return 1.0
-            expect_t = tbit ^ int(all(bits))
-            got_t = (out >> (width - 1 - n)) & 1
-            got_controls = [(out >> (width - 1 - i)) & 1 for i in range(n)]
-            if got_t != expect_t or got_controls != bits:
-                return 1.0
-            worst = max(worst, abs(abs(col[out]) - 1.0))
-    return worst
-
-
 def verify_schemes(max_controls: int = 5, angles: int = 20, seed: int = 11,
                    tol: float = 1e-8) -> list[CheckResult]:
-    """Run the oracle suite for every scheme and gate set up to max_controls."""
-    if max_controls > 6:
-        raise VerifyError("matrix oracle is limited to 6 controls (width 2n-1)")
+    """Check the borrowed-line ladder and every ``decompose`` route up to max_controls.
+
+    The ladder is checked exactly for m=3 and m=4; each route is checked for
+    n=1..max_controls under the contract of its regime, rotations at
+    max(4, angles // 4) random angles.
+    """
+    if not 1 <= max_controls <= 6:
+        raise VerifyError("matrix oracle needs 1 <= max_controls <= 6 (width 2n-1)")
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 
-    def angle_set(k: int = angles):
-        return [float(a) for a in rng.uniform(0, 2 * np.pi, k)]
+    def record(name: str, dev: float) -> None:
+        results.append(CheckResult(name, dev <= tol, dev))
 
-    for n in range(1, max_controls + 1):
-        worst = max(
-            phase_aligned_deviation(
-                circuit_unitary(su2_split(n, th)), gate_unitary(mcrx(list(range(n)), n, th), n + 1)
-            )
-            for th in angle_set()
-        )
-        results.append(CheckResult(f"su2_split(n={n})", worst <= tol, worst))
+    for m in (3, 4):
+        for k in range(3, max_controls + 1):
+            gates = ladder_gates(range(k), range(k + 1, 2 * k - 1), k, m)
+            width = 1 + max(line for g in gates for line in g.lines)
+            record(f"ladder(k={k},m={m})",
+                   exact_deviation(Circuit(2, width, tuple(gates)), mcx(list(range(k)), k)))
 
-    for n in range(2, max_controls + 1):
-        worst = max(
-            restricted_deviation(half_split_zeroed(n, th), mcrx(list(range(n)), n, th), n + 1)
-            for th in angle_set()
-        )
-        results.append(CheckResult(f"half_split_zeroed(n={n})", worst <= tol, worst))
-
-    for k in range(3, max_controls + 1):
-        dev = exact_deviation(borrowed_ladder(k), mcx(list(range(k)), k))
-        results.append(CheckResult(f"borrowed_ladder(k={k})", dev <= tol, dev))
-
-    for n in range(3, max_controls + 1):
-        worst = max(
-            restricted_deviation(n_ancilla_ladder(n, th), mcrx(list(range(n)), n, th), n + 1)
-            for th in angle_set()
-        )
-        results.append(CheckResult(f"n_ancilla_ladder(n={n})", worst <= tol, worst))
-
-    for n in range(3, max_controls + 1):
-        dev = exact_deviation(half_split_borrowed_x(n), mcx(list(range(n)), n))
-        results.append(CheckResult(f"half_split_borrowed_x(n={n})", dev <= tol, dev))
-
-    for k in range(3, max_controls + 1):
-        for m in (3, 4):
-            c = generalized_ladder(k, m)
-            if c.width > MAX_UNITARY_WIDTH:
-                continue
-            dev = exact_deviation(c, mcx(list(range(k)), k))
-            results.append(CheckResult(f"generalized_ladder(k={k},m={m})", dev <= tol, dev))
-
-    for n in range(3, max_controls + 1):
-        dev = _basis_ladder_check(n)
-        results.append(CheckResult(f"burnable_ladder(n={n})", dev <= tol, dev))
-
+    contract = {ZEROED: restricted_deviation, BURNABLE: burnable_deviation}
     for family in (S2_2, S2_3):
-        spec = GateSetSpec(family)
-        for budget_count in (ONE, N_PER_CONTROLS):
-            for n in range(1, max_controls + 1):
-                worst = 0.0
-                for th in angle_set(max(4, angles // 4)):
-                    c = decompose(mcrx(list(range(n)), n, th), spec,
-                                  AncillaBudget(budget_count, ZEROED))
-                    worst = max(worst, restricted_deviation(c, mcrx(list(range(n)), n, th), n + 1))
-                results.append(CheckResult(
-                    f"decompose({family},{budget_count},zeroed,n={n})", worst <= tol, worst))
-            for n in range(3, max_controls + 1):
-                worst = 0.0
-                for th in angle_set(4):
-                    c = compile_partial_mixer(n, th, spec, AncillaBudget(budget_count, BURNABLE))
-                    worst = max(worst, restricted_deviation(c, mcrx(list(range(n)), n, th), n + 1))
-                results.append(CheckResult(
-                    f"mixer_pair({family},{budget_count},burnable,n={n})", worst <= tol, worst))
-
+        for count in (ONE, N_PER_CONTROLS):
+            for regime, deviation in contract.items():
+                budget = AncillaBudget(count, regime)
+                for kind in ("mcrx", "mcx"):
+                    for n in range(1, max_controls + 1):
+                        controls = list(range(n))
+                        if kind == "mcx":
+                            ideals = [mcx(controls, n)]
+                        else:
+                            ideals = [mcrx(controls, n, float(th)) for th in
+                                      rng.uniform(0, 2 * np.pi, max(4, angles // 4))]
+                        record(f"decompose({family},{count},{regime},{kind},n={n})",
+                               max(deviation(decompose(g, GateSetSpec(family), budget), g, n + 1)
+                                   for g in ideals))
     return results

@@ -112,11 +112,17 @@ def test_qaoa_dqva_single_parameter_traverses_empty_graph(tmp_path):
 def test_verify_small(capsys):
     assert run_cli(["verify", "--max-controls", "3", "--angles", "3"]) == 0
     out = capsys.readouterr().out
-    assert "PASS su2_split(n=1)" in out
+    assert "PASS decompose(s2_3,one,burnable,mcrx,n=3)" in out
 
 
 def test_verify_rejects_large_width(capsys):
     assert run_cli(["verify", "--max-controls", "7"]) == 2
+
+
+def test_verify_rejects_an_empty_suite(capsys):
+    assert run_cli(["verify", "--max-controls", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_bench_preset_outputs(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcdecomp.decompose import DecomposeError, compile_partial_mixer, decompose
+from mcdecomp.decompose import DecomposeError, decompose
 from mcdecomp.gadgets import (
     compact_c2rx_gates,
     crx_gates,
@@ -108,14 +108,6 @@ def test_burnable_histograms_near_table(family, budget, kind):
         got = count_tuple(c, 3 if family == "s2_3" else 2)
         want = want_fn(n)
         assert all(abs(a - b) <= 32 for a, b in zip(got, want)), (got, want)
-
-
-def test_burnable_mixer_pair_restores_ancillas():
-    for family in ("s2_2", "s2_3"):
-        for budget in ("one", "n"):
-            c = compile_partial_mixer(4, 0.9, GateSetSpec(family),
-                                      AncillaBudget(budget, "burnable"))
-            assert restricted_deviation(c, mcrx(list(range(4)), 4, 0.9), 5) < 1e-8
 
 
 def test_decompose_remaps_to_gate_lines():

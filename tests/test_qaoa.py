@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcdecomp.graphs import brute_force_mis, erdos_renyi
-from mcdecomp.ir import Graph
+from mcdecomp.ir import NEG0, Graph
 from mcdecomp.qaoa import (
     DQVA,
     MA,
@@ -77,8 +77,11 @@ def test_isolated_node_mixer_is_bare_rx():
 def test_mixer_gate_inventory():
     c = partial_mixer(STAR, 0, 0.7)
     kinds = [g.kind for g in c.gates]
-    assert kinds.count("mcx") == 2
-    assert kinds.count("x") == 6
+    mcxs = [g for g in c.gates if g.kind == "mcx"]
+    assert len(mcxs) == 2
+    # the three neighbors are open controls on both MCXs, with no X flips around them
+    assert all(len(g.controls) == 3 and all(pol == NEG0 for _, pol in g.controls) for g in mcxs)
+    assert "x" not in kinds
     assert sum(1 for k in kinds if k in ("rz", "ry")) == 4
 
 

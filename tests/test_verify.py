@@ -1,9 +1,23 @@
+import re
+
 import pytest
 
-from mcdecomp.ir import Circuit, mcrx, mcx
-from mcdecomp.schemes import borrowed_ladder, half_split_borrowed_x
+from mcdecomp.decompose import DecomposeError, decompose, ladder_gates
+from mcdecomp.ir import AncillaBudget, Circuit, GateSetSpec, h, mcrx, mcx, rz
 from mcdecomp.sim import circuit_unitary, gate_unitary, phase_aligned_deviation
-from mcdecomp.verify import CheckResult, VerifyError, exact_deviation, verify_schemes
+from mcdecomp.verify import (
+    CheckResult,
+    VerifyError,
+    burnable_deviation,
+    exact_deviation,
+    restricted_deviation,
+    verify_schemes,
+)
+
+
+def ladder(k, m=3):
+    gates = ladder_gates(range(k), range(k + 1, 2 * k - 1), k, m)
+    return Circuit(2, 1 + max(line for g in gates for line in g.lines), tuple(gates))
 
 
 def test_suite_passes_at_default_size():
@@ -11,14 +25,26 @@ def test_suite_passes_at_default_size():
     assert results and all(r.ok for r in results)
 
 
+def test_suite_names_all_16_routes():
+    names = [r.name for r in verify_schemes(max_controls=4, angles=4)]
+    routes = {}
+    for name in names:
+        hit = re.fullmatch(r"decompose\((\w+),(\w+),(\w+),(\w+),n=(\d)\)", name)
+        if hit:
+            routes.setdefault(hit.groups()[:4], []).append(int(hit.group(5)))
+    assert len(routes) == 16
+    assert all(ns == [1, 2, 3, 4] for ns in routes.values())
+    assert {f"ladder(k={k},m={m})" for k in (3, 4) for m in (3, 4)} <= set(names)
+
+
 def test_injected_off_by_one_ladder_fails_with_name():
     # negative control: drop the final Toffoli from a correct ladder
-    good = borrowed_ladder(4)
+    good = ladder(4)
     broken = Circuit(good.dim, good.width, good.gates[:-1], good.ancilla)
     dev = exact_deviation(broken, mcx(list(range(4)), 4))
-    result = CheckResult("borrowed_ladder(k=4,broken)", dev <= 1e-8, dev)
+    result = CheckResult("ladder(k=4,broken)", dev <= 1e-8, dev)
     assert not result.ok
-    assert "borrowed_ladder" in result.name
+    assert "ladder" in result.name
     assert result.deviation > 0.5
 
 
@@ -27,10 +53,16 @@ def test_width_bound_rejected():
         verify_schemes(max_controls=7)
 
 
+@pytest.mark.parametrize("max_controls", [0, -1])
+def test_empty_suite_rejected(max_controls):
+    with pytest.raises(VerifyError):
+        verify_schemes(max_controls=max_controls)
+
+
 @pytest.mark.parametrize("circuit, k", [
-    (borrowed_ladder(4), 4),
-    (half_split_borrowed_x(4), 4),
-    (Circuit(2, borrowed_ladder(4).width, borrowed_ladder(4).gates[:-1]), 4),
+    (ladder(4), 4),
+    (ladder(4, m=4), 4),
+    (Circuit(2, ladder(4).width, ladder(4).gates[:-1]), 4),
 ])
 def test_exact_deviation_matches_the_dense_ideal(circuit, k):
     ideal = mcx(list(range(k)), k)
@@ -41,4 +73,72 @@ def test_exact_deviation_matches_the_dense_ideal(circuit, k):
 
 def test_exact_deviation_rejects_a_non_permutation_ideal():
     with pytest.raises(VerifyError):
-        exact_deviation(borrowed_ladder(3), mcrx([0, 1, 2], 3, 0.3))
+        exact_deviation(ladder(3), mcrx([0, 1, 2], 3, 0.3))
+
+
+# --- the burnable contract ------------------------------------------------------
+
+N = 4
+IDEAL = mcrx(list(range(N)), N, 0.9)
+BURNT = decompose(IDEAL, GateSetSpec("s2_3"), AncillaBudget("one", "burnable"))
+
+
+def with_gates(circuit, gates):
+    return Circuit(circuit.dim, circuit.width, tuple(gates), circuit.ancilla)
+
+
+def test_burnable_route_passes_its_contract_only():
+    assert burnable_deviation(BURNT, IDEAL, N + 1) < 1e-12
+    # the ancilla keeps the AND of the controls, which the zeroed check rejects
+    assert restricted_deviation(BURNT, IDEAL, N + 1) > 0.5
+
+
+def test_burnable_accepts_zeroed_routes():
+    for count in ("one", "n"):
+        c = decompose(IDEAL, GateSetSpec("s2_2"), AncillaBudget(count))
+        assert burnable_deviation(c, IDEAL, N + 1) < 1e-8
+
+
+def test_burnable_rejects_a_superposed_ancilla():
+    anc = BURNT.width - 1
+    assert burnable_deviation(with_gates(BURNT, BURNT.gates + (h(anc),)), IDEAL, N + 1) > 0.5
+
+
+def test_burnable_rejects_a_control_dependent_phase():
+    assert burnable_deviation(with_gates(BURNT, BURNT.gates + (rz(0, 1.0),)), IDEAL, N + 1) > 0.4
+
+
+def test_burnable_rejects_every_single_gate_drop():
+    for i, g in enumerate(BURNT.gates):
+        if g.controls:
+            dropped = BURNT.gates[:i] + BURNT.gates[i + 1:]
+            assert burnable_deviation(with_gates(BURNT, dropped), IDEAL, N + 1) > 1e-6, i
+
+
+# --- the borrowed-line ladder ---------------------------------------------------
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_ladder_is_4k_minus_8_toffolis(k):
+    gates = ladder_gates(range(k), range(k + 1, 2 * k - 1), k)
+    assert len(gates) == 4 * k - 8
+    assert all(g.kind == "mcx" and len(g.controls) == 2 for g in gates)
+
+
+def test_ladder_m4_rungs_take_at_most_3_controls():
+    gates = ladder_gates(range(7), range(8, 13), 7, m=4)
+    assert max(len(g.controls) for g in gates) == 3
+
+
+@pytest.mark.parametrize("k, m", [(3, 3), (5, 4)])
+def test_ladder_exact_for_every_borrowed_state(k, m):
+    assert exact_deviation(ladder(k, m), mcx(list(range(k)), k)) < 1e-12
+
+
+def test_ladder_requires_enough_borrowed():
+    with pytest.raises(DecomposeError):
+        ladder_gates(range(5), [6], 5)
+
+
+def test_ladder_rejects_m_below_3():
+    with pytest.raises(DecomposeError):
+        ladder_gates(range(5), range(6, 9), 5, m=2)

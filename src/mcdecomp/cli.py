@@ -39,9 +39,9 @@ from .driver import (
     entangling_totals,
     mixer_histogram,
     run_benchmark,
-    trial_mixer_histogram,
+    run_trial,
 )
-from .graphs import erdos_renyi
+from .graphs import brute_force_mis, erdos_renyi
 from .metrics import (
     MetricsError,
     exact_count_zeroed,
@@ -49,7 +49,7 @@ from .metrics import (
     threshold_chain,
     threshold_requirement,
 )
-from .qaoa import DQVA, MA, SA, dqva_outer_loop, optimize_single_round, param_count
+from .qaoa import DQVA, MA, SA
 from .verify import verify_schemes
 
 SCHEMA = "mcdecomp/1"
@@ -167,6 +167,8 @@ def sweep_counts(sizes, density, variant, p, nu_rule, seed, regime=BURNABLE,
 
 def cmd_count(args) -> int:
     if args.table == "table3":
+        if args.max_n < 1:
+            raise CliError(f"--max-n must be >= 1, got {args.max_n}")
         rows = []
         for n in range(1, args.max_n + 1):
             for family, budget in SWEEP_COLUMNS:
@@ -215,6 +217,8 @@ def cmd_gdc(args) -> int:
                      "gdc_natural_log": value})
         return EXIT_OK
     # Fidelity sweep over seeded graphs, one GDC value per gate-set column.
+    if args.f_steps < 1 or args.graphs < 1:
+        raise CliError("the gdc sweep needs --f-steps >= 1 and --graphs >= 1")
     grid = np.linspace(args.f_min, args.f_max, args.f_steps)
     rows = []
     for gi in range(args.graphs):
@@ -231,57 +235,16 @@ def cmd_gdc(args) -> int:
 def cmd_qaoa(args) -> int:
     with open(args.graph) as fh:
         graph = Graph.from_json(fh.read())
-    from .graphs import brute_force_mis
-    from . import optimize as opt
-
-    optimizer = None
-    if args.max_evals is not None:
-        optimizer = lambda f, x0: opt.maximize(f, x0, max_evals=args.max_evals)
-    optimum, _ = brute_force_mis(graph)
     nu = None
     if args.variant == DQVA:
         nu = args.nu if args.nu is not None else max(1, graph.n // 2)
-        res = dqva_outer_loop(graph, nu, seed=args.seed, p=args.p, optimizer=optimizer)
-        bits, rounds, evals = res.best_bits, res.rounds, res.evals
-        converged = res.converged
-        n_params = nu
-        best_params = None
-    else:
-        best = None
-        converged = True
-        rng = np.random.default_rng(args.seed)
-        for _ in range(args.restarts):
-            r = optimize_single_round(graph, args.variant, args.p,
-                                      seed=int(rng.integers(0, 2**31 - 1)),
-                                      optimizer=optimizer)
-            converged = converged and r.converged
-            bits = r.best_bits
-            if best is None or sum(bits) > sum(best[0]):
-                best = (bits, r.evals, [float(v) for v in r.params])
-        bits, evals, best_params = best
-        rounds = 1
-        n_params = param_count(args.variant, args.p, graph.n)
-    hist = trial_mixer_histogram(graph, VariantSpec(args.variant, args.p, nu))
-
-    record = {
-        "graph_id": args.graph,
-        "variant": args.variant,
-        "p": args.p,
-        "param_count": n_params,
-        "params": best_params if args.variant != DQVA else None,
-        "best_set": list(bits),
-        "best_size": sum(bits),
-        "optimum": optimum,
-        "ratio": sum(bits) / optimum if optimum else 1.0,
-        "rounds": rounds,
-        "evals": evals,
-        "seed": args.seed,
-        "mixer_histogram": {str(k): v for k, v in hist.items()},
-        "entangling_histogram": entangling_totals(hist),
-    }
-    print(f"parameters: {n_params}", file=sys.stderr)
-    _write_json(_out_path(args.out, "qaoa.json"), record)
-    if args.max_evals is not None and not converged:
+    spec = VariantSpec(args.variant, args.p, nu)
+    optimum, _ = brute_force_mis(graph)
+    record = run_trial(graph, spec, args.seed, optimum, graph_id=args.graph,
+                       repetitions=args.restarts, max_evals=args.max_evals)
+    print(f"parameters: {record.param_count}", file=sys.stderr)
+    _write_json(_out_path(args.out, "qaoa.json"), record.to_dict())
+    if args.max_evals is not None and not record.converged:
         print("warning: an optimization exhausted its evaluation budget before "
               "converging; best-so-far reported", file=sys.stderr)
         return EXIT_BUDGET
@@ -300,7 +263,7 @@ def cmd_bench(args) -> int:
             cfg = BenchmarkConfig.from_json(fh.read())
     else:
         raise CliError("bench needs --config FILE or --preset desk-fig6")
-    records = list(run_benchmark(cfg, jobs=args.jobs))
+    records = list(run_benchmark(cfg))
     rows = []
     for r in records:
         rows.append([
@@ -392,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=["desk-fig6"])
     p.add_argument("--repetitions", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
     p.add_argument("--out-prefix")
     p.set_defaults(func=cmd_bench)
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -12,7 +12,8 @@ from .graphs import brute_force_mis, erdos_renyi, random_regular
 from .metrics import mixer_entangling_count
 from . import optimize as opt
 from .qaoa import (
-    DQVA, SA, dqva_default_mask, dqva_outer_loop, optimize_single_round, param_count,
+    DQVA, SA, check_variant, dqva_default_mask, dqva_outer_loop, optimize_single_round,
+    param_count, round_slots,
 )
 
 
@@ -45,6 +46,8 @@ class TrialRecord:
     entangling: dict[str, int]
     converged: bool
     max_infeasible: float
+    best_set: tuple[int, ...]
+    params: list[float] | None  # the best execution's angles; None for DQVA
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -57,6 +60,11 @@ class VariantSpec:
     variant: str
     p: int = 1
     nu: int | None = None
+
+    def __post_init__(self):
+        check_variant(self.variant, self.p)
+        if self.variant == DQVA and (self.nu is None or self.nu < 1):
+            raise DriverError("the dqva variant needs nu >= 1")
 
     @property
     def label(self) -> str:
@@ -82,15 +90,35 @@ class BenchmarkConfig:
     max_evals: int | None = None
     tol: float = 1e-4
 
+    def __post_init__(self):
+        if self.graph_count < 1:
+            raise DriverError("graph_count must be >= 1")
+        if self.repetitions < 1:
+            raise DriverError("repetitions must be >= 1")
+        if not self.variants:
+            raise DriverError("variants must not be empty")
+
     def to_json(self) -> str:
         d = asdict(self)
         return json.dumps(d, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "BenchmarkConfig":
-        d = json.loads(text)
-        d["variants"] = [VariantSpec(**v) for v in d.get("variants", [])]
+        """Parse a config; missing keys keep their defaults, unknown keys raise."""
+        d = _known_keys(BenchmarkConfig, json.loads(text), "config")
+        if "variants" in d:
+            d["variants"] = [VariantSpec(**_known_keys(VariantSpec, v, "variant"))
+                             for v in d["variants"]]
         return BenchmarkConfig(**d)
+
+
+def _known_keys(cls, d, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise DriverError(f"a {what} must be a JSON object")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise DriverError(f"unknown {what} keys: {', '.join(unknown)}")
+    return d
 
 
 def _make_graph(cfg: BenchmarkConfig, seed) -> Graph:
@@ -135,7 +163,8 @@ def dqva_live_nodes(graph: Graph, p: int, nu: int, sigma=None) -> list[int]:
     """
     n = graph.n
     mask = dqva_default_mask(p, n, nu, range(n) if sigma is None else sigma)
-    return [node for k in range(p) for node in range(n) if mask[k * (n + 1) + node]]
+    return [node for mixers, _ in round_slots(DQVA, p, n)
+            for node in range(n) if mask[mixers[node]]]
 
 
 def trial_mixer_histogram(graph: Graph, spec: VariantSpec) -> dict[int, int]:
@@ -151,10 +180,12 @@ def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
               max_evals=None, tol: float = 1e-4) -> TrialRecord:
     """Best-of-N executions of one variant on one graph (fresh random starts).
 
-    The record keeps the best execution's size, rounds and evals; ``converged``
-    holds when every execution converged, and ``max_infeasible`` is the worst
-    unaccounted mass over the executions.
+    The record keeps the best execution's set, size, rounds, evals and (for
+    SA/MA) angles; ``converged`` holds when every execution converged, and
+    ``max_infeasible`` is the worst unaccounted mass over the executions.
     """
+    if repetitions < 1:
+        raise DriverError("repetitions must be >= 1")
     rng = np.random.default_rng(seed)
     optimizer = lambda f, x0: opt.maximize(f, x0, max_evals=max_evals, tol=tol)
     best = None
@@ -165,22 +196,20 @@ def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
         if spec.variant == DQVA:
             res = dqva_outer_loop(graph, spec.nu, seed=sub, p=spec.p,
                                   mixer_rounds=mixer_rounds, optimizer=optimizer)
-            size, rounds, evals = res.best_size, res.rounds, res.evals
-            bits = res.best_bits
-            converged = converged and res.converged
+            rounds, params = res.rounds, None
         else:
             res = optimize_single_round(graph, spec.variant, spec.p, seed=sub,
                                         optimizer=optimizer)
-            bits = res.best_bits
-            size, rounds, evals = sum(bits), 1, res.evals
-            converged = converged and res.converged
+            rounds, params = 1, [float(v) for v in res.params]
+        bits = res.best_bits
+        converged = converged and res.converged
         worst_inf = max(worst_inf, res.max_infeasible)
         if not graph.is_independent(bits):
             raise DriverError("reported set is not independent")
-        cand = (size, bits, rounds, evals)
-        if best is None or cand[0] > best[0]:
-            best = cand
-    size, bits, rounds, evals = best
+        if best is None or sum(bits) > sum(best[0]):
+            best = (bits, rounds, res.evals, params)
+    bits, rounds, evals, params = best
+    size = sum(bits)
     hist = trial_mixer_histogram(graph, spec)
     n_params = spec.nu if spec.variant == DQVA else param_count(spec.variant, spec.p, graph.n)
     return TrialRecord(
@@ -197,45 +226,33 @@ def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
         entangling=entangling_totals(hist),
         converged=converged,
         max_infeasible=worst_inf,
+        best_set=bits,
+        params=params,
     )
 
 
 def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1):
     """Yield TrialRecords for every (graph, variant); reproducible from the seed.
 
-    Trials are independent; ``jobs`` > 1 runs them on a thread pool with
-    per-trial seeds derived from (master seed, graph index, variant index),
-    so the record stream is identical regardless of parallelism.
+    Each trial's seed derives from (master seed, graph index, variant index).
+    Trials run serially: ``jobs`` accepts only 1.
     """
-    root = np.random.SeedSequence(cfg.seed)
-    graph_seeds = root.spawn(cfg.graph_count)
-    tasks = []
-    for gi in range(cfg.graph_count):
-        graph = _make_graph(cfg, graph_seeds[gi])
+    if jobs != 1:
+        raise DriverError(f"jobs must be 1 (trials run serially), got {jobs}")
+    graph_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.graph_count)
+    for gi, graph_seed in enumerate(graph_seeds):
+        graph = _make_graph(cfg, graph_seed)
         optimum, _ = brute_force_mis(graph)
         if optimum == 0:
             continue
         for vi, spec in enumerate(cfg.variants):
-            tasks.append((gi, vi, graph, spec, optimum))
-
-    def run_one(task):
-        gi, vi, graph, spec, optimum = task
-        trial_seed = np.random.SeedSequence((cfg.seed, gi, vi))
-        return run_trial(
-            graph, spec, trial_seed.generate_state(1)[0], optimum,
-            graph_id=f"{cfg.ensemble}-{cfg.nodes}-{gi}",
-            repetitions=cfg.repetitions, mixer_rounds=cfg.mixer_rounds,
-            max_evals=cfg.max_evals, tol=cfg.tol,
-        )
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(run_one, tasks)
-    else:
-        for task in tasks:
-            yield run_one(task)
+            trial_seed = np.random.SeedSequence((cfg.seed, gi, vi))
+            yield run_trial(
+                graph, spec, trial_seed.generate_state(1)[0], optimum,
+                graph_id=f"{cfg.ensemble}-{cfg.nodes}-{gi}",
+                repetitions=cfg.repetitions, mixer_rounds=cfg.mixer_rounds,
+                max_evals=cfg.max_evals, tol=cfg.tol,
+            )
 
 
 def aggregate(records) -> dict:

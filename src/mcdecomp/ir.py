@@ -7,6 +7,7 @@ bookkeeping.  All types are immutable and safe to share between threads.
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -169,13 +170,15 @@ def ccx(c1: int, c2: int, t: int) -> Gate:
 
 
 def _norm_controls(controls) -> tuple[tuple[int, str], ...]:
+    """(line, polarity) pairs; a bare line is a |1> control.  Lines are taken
+    through ``operator.index``, so NumPy integers work and floats do not."""
     out = []
     for c in controls:
-        if isinstance(c, int):
-            out.append((c, POS1))
-        else:
-            line, pol = c
-            out.append((int(line), str(pol)))
+        line, pol = c if isinstance(c, (tuple, list)) and len(c) == 2 else (c, POS1)
+        try:
+            out.append((operator.index(line), str(pol)))
+        except TypeError:
+            raise IRError(f"control line {line!r} is not an integer") from None
     return tuple(out)
 
 
@@ -196,18 +199,6 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         object.__setattr__(self, "ancilla", tuple((int(l), str(r)) for l, r in self.ancilla))
-
-    @property
-    def ancilla_lines(self) -> tuple[int, ...]:
-        return tuple(line for line, _ in self.ancilla)
-
-    @property
-    def problem_lines(self) -> tuple[int, ...]:
-        anc = set(self.ancilla_lines)
-        return tuple(i for i in range(self.width) if i not in anc)
-
-    def inverse(self) -> "Circuit":
-        return Circuit(self.dim, self.width, tuple(g.inverse() for g in reversed(self.gates)), self.ancilla)
 
     def to_json(self) -> str:
         return json.dumps(circuit_to_dict(self))
@@ -258,10 +249,6 @@ def entangling_gate_histogram(c: Circuit) -> dict[int, int]:
 
 def entangling_total(c: Circuit) -> int:
     return sum(entangling_gate_histogram(c).values())
-
-
-def single_qudit_total(c: Circuit) -> int:
-    return sum(1 for g in c.gates if g.arity == 1)
 
 
 def count_tuple(c: Circuit, max_arity: int | None = None) -> tuple[int, ...]:
@@ -353,25 +340,11 @@ class GateSetSpec:
             if not 0 < f <= 1:
                 raise IRError(f"fidelity for arity {arity} must be in (0, 1], got {f}")
 
-    @property
-    def max_arity(self) -> int:
-        if self.family == S2_2:
-            return 2
-        if self.family == S2_3:
-            return 3
-        if self.family == S2_M:
-            return self.m
-        return 2  # s3_2: single- and two-qutrit gates
-
     def fidelity(self, arity: int) -> float:
         for a, f in self.fidelities:
             if a == arity:
                 return f
         raise IRError(f"no fidelity declared for arity {arity}")
-
-    def covers_emitted_arities(self) -> bool:
-        declared = {a for a, _ in self.fidelities}
-        return all(a in declared for a in range(1, self.max_arity + 1))
 
 
 ONE = "one"

@@ -12,7 +12,7 @@ neighbors onto |0...0>.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,22 +51,29 @@ def phase_separator(graph: Graph, gamma: float) -> Circuit:
     return Circuit(2, graph.n, tuple(rz(i, gamma) for i in range(graph.n)))
 
 
+def check_variant(variant: str, p: int) -> None:
+    """Raise ``AnsatzError`` unless ``variant`` is known and ``p >= 1``."""
+    if variant not in VARIANTS:
+        raise AnsatzError(f"unknown variant {variant!r}")
+    if p < 1:
+        raise AnsatzError("p must be >= 1")
+
+
 def param_count(variant: str, p: int, n: int) -> int:
     if variant == SA:
         return 2 * p
     return p * (n + 1)
 
 
-def layout_slots(variant: str, p: int, n: int):
-    """Yield (round, kind, node) per full-layout slot; kind is 'beta' or 'gamma'."""
-    for k in range(p):
-        if variant == SA:
-            yield k, "beta", None
-            yield k, "gamma", None
-        else:
-            for i in range(n):
-                yield k, "beta", i
-            yield k, "gamma", None
+def round_slots(variant: str, p: int, n: int) -> list[tuple[list[int], int]]:
+    """Per round, each node's mixer slot and the phase slot of the full layout.
+
+    The single-angle layout is (beta, gamma) per round, every node sharing
+    beta; the others hold n mixer angles and then gamma per round.
+    """
+    if variant == SA:
+        return [([2 * k] * n, 2 * k + 1) for k in range(p)]
+    return [(list(range(k * (n + 1), k * (n + 1) + n)), k * (n + 1) + n) for k in range(p)]
 
 
 def dqva_default_mask(p: int, n: int, nu: int, permutation, in_set=()) -> tuple[bool, ...]:
@@ -80,28 +87,28 @@ def dqva_default_mask(p: int, n: int, nu: int, permutation, in_set=()) -> tuple[
     """
     if nu < 1:
         raise AnsatzError("nu must be >= 1")
-    total = p * (n + 1)
-    mask = [False] * total
+    rounds = round_slots(DQVA, p, n)
+    mask = [False] * param_count(DQVA, p, n)
     n_gamma = min(p, nu - 1) if nu > 1 else 0
     live = 0
-    for k in range(n_gamma):
-        mask[k * (n + 1) + n] = True  # phase slot of round k
+    for _, phase in rounds[:n_gamma]:
+        mask[phase] = True
         live += 1
     blocked = {i for i, b in enumerate(in_set) if b}
-    for k in range(p):
+    for mixers, _ in rounds:
         for node in permutation:
             if live >= nu:
                 break
             if node in blocked:
                 continue
-            if not mask[k * (n + 1) + node]:
-                mask[k * (n + 1) + node] = True
+            if not mask[mixers[node]]:
+                mask[mixers[node]] = True
                 live += 1
     # if everything is already in the set, spill the leftovers into phases
-    for k in range(n_gamma, p):
+    for _, phase in rounds[n_gamma:]:
         if live >= nu:
             break
-        mask[k * (n + 1) + n] = True
+        mask[phase] = True
         live += 1
     return tuple(mask)
 
@@ -110,7 +117,7 @@ def dqva_default_mask(p: int, n: int, nu: int, permutation, in_set=()) -> tuple[
 class AnsatzSpec:
     """Which ansatz to build: variant, depth, parameters, ordering, and mask.
 
-    ``params`` uses the full layout (see ``layout_slots``); for the dynamic
+    ``params`` uses the full layout (see ``round_slots``); for the dynamic
     variant ``mask`` marks the live slots and must have exactly ``nu`` set
     when ``nu`` is given.  ``warm_start`` must be an independent set.
     """
@@ -123,40 +130,9 @@ class AnsatzSpec:
     warm_start: tuple[int, ...] | None = None
     nu: int | None = None
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps({
-            "variant": self.variant,
-            "p": self.p,
-            "params": list(self.params),
-            "permutation": list(self.permutation) if self.permutation is not None else None,
-            "mask": list(self.mask) if self.mask is not None else None,
-            "warm_start": "".join(map(str, self.warm_start)) if self.warm_start is not None else None,
-            "nu": self.nu,
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "AnsatzSpec":
-        import json
-
-        d = json.loads(text)
-        return AnsatzSpec(
-            variant=d["variant"],
-            p=d.get("p", 1),
-            params=tuple(d.get("params", ())),
-            permutation=tuple(d["permutation"]) if d.get("permutation") is not None else None,
-            mask=tuple(bool(b) for b in d["mask"]) if d.get("mask") is not None else None,
-            warm_start=tuple(int(ch) for ch in d["warm_start"]) if d.get("warm_start") else None,
-            nu=d.get("nu"),
-        )
-
 
 def validate_spec(graph: Graph, spec: AnsatzSpec) -> None:
-    if spec.variant not in VARIANTS:
-        raise AnsatzError(f"unknown variant {spec.variant!r}")
-    if spec.p < 1:
-        raise AnsatzError("p must be >= 1")
+    check_variant(spec.variant, spec.p)
     n = graph.n
     expect = param_count(spec.variant, spec.p, n)
     if spec.params and len(spec.params) != expect:
@@ -191,25 +167,16 @@ def build_ansatz(graph: Graph, spec: AnsatzSpec) -> Circuit:
     gates: list[Gate] = []
     if spec.warm_start is not None:
         gates += [x(i) for i, b in enumerate(spec.warm_start) if b]
-    for k in range(spec.p):
-        if spec.variant == SA:
-            beta, gamma = params[2 * k], params[2 * k + 1]
-            for node in sigma:
-                if beta != 0.0:
-                    gates += partial_mixer(graph, node, 2 * beta).gates
-            if gamma != 0.0:
-                gates += phase_separator(graph, gamma).gates
-        else:
-            base = k * (n + 1)
-            for node in sigma:
-                if mask is not None and not mask[base + node]:
-                    continue
-                beta = params[base + node]
-                if beta != 0.0:
-                    gates += partial_mixer(graph, node, 2 * beta).gates
-            gamma = params[base + n]
-            if (mask is None or mask[base + n]) and gamma != 0.0:
-                gates += phase_separator(graph, gamma).gates
+    for mixers, phase in round_slots(spec.variant, spec.p, n):
+        for node in sigma:
+            if mask is not None and not mask[mixers[node]]:
+                continue
+            beta = params[mixers[node]]
+            if beta != 0.0:
+                gates += partial_mixer(graph, node, 2 * beta).gates
+        gamma = params[phase]
+        if (mask is None or mask[phase]) and gamma != 0.0:
+            gates += phase_separator(graph, gamma).gates
     return Circuit(2, n, tuple(gates))
 
 
@@ -311,6 +278,7 @@ class AnsatzEngine:
 
     def __init__(self, sets: IndependentSets, variant: str, p: int = 1,
                  permutation=None, mask=None, warm_start=None):
+        check_variant(variant, p)
         self.graph = sets.graph
         self.variant = variant
         self.p = p
@@ -324,28 +292,23 @@ class AnsatzEngine:
         if self._start == len(basis) or basis[self._start] != start:
             raise AnsatzError("warm start is not an independent set")
         self._w = sets.weights
-        self._layout = list(layout_slots(variant, p, n))
-        self._live = [i for i in range(len(self._layout)) if self.mask is None or self.mask[i]]
+        self._size = param_count(variant, p, n)
+        self._live = [i for i in range(self._size) if self.mask is None or self.mask[i]]
         live = set(self._live)
         # per round: the live mixers as (idx, swp, slot) in sigma order, and
         # the live phase slot or None
-        self._rounds = []
-        for k in range(p):
-            if variant == SA:
-                slots, gamma_slot = [2 * k] * n, 2 * k + 1
-            else:
-                base = k * (n + 1)
-                slots, gamma_slot = [base + node for node in range(n)], base + n
-            mixers = [sets.pairs[node] + (slots[node],) for node in self.sigma
-                      if slots[node] in live]
-            self._rounds.append((mixers, gamma_slot if gamma_slot in live else None))
+        self._rounds = [
+            ([sets.pairs[node] + (mixers[node],) for node in self.sigma if mixers[node] in live],
+             phase if phase in live else None)
+            for mixers, phase in round_slots(variant, p, n)
+        ]
 
     @property
     def live_param_count(self) -> int:
         return len(self._live)
 
     def full_params(self, live_values) -> np.ndarray:
-        full = np.zeros(len(self._layout))
+        full = np.zeros(self._size)
         full[self._live] = live_values
         return full
 
@@ -394,6 +357,19 @@ def best_measured_set(amps: np.ndarray, basis: np.ndarray, n: int, threshold: fl
     return tuple((index >> (n - 1 - j)) & 1 for j in range(n))
 
 
+def _optimize(engine: AnsatzEngine, rng, optimizer):
+    """One variational round: a uniform start in [0, pi), the maximization
+    (``optimize.maximize`` unless ``optimizer`` is given), and the readout.
+
+    Returns the optimizer's result, the best measured set and the optimized
+    state's unaccounted mass.
+    """
+    x0 = rng.uniform(0.0, np.pi, engine.live_param_count)
+    res = (optimizer or opt.maximize)(engine.expectation_live, x0)
+    amps = engine.statevector_live(res.x)
+    return res, best_measured_set(amps, engine.basis, engine.n), _unaccounted_mass(amps)
+
+
 @dataclass
 class DqvaResult:
     best_bits: tuple[int, ...]
@@ -402,15 +378,13 @@ class DqvaResult:
     evals: int
     max_infeasible: float = 0.0
     converged: bool = True
-    history: list = field(default_factory=list)
 
 
 def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
-                    mixer_rounds: int = 5, inner_cap: int | None = None,
-                    warm_start=None, optimizer=None,
-                    threshold: float = 1e-4) -> DqvaResult:
+                    mixer_rounds: int = 5, optimizer=None) -> DqvaResult:
     """Dynamic-ansatz driver: random mixer permutations outside, warm-started
-    re-optimization inside, growing the independent set until it stalls.
+    re-optimization inside, growing the independent set from the empty set
+    until it stalls.
 
     Returns the best feasible set found and the number of optimizer
     invocations (the rounds-of-variational-optimization count);
@@ -420,39 +394,27 @@ def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
         raise AnsatzError("nu must be >= 1")
     n = graph.n
     rng = np.random.default_rng(seed)
-    maximize = optimizer or (lambda f, x0: opt.maximize(f, x0))
-    best = tuple(warm_start) if warm_start is not None else (0,) * n
-    if not graph.is_independent(best):
-        raise AnsatzError("warm start is not an independent set")
+    best = (0,) * n
     rounds = 0
     evals = 0
     worst_inf = 0.0
     converged = True
-    history = []
-    cap = inner_cap if inner_cap is not None else n
     sets = IndependentSets(graph)
     for _ in range(mixer_rounds):
         sigma = tuple(int(v) for v in rng.permutation(n))
         cur = best
-        for _ in range(cap):
+        for _ in range(n):
             mask = dqva_default_mask(p, n, nu, sigma, in_set=cur)
             engine = AnsatzEngine(sets, DQVA, p, sigma, mask, cur)
-            x0 = rng.uniform(0.0, np.pi, engine.live_param_count)
-            res = maximize(engine.expectation_live, x0)
+            res, cand, inf = _optimize(engine, rng, optimizer)
             rounds += 1
             evals += res.evals
-            converged = converged and getattr(res, "converged", True)
-            amps = engine.statevector_live(res.x)
-            worst_inf = max(worst_inf, _unaccounted_mass(amps))
-            cand = best_measured_set(amps, engine.basis, n, threshold)
-            history.append({"sigma": sigma, "value": res.value,
-                            "candidate": cand, "rounds": rounds})
-            if sum(cand) > sum(best):
-                best = cand
-                cur = cand
-            else:
+            converged = converged and res.converged
+            worst_inf = max(worst_inf, inf)
+            if sum(cand) <= sum(best):
                 break
-    return DqvaResult(best, sum(best), rounds, evals, worst_inf, converged, history)
+            best = cur = cand
+    return DqvaResult(best, sum(best), rounds, evals, worst_inf, converged)
 
 
 @dataclass
@@ -466,18 +428,11 @@ class SingleRoundResult:
 
 
 def optimize_single_round(graph: Graph, variant: str, p: int = 1, seed=None,
-                          permutation=None, optimizer=None,
-                          threshold: float = 1e-4) -> SingleRoundResult:
+                          optimizer=None) -> SingleRoundResult:
     """One variational round of the single-/multi-angle ansatz from |0...0>."""
     if variant not in (SA, MA):
         raise AnsatzError("use dqva_outer_loop for the dynamic variant")
     rng = np.random.default_rng(seed)
-    maximize = optimizer or (lambda f, x0: opt.maximize(f, x0))
-    engine = AnsatzEngine(IndependentSets(graph), variant, p, permutation)
-    x0 = rng.uniform(0.0, np.pi, engine.live_param_count)
-    res = maximize(engine.expectation_live, x0)
-    amps = engine.statevector_live(res.x)
-    bits = best_measured_set(amps, engine.basis, graph.n, threshold)
-    return SingleRoundResult(bits, res.value, res.evals, np.asarray(res.x),
-                             _unaccounted_mass(amps),
-                             getattr(res, "converged", True))
+    engine = AnsatzEngine(IndependentSets(graph), variant, p)
+    res, bits, inf = _optimize(engine, rng, optimizer)
+    return SingleRoundResult(bits, res.value, res.evals, np.asarray(res.x), inf, res.converged)

@@ -7,7 +7,6 @@ character ``i`` belonging to line ``i``.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +50,6 @@ class Statevector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"width": self.width, "amplitudes": [[a.real, a.imag] for a in self.amplitudes]}
-        )
 
 
 def bits_to_index(bits) -> int:
@@ -154,17 +148,6 @@ def circuit_columns(c: Circuit, columns) -> np.ndarray:
     for g in c.gates:
         _apply_gate_inplace(mat, g, c.width)
     return mat
-
-
-def sample(state: Statevector, shots: int, seed: int | None = None) -> list[str]:
-    """Draw i.i.d. bitstrings from |amplitude|^2; deterministic for fixed seed."""
-    if shots < 1:
-        raise SimulationError("shots must be >= 1")
-    rng = np.random.default_rng(seed)
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    draws = rng.choice(len(probs), size=shots, p=probs)
-    return [format(d, f"0{state.width}b") for d in draws]
 
 
 # Rows per block are chosen so that one block holds about this many entries.

@@ -7,9 +7,12 @@ from pathlib import Path
 import pytest
 
 from mcdecomp.cli import main
-from mcdecomp.driver import VariantSpec, entangling_totals, mixer_histogram, trial_mixer_histogram
-from mcdecomp.graphs import erdos_renyi
+from mcdecomp.driver import (
+    VariantSpec, entangling_totals, mixer_histogram, run_trial, trial_mixer_histogram,
+)
+from mcdecomp.graphs import brute_force_mis, erdos_renyi
 from mcdecomp.ir import BURNABLE, Circuit, Graph
+from mcdecomp.qaoa import dqva_outer_loop
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -75,11 +78,15 @@ def test_count_sweep_shape(capsys):
     assert [r.split(",")[0] for r in rows[2:]] == ["40", "80", "160"]
 
 
-def test_qaoa_sa_parameter_count(tmp_path, capsys):
+def _k4(tmp_path):
     graph = tmp_path / "k4.json"
     graph.write_text(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).to_json())
+    return graph
+
+
+def test_qaoa_sa_parameter_count(tmp_path, capsys):
     out = tmp_path / "r.json"
-    code = run_cli(["qaoa", "--variant", "sa", "--p", "10", "--graph", str(graph),
+    code = run_cli(["qaoa", "--variant", "sa", "--p", "10", "--graph", str(_k4(tmp_path)),
                     "--seed", "3", "--out", str(out)])
     assert code == 0
     assert "parameters: 20" in capsys.readouterr().err
@@ -222,3 +229,86 @@ def test_dqva_sweep_counts_the_trial_live_mixers(monkeypatch):
     want = trial_mixer_histogram(graph, VariantSpec("dqva", 1, 20))
     assert hist == want
     assert rows == [{"m": 40, **entangling_totals(want, BURNABLE)}]
+
+
+def test_qaoa_record_is_the_bench_trial_record(tmp_path):
+    graph = erdos_renyi(8, 3.0, seed=2)
+    path = tmp_path / "er8.json"
+    path.write_text(graph.to_json())
+    out = tmp_path / "r.json"
+    assert run_cli(["qaoa", "--variant", "ma", "--graph", str(path), "--seed", "4",
+                    "--restarts", "2", "--out", str(out)]) == 0
+    rec = json.loads(out.read_text())
+    want = run_trial(graph, VariantSpec("ma", 1), 4, brute_force_mis(graph)[0],
+                     graph_id=str(path), repetitions=2)
+    assert rec == {"schema": "mcdecomp/1", **json.loads(json.dumps(want.to_dict()))}
+    assert rec["variant"] == "ma(p=1)" and "p" not in rec
+    assert len(rec["params"]) == rec["param_count"] == 9
+    assert sum(rec["best_set"]) == rec["best_size"]
+
+
+def test_qaoa_restarts_apply_to_dqva(tmp_path, monkeypatch):
+    import mcdecomp.driver as driver
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return dqva_outer_loop(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "dqva_outer_loop", counting)
+    out = tmp_path / "r.json"
+    assert run_cli(["qaoa", "--variant", "dqva", "--nu", "2", "--graph", str(_k4(tmp_path)),
+                    "--restarts", "3", "--out", str(out)]) == 0
+    assert len(calls) == 3
+    rec = json.loads(out.read_text())
+    assert rec["params"] is None and rec["param_count"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--variant", "sa", "--restarts", "0"],
+    ["--variant", "sa", "--p", "0"],
+    ["--variant", "dqva", "--nu", "0"],
+])
+def test_qaoa_rejects_empty_experiments(tmp_path, capsys, argv):
+    assert_one_line_error(capsys, run_cli(["qaoa", "--graph", str(_k4(tmp_path)), *argv]))
+
+
+def _bench_config(tmp_path, **over):
+    cfg = {"nodes": 5, "edge_prob": 0.5, "graph_count": 1, "repetitions": 1,
+           "mixer_rounds": 1, "max_evals": 50, "variants": [{"variant": "sa"}]}
+    cfg.update(over)
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return ["bench", "--config", str(path), "--out-prefix", str(tmp_path / "run")]
+
+
+@pytest.mark.parametrize("over", [
+    {"variants": [{"variant": "dqva", "p": 1}]},        # dqva without nu
+    {"variants": [{"variant": "sa", "depth": 1}]},      # unknown variant key
+    {"graphs": 3},                                      # unknown config key
+    {"variants": [{"variant": "sa", "p": 0}]},
+    {"variants": [{"variant": "ma", "p": -1}]},
+    {"variants": []},
+    {"graph_count": 0},
+    {"repetitions": 0},
+    {"variants": ["sa"]},
+])
+def test_bench_rejects_bad_config(tmp_path, capsys, over):
+    assert_one_line_error(capsys, run_cli(_bench_config(tmp_path, **over)))
+
+
+def test_bench_config_without_variants_runs_the_default(tmp_path):
+    assert run_cli(_bench_config(tmp_path, variants=None)) == 0
+    agg = json.loads((tmp_path / "run_aggregate.json").read_text())
+    assert agg["aggregate"]["sa(p=1)"]["trials"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--table", "table3", "--max-n", "0"],
+    ["gdc", "--nodes", "10", "--f-steps", "0"],
+    ["gdc", "--nodes", "10", "--graphs", "0"],
+])
+def test_empty_outputs_are_rejected(capsys, argv):
+    assert_one_line_error(capsys, run_cli(argv))

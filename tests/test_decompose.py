@@ -19,7 +19,6 @@ from mcdecomp.ir import (
     entangling_total,
     mcrx,
     mcx,
-    single_qudit_total,
     validate_circuit,
 )
 from mcdecomp.metrics import exact_count_zeroed
@@ -52,7 +51,7 @@ def test_named_base_cases():
 def test_c2rx_s23_is_two_toffolis_and_exact():
     c = decompose(mcrx([0, 1], 2, 1.1), GateSetSpec("s2_3"), AncillaBudget("n"))
     assert entangling_total(c) == 2
-    assert single_qudit_total(c) == 4
+    assert count_tuple(c)[0] == 4
     u = circuit_unitary(c)
     assert np.max(np.abs(u - gate_unitary(mcrx([0, 1], 2, 1.1), 3))) < 1e-10
 

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from mcdecomp.driver import (
     BenchmarkConfig,
+    DriverError,
     VariantSpec,
     aggregate,
     entangling_totals,
@@ -70,10 +72,9 @@ def test_benchmark_deterministic():
     assert a != c
 
 
-def test_benchmark_parallel_matches_serial():
-    serial = [r.to_dict() for r in run_benchmark(_tiny_config())]
-    parallel = [r.to_dict() for r in run_benchmark(_tiny_config(), jobs=4)]
-    assert serial == parallel
+def test_benchmark_runs_serially_only():
+    with pytest.raises(DriverError):
+        list(run_benchmark(_tiny_config(), jobs=2))
 
 
 def test_benchmark_record_invariants():
@@ -92,6 +93,11 @@ def test_benchmark_record_invariants():
         assert r.entangling == entangling_totals(r.mixer_histogram)
         assert isinstance(r.converged, bool)
         assert 0.0 <= r.max_infeasible < 1e-9
+        assert len(r.best_set) == cfg.nodes and sum(r.best_set) == r.best_size
+        if spec.variant == "dqva":
+            assert r.params is None
+        else:
+            assert len(r.params) == want and all(type(v) is float for v in r.params)
         d = r.to_dict()
         assert d["converged"] == r.converged and d["max_infeasible"] == r.max_infeasible
 

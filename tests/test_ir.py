@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,8 +130,16 @@ def test_gateset_spec_validation():
     with pytest.raises(IRError):
         GateSetSpec("s2_2", fidelities=((2, 1.5),))
     spec = GateSetSpec("s2_3", fidelities=((1, 0.999), (2, 0.99), (3, 0.98)))
-    assert spec.covers_emitted_arities()
     assert spec.fidelity(3) == 0.98
+
+
+def test_control_lines_go_through_operator_index():
+    assert mcx([np.int64(1), (np.int32(3), "-")], 2).controls == ((1, "+"), (3, "-"))
+    assert mcx([True], 2).controls == ((1, "+"),)
+    assert type(mcx([True], 2).controls[0][0]) is int
+    for bad in (1.0, "1", (1.5, "+"), None):
+        with pytest.raises(IRError):
+            mcx([bad], 2)
 
 
 def test_ancilla_budget_validation():

@@ -348,12 +348,10 @@ def test_best_measured_set_prefers_size_then_probability():
     assert best_measured_set(amps * 1e-3, eng.basis, 5) == (1, 0, 0, 0, 0)
 
 
-def test_ansatz_spec_json_round_trip():
-    spec = AnsatzSpec(DQVA, p=2, params=(0.1, 0.2) * 6, permutation=(2, 0, 1),
-                      mask=(True, False, True, True, False, True, False, False),
-                      warm_start=(1, 0, 0), nu=4)
-    again = AnsatzSpec.from_json(spec.to_json())
-    assert again == spec
+@pytest.mark.parametrize("variant, p", [("foo", 1), (SA, 0), (MA, 0), (DQVA, -1)])
+def test_engine_rejects_unknown_variant_and_empty_depth(variant, p):
+    with pytest.raises(AnsatzError):
+        AnsatzEngine(IndependentSets(PATH5), variant, p)
 
 
 def test_dqva_mask_allocation_order():

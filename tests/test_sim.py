@@ -13,7 +13,6 @@ from mcdecomp.sim import (
     circuit_unitary,
     identity_deviation,
     phase_aligned_deviation,
-    sample,
 )
 
 
@@ -89,16 +88,6 @@ def test_norm_preserved_under_random_gates(seed):
             g = mcrx([int(lines[0])], int(lines[1]), float(rng.uniform(-3, 3)))
         s = _apply_one(s, g)
     assert abs(np.linalg.norm(s.amplitudes) - 1) < 1e-9
-
-
-def test_sample_deterministic_and_concentrated():
-    s = _apply_one(Statevector.zero(1), x(0))
-    assert sample(s, 100, seed=1) == ["1"] * 100
-    u = _apply_one(Statevector.zero(1), h(0))
-    draws = sample(u, 100_000, seed=2)
-    ones = draws.count("1")
-    assert abs(ones - 50_000) < 5 * np.sqrt(100_000 * 0.25)
-    assert sample(u, 50, seed=3) == sample(u, 50, seed=3)
 
 
 def test_phase_alignment():

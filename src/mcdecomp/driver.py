@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import numbers
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 
@@ -62,6 +64,8 @@ class VariantSpec:
     nu: int | None = None
 
     def __post_init__(self):
+        _require_numbers(self, ("p",), integer=True)
+        _require_numbers(self, ("nu",), integer=True, optional=True)
         check_variant(self.variant, self.p)
         if self.variant == DQVA and (self.nu is None or self.nu < 1):
             raise DriverError("the dqva variant needs nu >= 1")
@@ -91,10 +95,17 @@ class BenchmarkConfig:
     tol: float = 1e-4
 
     def __post_init__(self):
+        _require_numbers(self, ("nodes", "degree", "graph_count", "repetitions", "seed",
+                                "mixer_rounds"), integer=True)
+        _require_numbers(self, ("max_evals",), integer=True, optional=True)
+        _require_numbers(self, ("tol",), integer=False)
+        _require_numbers(self, ("density", "edge_prob"), integer=False, optional=True)
         if self.graph_count < 1:
             raise DriverError("graph_count must be >= 1")
         if self.repetitions < 1:
             raise DriverError("repetitions must be >= 1")
+        if self.max_evals is not None and self.max_evals < 1:
+            raise DriverError("max_evals must be >= 1 (or null for the default budget)")
         if not self.variants:
             raise DriverError("variants must not be empty")
 
@@ -107,9 +118,33 @@ class BenchmarkConfig:
         """Parse a config; missing keys keep their defaults, unknown keys raise."""
         d = _known_keys(BenchmarkConfig, json.loads(text), "config")
         if "variants" in d:
+            if not isinstance(d["variants"], list):
+                raise DriverError("variants must be a list of variant objects")
             d["variants"] = [VariantSpec(**_known_keys(VariantSpec, v, "variant"))
                              for v in d["variants"]]
         return BenchmarkConfig(**d)
+
+
+def _is_number(value, integer: bool) -> bool:
+    if isinstance(value, bool):
+        return False
+    if not integer:
+        return isinstance(value, numbers.Real)
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _require_numbers(obj, names, integer: bool, optional: bool = False) -> None:
+    """Raise ``DriverError`` unless each named field holds an integer (for
+    ``integer``) or a real number, and not a bool; ``optional`` allows None."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (optional and value is None or _is_number(value, integer)):
+            kind = "an integer" if integer else "a number"
+            raise DriverError(f"{name} must be {kind}, got {value!r}")
 
 
 def _known_keys(cls, d, what: str) -> dict:

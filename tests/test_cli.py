@@ -176,6 +176,15 @@ def test_count_sweep_rejects_bad_range_without_hanging(sweep):
     assert "Traceback" not in out.stderr
 
 
+def test_cli_import_leaves_scipy_out():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", "import sys, mcdecomp.cli; "
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                         capture_output=True, text=True, timeout=60, env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_gdc_counts_without_fidelities(capsys):
     assert_one_line_error(capsys, run_cli(["gdc", "--counts", "2:300"]))
 
@@ -269,6 +278,8 @@ def test_qaoa_restarts_apply_to_dqva(tmp_path, monkeypatch):
     ["--variant", "sa", "--restarts", "0"],
     ["--variant", "sa", "--p", "0"],
     ["--variant", "dqva", "--nu", "0"],
+    ["--variant", "ma", "--max-evals", "0"],
+    ["--variant", "ma", "--max-evals", "-3"],
 ])
 def test_qaoa_rejects_empty_experiments(tmp_path, capsys, argv):
     assert_one_line_error(capsys, run_cli(["qaoa", "--graph", str(_k4(tmp_path)), *argv]))
@@ -294,6 +305,15 @@ def _bench_config(tmp_path, **over):
     {"graph_count": 0},
     {"repetitions": 0},
     {"variants": ["sa"]},
+    {"max_evals": 0},
+    {"max_evals": -3},
+    {"variants": [{"variant": "sa", "p": "1"}]},
+    {"variants": [{"variant": "dqva", "nu": 2.5}]},
+    {"graph_count": 1.5},
+    {"repetitions": True},
+    {"edge_prob": "0.5"},
+    {"tol": [1e-4]},
+    {"variants": 5},
 ])
 def test_bench_rejects_bad_config(tmp_path, capsys, over):
     assert_one_line_error(capsys, run_cli(_bench_config(tmp_path, **over)))
@@ -309,6 +329,8 @@ def test_bench_config_without_variants_runs_the_default(tmp_path):
     ["count", "--table", "table3", "--max-n", "0"],
     ["gdc", "--nodes", "10", "--f-steps", "0"],
     ["gdc", "--nodes", "10", "--graphs", "0"],
+    ["count", "--sweep", "m=40..80", "--p", "0"],
+    ["gdc", "--nodes", "20", "--p", "0", "--f-steps", "2"],
 ])
 def test_empty_outputs_are_rejected(capsys, argv):
     assert_one_line_error(capsys, run_cli(argv))

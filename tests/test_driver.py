@@ -10,10 +10,10 @@ from mcdecomp.driver import (
     mixer_histogram,
     run_benchmark,
 )
-from mcdecomp.graphs import random_regular
+from mcdecomp.graphs import erdos_renyi, random_regular
 from mcdecomp.metrics import exact_count_zeroed
 from mcdecomp.optimize import maximize
-from mcdecomp.qaoa import param_count
+from mcdecomp.qaoa import AnsatzEngine, IndependentSets, param_count
 
 
 def test_maximize_quadratic():
@@ -32,6 +32,48 @@ def test_maximize_budget_flag():
     res = maximize(lambda v: float(np.sum(np.sin(v))), rng.uniform(0, 1, 4), max_evals=10)
     assert res.evals <= 15
     assert not res.converged
+
+
+@pytest.mark.parametrize("max_evals", [0, -3])
+def test_maximize_rejects_a_nonpositive_budget(max_evals):
+    with pytest.raises(ValueError, match="max_evals"):
+        maximize(lambda v: float(np.sum(v)), np.ones(2), max_evals=max_evals)
+
+
+def _scipy_nelder_mead(func, sim, maxfev, fatol):
+    """The scipy call that ``optimize._nelder_mead`` ports: the reference."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    res = minimize(func, sim[0], method="Nelder-Mead",
+                   options={"maxfev": maxfev, "fatol": fatol, "xatol": 1e-4,
+                            "initial_simplex": sim})
+    return res.x, res.fun, res.nfev, bool(res.success)
+
+
+@pytest.mark.parametrize("variant,step", [("sa", None), ("ma", None), ("ma", 0.02)])
+def test_maximize_follows_scipy_nelder_mead(monkeypatch, variant, step):
+    # Desk objectives (n=10, density 4.5), and one rounded to multiples of
+    # ``step`` so that vertices tie and the unstable sort picks the path.
+    # Budgets up to N+1 stop inside the simplex's first evaluation; SA
+    # budgets between about 60 and 140 stop some runs part-way through a
+    # shrink. Everything must match bit for bit.
+    pytest.importorskip("scipy")
+    import mcdecomp.optimize as opt
+
+    budgets = [None, *range(1, 140 if variant == "sa" else 60, 3)]
+    for gi in range(3):
+        engine = AnsatzEngine(IndependentSets(erdos_renyi(10, 4.5, seed=gi)), variant, 1)
+        objective = engine.expectation_live
+        if step is not None:
+            objective = lambda v, e=engine.expectation_live: round(e(v) / step) * step
+        x0 = np.random.default_rng(gi).uniform(0.0, np.pi, engine.live_param_count)
+        for budget in budgets:
+            got = maximize(objective, x0, max_evals=budget)
+            with monkeypatch.context() as m:
+                m.setattr(opt, "_nelder_mead", _scipy_nelder_mead)
+                want = maximize(objective, x0, max_evals=budget)
+            assert got.x.tobytes() == want.x.tobytes(), (gi, budget)
+            assert (got.value, got.evals, got.converged) == \
+                (want.value, want.evals, want.converged), (gi, budget)
 
 
 def test_mixer_histogram_3_regular():

@@ -49,7 +49,7 @@ from .metrics import (
     threshold_chain,
     threshold_requirement,
 )
-from .qaoa import DQVA, MA, SA
+from .qaoa import DQVA, MA, SA, check_variant
 from .verify import verify_schemes
 
 SCHEMA = "mcdecomp/1"
@@ -165,12 +165,6 @@ def sweep_counts(sizes, density, variant, p, nu_rule, seed, regime=BURNABLE,
     return rows
 
 
-def _check_layers(p: int) -> None:
-    # zero layers count no mixers, so every row would read 0
-    if p < 1:
-        raise CliError(f"--p must be >= 1, got {p}")
-
-
 def cmd_count(args) -> int:
     if args.table == "table3":
         if args.max_n < 1:
@@ -184,7 +178,7 @@ def cmd_count(args) -> int:
         return EXIT_OK
     if args.sweep is None:
         raise CliError("count needs --table table3 or --sweep m=LO..HI")
-    _check_layers(args.p)
+    check_variant(args.variant, args.p)
     sizes = _doubling_range(args.sweep)
     rows = sweep_counts(sizes, args.density, args.variant, args.p, args.nu, args.seed)
     header = ["m"] + [f"{f}/{b}" for f, b in SWEEP_COLUMNS]
@@ -224,9 +218,8 @@ def cmd_gdc(args) -> int:
                      "gdc_natural_log": value})
         return EXIT_OK
     # Fidelity sweep over seeded graphs, one GDC value per gate-set column.
-    if args.f_steps < 1 or args.graphs < 1:
-        raise CliError("the gdc sweep needs --f-steps >= 1 and --graphs >= 1")
-    _check_layers(args.p)
+    if args.f_steps < 1 or args.graphs < 1 or args.p < 1:
+        raise CliError("the gdc sweep needs --f-steps, --graphs and --p >= 1")
     grid = np.linspace(args.f_min, args.f_max, args.f_steps)
     rows = []
     for gi in range(args.graphs):

@@ -55,8 +55,9 @@ def test_maximize_follows_scipy_nelder_mead(monkeypatch, variant, step):
     # ``step`` so that vertices tie and the unstable sort picks the path.
     # Budgets up to N+1 stop inside the simplex's first evaluation; SA
     # budgets between about 60 and 140 stop some runs part-way through a
-    # shrink. Everything must match bit for bit.
-    pytest.importorskip("scipy")
+    # shrink. Everything must match bit for bit. The port follows scipy
+    # 1.17 and was checked against 1.17.1; older releases are not checked.
+    pytest.importorskip("scipy", minversion="1.17")
     import mcdecomp.optimize as opt
 
     budgets = [None, *range(1, 140 if variant == "sa" else 60, 3)]

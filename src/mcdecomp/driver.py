@@ -4,8 +4,10 @@ from __future__ import annotations
 import json
 import numbers
 import operator
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
@@ -14,13 +16,22 @@ from .graphs import brute_force_mis, erdos_renyi, random_regular
 from .metrics import mixer_entangling_count
 from . import optimize as opt
 from .qaoa import (
-    DQVA, SA, check_variant, dqva_default_mask, dqva_outer_loop, optimize_single_round,
-    param_count, round_slots,
+    DQVA, SA, EngineBatch, IndependentSets, check_variant, dqva_default_mask, dqva_outer_loop,
+    iter_independent_sets, optimize_single_round, param_count, round_slots, single_round_start,
 )
 
 
 class DriverError(ValueError):
     pass
+
+
+# ``run_benchmark`` steps the SA/MA executions on subspaces of at most this
+# many amplitudes in lockstep.  Desk graphs (10 nodes) hold 28-154; on
+# states of thousands the arithmetic, not the per-call overhead, sets the
+# time, and one ragged batch is no faster than single calls.
+LOCKSTEP_MAX_DIM = 512
+# Engines in one lockstep batch, which bounds its joined state and index arrays.
+LOCKSTEP_WIDTH = 32
 
 
 # Gate-set / budget columns reported on every trial record (zeroed regime).
@@ -31,6 +42,8 @@ COUNT_COLUMNS = (
     (S2_3, N_PER_CONTROLS),
     (S3_2, "none"),
 )
+# The records' entangling keys, one string per column for every record.
+_COLUMN_KEYS = tuple(f"{family}/{budget}" for family, budget in COUNT_COLUMNS)
 
 
 @dataclass
@@ -52,8 +65,13 @@ class TrialRecord:
     params: list[float] | None  # the best execution's angles; None for DQVA
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["mixer_histogram"] = {str(k): v for k, v in self.mixer_histogram.items()}
+        """The fields as a new dict, the containers copied; the histogram's
+        keys become (interned) strings."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["mixer_histogram"] = {sys.intern(str(k)): v for k, v in self.mixer_histogram.items()}
+        d["entangling"] = dict(self.entangling)
+        if self.params is not None:
+            d["params"] = list(self.params)
         return d
 
 
@@ -104,6 +122,10 @@ class BenchmarkConfig:
             raise DriverError("graph_count must be >= 1")
         if self.repetitions < 1:
             raise DriverError("repetitions must be >= 1")
+        if self.mixer_rounds < 1:
+            raise DriverError("mixer_rounds must be >= 1")
+        if not self.tol >= 0:
+            raise DriverError(f"tol must be >= 0, got {self.tol!r}")
         if self.max_evals is not None and self.max_evals < 1:
             raise DriverError("max_evals must be >= 1 (or null for the default budget)")
         if not self.variants:
@@ -184,9 +206,9 @@ def mixer_histogram(graph: Graph, p: int, nodes=None) -> dict[int, int]:
 def entangling_totals(hist: dict[int, int], regime: str = ZEROED) -> dict[str, int]:
     """Entangling total of a mixer histogram per count column, in one regime."""
     return {
-        f"{family}/{budget}": sum(count * mixer_entangling_count(ell, family, budget, regime)
-                                  for ell, count in hist.items())
-        for family, budget in COUNT_COLUMNS
+        key: sum(count * mixer_entangling_count(ell, family, budget, regime)
+                 for ell, count in hist.items())
+        for key, (family, budget) in zip(_COLUMN_KEYS, COUNT_COLUMNS)
     }
 
 
@@ -210,24 +232,31 @@ def trial_mixer_histogram(graph: Graph, spec: VariantSpec) -> dict[int, int]:
     return mixer_histogram(graph, spec.p)
 
 
+def _execution_seeds(seed, repetitions: int) -> list[int]:
+    """The seed of each execution of a trial, drawn from the trial's seed."""
+    rng = np.random.default_rng(seed)
+    return [int(rng.integers(0, 2**31 - 1)) for _ in range(repetitions)]
+
+
 def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
               graph_id: str, repetitions: int, mixer_rounds: int = 5,
-              max_evals=None, tol: float = 1e-4) -> TrialRecord:
+              max_evals=None, tol: float = 1e-4, optimizer=None) -> TrialRecord:
     """Best-of-N executions of one variant on one graph (fresh random starts).
 
     The record keeps the best execution's set, size, rounds, evals and (for
     SA/MA) angles; ``converged`` holds when every execution converged, and
     ``max_infeasible`` is the worst unaccounted mass over the executions.
+    Each maximization is ``optimize.maximize`` with ``max_evals`` and ``tol``
+    unless ``optimizer(objective, x0)`` is given.
     """
     if repetitions < 1:
         raise DriverError("repetitions must be >= 1")
-    rng = np.random.default_rng(seed)
-    optimizer = lambda f, x0: opt.maximize(f, x0, max_evals=max_evals, tol=tol)
+    if optimizer is None:
+        optimizer = lambda f, x0: opt.maximize(f, x0, max_evals=max_evals, tol=tol)
     best = None
     converged = True
     worst_inf = 0.0
-    for _ in range(repetitions):
-        sub = int(rng.integers(0, 2**31 - 1))
+    for sub in _execution_seeds(seed, repetitions):
         if spec.variant == DQVA:
             res = dqva_outer_loop(graph, spec.nu, seed=sub, p=spec.p,
                                   mixer_rounds=mixer_rounds, optimizer=optimizer)
@@ -266,28 +295,121 @@ def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
     )
 
 
+def _trial_seed(cfg: BenchmarkConfig, gi: int, vi: int):
+    return np.random.SeedSequence((cfg.seed, gi, vi)).generate_state(1)[0]
+
+
 def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1):
     """Yield TrialRecords for every (graph, variant); reproducible from the seed.
 
     Each trial's seed derives from (master seed, graph index, variant index).
-    Trials run serially: ``jobs`` accepts only 1.
+    The SA/MA executions on subspaces of at most ``LOCKSTEP_MAX_DIM``
+    amplitudes are first maximized together (``_lockstep``); then every trial
+    runs through ``run_trial`` in order, and those executions replay their
+    results there, so the records equal those of serial ``run_trial`` calls.
+    Trials run in one thread: ``jobs`` accepts only 1.
     """
     if jobs != 1:
         raise DriverError(f"jobs must be 1 (trials run serially), got {jobs}")
-    graph_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.graph_count)
-    for gi, graph_seed in enumerate(graph_seeds):
+    graphs = []
+    for gi, graph_seed in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.graph_count)):
         graph = _make_graph(cfg, graph_seed)
         optimum, _ = brute_force_mis(graph)
-        if optimum == 0:
-            continue
+        if optimum:
+            graphs.append((gi, graph, optimum))
+    replays = _lockstep_trials(cfg, graphs)
+    for gi, graph, optimum in graphs:
+        graph_id = f"{cfg.ensemble}-{cfg.nodes}-{gi}"
         for vi, spec in enumerate(cfg.variants):
-            trial_seed = np.random.SeedSequence((cfg.seed, gi, vi))
             yield run_trial(
-                graph, spec, trial_seed.generate_state(1)[0], optimum,
-                graph_id=f"{cfg.ensemble}-{cfg.nodes}-{gi}",
+                graph, spec, _trial_seed(cfg, gi, vi), optimum, graph_id=graph_id,
                 repetitions=cfg.repetitions, mixer_rounds=cfg.mixer_rounds,
-                max_evals=cfg.max_evals, tol=cfg.tol,
+                max_evals=cfg.max_evals, tol=cfg.tol, optimizer=replays.get((gi, vi)),
             )
+
+
+def _lockstep_trials(cfg: BenchmarkConfig, graphs) -> dict:
+    """Maximize the lockstep's executions of ``graphs`` (index, graph, optimum).
+
+    Returns a replaying optimizer for ``run_trial`` per (graph index, variant
+    index) whose executions ran here; the others are absent.
+    """
+    single = [(vi, spec) for vi, spec in enumerate(cfg.variants) if spec.variant != DQVA]
+    jobs = []
+    for gi, graph, _ in graphs if single else ():
+        # count the independent sets only as far as the cutoff
+        if sum(1 for _ in islice(iter_independent_sets(graph), LOCKSTEP_MAX_DIM + 1)) \
+                > LOCKSTEP_MAX_DIM:
+            continue
+        jobs += [((gi, vi), graph, spec, sub) for vi, spec in single
+                 for sub in _execution_seeds(_trial_seed(cfg, gi, vi), cfg.repetitions)]
+    runs: dict = {}
+    for (key, *_), run in zip(jobs, _lockstep(_starts(jobs), cfg.max_evals, cfg.tol)):
+        runs.setdefault(key, []).append(run)
+    return {key: _replay(recorded) for key, recorded in runs.items()}
+
+
+def _starts(jobs):
+    """Each job's (engine, x0), built as the lockstep takes it; the jobs of
+    one graph share its ``IndependentSets``."""
+    graph = sets = None
+    for _, job_graph, spec, sub in jobs:
+        if job_graph is not graph:
+            graph, sets = job_graph, IndependentSets(job_graph)
+        yield single_round_start(sets, spec.variant, spec.p, sub)
+
+
+def _lockstep(starts, max_evals, tol) -> list[tuple[np.ndarray, opt.OptResult]]:
+    """``optimize.search`` from each ``(engine, x0)`` of ``starts``, stepped
+    together; returns each start's ``(x0, result)`` in order.
+
+    Each step evaluates the pending point of every search in the batch with
+    one ``EngineBatch`` call.  Building a batch costs about as much per
+    engine as ten of its evals, so it is rebuilt only once half of its
+    searches have finished:
+    finished members are evaluated until then and their values dropped.  A
+    rebuild tops the batch up to ``LOCKSTEP_WIDTH`` from ``starts``, which
+    are taken only then, so that few engines are alive at a time.
+    """
+    starts = iter(starts)
+    runs = []
+    running = []  # [run index, engine, search or None once finished, pending point]
+    while True:
+        for engine, x0 in islice(starts, LOCKSTEP_WIDTH - len(running)):
+            search = opt.search(x0, max_evals, tol)
+            running.append([len(runs), engine, search, next(search)])
+            runs.append((x0, None))
+        if not running:
+            return runs
+        members = running
+        batch = EngineBatch(member[1] for member in members)
+        while 2 * len(running) > len(members):
+            values = batch.expectations([member[3] for member in members])
+            running = []
+            for member, value in zip(members, values):
+                if member[2] is None:
+                    continue
+                try:
+                    member[3] = member[2].send(value)
+                    running.append(member)
+                except StopIteration as done:
+                    runs[member[0]] = (runs[member[0]][0], done.value)
+                    member[2] = None
+
+
+def _replay(recorded):
+    """An optimizer for ``run_trial`` that returns the recorded ``(x0, result)``
+    pairs in order, and raises ``DriverError`` unless each call's start point
+    equals the recorded one bit for bit."""
+    recorded = iter(recorded)
+
+    def optimizer(objective, x0):
+        want, result = next(recorded, (None, None))
+        if want is None or np.asarray(x0).tobytes() != want.tobytes():
+            raise DriverError("a replayed execution's start point differs from the lockstep's")
+        return result
+
+    return optimizer
 
 
 def aggregate(records) -> dict:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gadgets import su2_split_gates
 from .graphs import neighbor_masks
 from .ir import Circuit, Gate, Graph, NEG0, rx, rz, x
 from .sim import Statevector, bits_to_index
@@ -38,6 +37,10 @@ def partial_mixer(graph: Graph, node: int, theta: float) -> Circuit:
     The rotation split's two multi-controlled NOTs carry open (|0>) controls
     on the neighbors; an isolated node degenerates to a bare Rx.
     """
+    # imported here: the statevector engines never build a circuit, and the
+    # gate library is the largest module they would otherwise load
+    from .gadgets import su2_split_gates
+
     if not 0 <= node < graph.n:
         raise AnsatzError(f"node {node} not in graph")
     nbrs = graph.neighbors(node)
@@ -195,25 +198,27 @@ def _popcount(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def independent_set_indices(graph: Graph) -> np.ndarray:
-    """Sorted basis indices of every independent set (node i is bit n-1-i).
+    """Sorted basis indices of every independent set (node i is bit n-1-i)."""
+    return np.sort(np.fromiter(iter_independent_sets(graph), dtype=np.int64))
 
-    Enumerates by bitmask recursion: each set is extended only by nodes on
-    bits above its highest member that none of its members neighbor, so
-    every set is produced exactly once.
+
+def iter_independent_sets(graph: Graph):
+    """Yield the basis index of every independent set once, in no set order.
+
+    Enumerates by bitmask: each set is extended only by nodes on bits above
+    its highest member that none of its members neighbor, so every set is
+    produced exactly once, and a caller may stop early.
     """
     n = graph.n
     nbr = _basis_neighbor_masks(graph)
-    sets = []
-
-    def extend(chosen: int, avail: int):
-        sets.append(chosen)
+    stack = [(0, (1 << n) - 1)]
+    while stack:
+        chosen, avail = stack.pop()
+        yield chosen
         while avail:
             low = avail & -avail
             avail ^= low
-            extend(chosen | low, avail & ~nbr[n - low.bit_length()])
-
-    extend(0, (1 << n) - 1)
-    return np.sort(np.array(sets, dtype=np.int64))
+            stack.append((chosen | low, avail & ~nbr[n - low.bit_length()]))
 
 
 def _basis_neighbor_masks(graph: Graph) -> list[int]:
@@ -339,6 +344,79 @@ class AnsatzEngine:
         return self.expectation(self.full_params(live_values))
 
 
+class EngineBatch:
+    """``expectation_live`` of many engines in one call, over a ragged batch.
+
+    The engines' subspace states are joined end to end.  The k-th live mixer
+    of a round is one mixer position: its gather-update-scatter runs once
+    for every engine that has it, over the engines' ``idx``/``swp`` arrays
+    offset to their place in the joined state, and reads cos and i*sin per
+    amplitude through flat (engine, slot) indices.  A phase layer takes
+    exp(i gamma w) once per (engine, set size) level, with the engine's
+    gamma read the same way, and gathers it per amplitude; an engine
+    without a phase in that round reads an extra slot that holds 0.  Every
+    amplitude sees the arithmetic of ``AnsatzEngine.statevector``, and
+    |amps|^2 @ w stays one dot product per engine, so each value is bitwise
+    equal to the engine's own call.  A skipped zero angle is applied here as
+    cos 0 = 1 and sin 0 = 0, which can change only the sign of zero
+    amplitudes, never a value.
+    """
+
+    def __init__(self, engines):
+        engines = list(engines)
+        dims = [len(e.basis) for e in engines]
+        amp_at = np.cumsum([0] + dims)
+        slot_at = np.cumsum([0] + [e._size for e in engines])
+        self._zero = int(slot_at[-1])
+        self._live = np.concatenate(
+            [at + np.array(e._live, dtype=np.int64) for at, e in zip(slot_at, engines)])
+        self._starts = np.array([at + e._start for at, e in zip(amp_at, engines)])
+        self._cuts = [(slice(a, b), e._w) for a, b, e in zip(amp_at, amp_at[1:], engines)]
+        levels = [np.unique(e._w, return_inverse=True) for e in engines]
+        level_at = np.cumsum([0] + [len(w) for w, _ in levels])
+        self._levels = np.concatenate([w for w, _ in levels])
+        self._level_of = np.concatenate([at + inv for at, (_, inv) in zip(level_at, levels)])
+        self._rounds = []
+        for r in range(max(len(e._rounds) for e in engines)):
+            here = [(k, e._rounds[r]) for k, e in enumerate(engines) if r < len(e._rounds)]
+            mixers = []
+            for m in range(max(len(live) for _, (live, _) in here)):
+                idx, swp, slot = zip(*[
+                    (live[m][0] + amp_at[k], live[m][1] + amp_at[k],
+                     np.full(len(live[m][0]), slot_at[k] + live[m][2]))
+                    for k, (live, _) in here if m < len(live)])
+                mixers.append((np.concatenate(idx), np.concatenate(swp), np.concatenate(slot)))
+            gammas = [self._zero] * len(engines)
+            for k, (_, phase) in here:
+                if phase is not None:
+                    gammas[k] = slot_at[k] + phase
+            phase = (np.repeat(gammas, np.diff(level_at))
+                     if any(g != self._zero for g in gammas) else None)
+            self._rounds.append((mixers, phase))
+        self._dim = int(amp_at[-1])
+
+    def expectations(self, live_points) -> list[float]:
+        """One expectation per engine, from each engine's live parameters."""
+        params = np.zeros(self._zero + 1)
+        params[self._live] = np.concatenate(live_points)
+        c = np.cos(params)
+        js = 1j * np.sin(params)
+        amps = np.zeros(self._dim, dtype=complex)
+        amps[self._starts] = 1.0
+        # The engine's expressions as ufunc calls with its operand order: on a
+        # temporary of 256 KiB or more, an operator may compute in place with
+        # the operands swapped, and a swapped complex product rounds differently.
+        mul, sub = np.multiply, np.subtract
+        for mixers, phase in self._rounds:
+            for idx, swp, slot in mixers:
+                amps[idx] = sub(mul(c[slot], amps[idx]), mul(js[slot], amps[swp]))
+            if phase is not None:
+                amps = mul(amps, np.exp(mul(1j * params[phase], self._levels))[self._level_of])
+        probs = np.abs(amps) ** 2
+        # ``.dot`` is the BLAS dot product that ``@`` calls, with less overhead
+        return [float(probs[cut].dot(w)) for cut, w in self._cuts]
+
+
 def best_measured_set(amps: np.ndarray, basis: np.ndarray, n: int, threshold: float = 1e-4):
     """Largest set among subspace outcomes above the probability floor.
 
@@ -357,14 +435,24 @@ def best_measured_set(amps: np.ndarray, basis: np.ndarray, n: int, threshold: fl
     return tuple((index >> (n - 1 - j)) & 1 for j in range(n))
 
 
-def _optimize(engine: AnsatzEngine, rng, optimizer):
-    """One variational round: a uniform start in [0, pi), the maximization
+def start_point(engine: AnsatzEngine, rng) -> np.ndarray:
+    """A round's start: the live parameters drawn uniformly from [0, pi)."""
+    return rng.uniform(0.0, np.pi, engine.live_param_count)
+
+
+def single_round_start(sets: IndependentSets, variant: str, p: int, seed):
+    """The engine and start point that ``optimize_single_round`` uses for ``seed``."""
+    engine = AnsatzEngine(sets, variant, p)
+    return engine, start_point(engine, np.random.default_rng(seed))
+
+
+def _optimize(engine: AnsatzEngine, x0, optimizer):
+    """One variational round from ``x0``: the maximization
     (``optimize.maximize`` unless ``optimizer`` is given), and the readout.
 
     Returns the optimizer's result, the best measured set and the optimized
     state's unaccounted mass.
     """
-    x0 = rng.uniform(0.0, np.pi, engine.live_param_count)
     res = (optimizer or opt.maximize)(engine.expectation_live, x0)
     amps = engine.statevector_live(res.x)
     return res, best_measured_set(amps, engine.basis, engine.n), _unaccounted_mass(amps)
@@ -392,6 +480,8 @@ def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
     """
     if nu < 1:
         raise AnsatzError("nu must be >= 1")
+    if mixer_rounds < 1:
+        raise AnsatzError("mixer_rounds must be >= 1")
     n = graph.n
     rng = np.random.default_rng(seed)
     best = (0,) * n
@@ -406,7 +496,7 @@ def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
         for _ in range(n):
             mask = dqva_default_mask(p, n, nu, sigma, in_set=cur)
             engine = AnsatzEngine(sets, DQVA, p, sigma, mask, cur)
-            res, cand, inf = _optimize(engine, rng, optimizer)
+            res, cand, inf = _optimize(engine, start_point(engine, rng), optimizer)
             rounds += 1
             evals += res.evals
             converged = converged and res.converged
@@ -432,7 +522,6 @@ def optimize_single_round(graph: Graph, variant: str, p: int = 1, seed=None,
     """One variational round of the single-/multi-angle ansatz from |0...0>."""
     if variant not in (SA, MA):
         raise AnsatzError("use dqva_outer_loop for the dynamic variant")
-    rng = np.random.default_rng(seed)
-    engine = AnsatzEngine(IndependentSets(graph), variant, p)
-    res, bits, inf = _optimize(engine, rng, optimizer)
+    engine, x0 = single_round_start(IndependentSets(graph), variant, p, seed)
+    res, bits, inf = _optimize(engine, x0, optimizer)
     return SingleRoundResult(bits, res.value, res.evals, np.asarray(res.x), inf, res.converged)

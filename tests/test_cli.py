@@ -314,6 +314,8 @@ def _bench_config(tmp_path, **over):
     {"edge_prob": "0.5"},
     {"tol": [1e-4]},
     {"variants": 5},
+    {"mixer_rounds": 0},
+    {"tol": -1},
 ])
 def test_bench_rejects_bad_config(tmp_path, capsys, over):
     assert_one_line_error(capsys, run_cli(_bench_config(tmp_path, **over)))

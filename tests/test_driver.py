@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mcdecomp.driver as driver
 from mcdecomp.driver import (
     BenchmarkConfig,
     DriverError,
@@ -9,11 +10,15 @@ from mcdecomp.driver import (
     entangling_totals,
     mixer_histogram,
     run_benchmark,
+    run_trial,
 )
-from mcdecomp.graphs import erdos_renyi, random_regular
+from mcdecomp.graphs import brute_force_mis, erdos_renyi, random_regular
+from mcdecomp.ir import Graph
 from mcdecomp.metrics import exact_count_zeroed
-from mcdecomp.optimize import maximize
-from mcdecomp.qaoa import AnsatzEngine, IndependentSets, param_count
+from mcdecomp.optimize import OptResult, maximize
+from mcdecomp.qaoa import (
+    AnsatzEngine, AnsatzError, IndependentSets, dqva_outer_loop, param_count, single_round_start,
+)
 
 
 def test_maximize_quadratic():
@@ -40,17 +45,28 @@ def test_maximize_rejects_a_nonpositive_budget(max_evals):
         maximize(lambda v: float(np.sum(v)), np.ones(2), max_evals=max_evals)
 
 
-def _scipy_nelder_mead(func, sim, maxfev, fatol):
-    """The scipy call that ``optimize._nelder_mead`` ports: the reference."""
+def _scipy_maximize(objective, x0, max_evals):
+    """The reference for ``maximize``: its plateau probe written out, then
+    ``scipy.optimize.minimize`` on the negated objective from the probe's
+    simplex, under the budget the ``optimize.search`` docstring states."""
     minimize = pytest.importorskip("scipy.optimize").minimize
-    res = minimize(func, sim[0], method="Nelder-Mead",
-                   options={"maxfev": maxfev, "fatol": fatol, "xatol": 1e-4,
-                            "initial_simplex": sim})
-    return res.x, res.fun, res.nfev, bool(res.success)
+    simplex = [x0]
+    for i in range(len(x0)):
+        pt = x0.copy()
+        pt[i] = pt[i] * 1.05 if pt[i] != 0 else 0.00025
+        simplex.append(pt)
+    values = [objective(pt) for pt in simplex]
+    if max(values) - min(values) <= 1e-4:
+        return OptResult(x0, values[0], len(values), True)
+    budget = max_evals if max_evals is not None else 500 * len(x0)
+    res = minimize(lambda v: -objective(v), x0, method="Nelder-Mead",
+                   options={"maxfev": max(1, budget - len(values)), "fatol": 1e-4,
+                            "xatol": 1e-4, "initial_simplex": np.array(simplex)})
+    return OptResult(res.x, -res.fun, res.nfev + len(values), bool(res.success))
 
 
 @pytest.mark.parametrize("variant,step", [("sa", None), ("ma", None), ("ma", 0.02)])
-def test_maximize_follows_scipy_nelder_mead(monkeypatch, variant, step):
+def test_maximize_follows_scipy_nelder_mead(variant, step):
     # Desk objectives (n=10, density 4.5), and one rounded to multiples of
     # ``step`` so that vertices tie and the unstable sort picks the path.
     # Budgets up to N+1 stop inside the simplex's first evaluation; SA
@@ -58,8 +74,6 @@ def test_maximize_follows_scipy_nelder_mead(monkeypatch, variant, step):
     # shrink. Everything must match bit for bit. The port follows scipy
     # 1.17 and was checked against 1.17.1; older releases are not checked.
     pytest.importorskip("scipy", minversion="1.17")
-    import mcdecomp.optimize as opt
-
     budgets = [None, *range(1, 140 if variant == "sa" else 60, 3)]
     for gi in range(3):
         engine = AnsatzEngine(IndependentSets(erdos_renyi(10, 4.5, seed=gi)), variant, 1)
@@ -69,12 +83,16 @@ def test_maximize_follows_scipy_nelder_mead(monkeypatch, variant, step):
         x0 = np.random.default_rng(gi).uniform(0.0, np.pi, engine.live_param_count)
         for budget in budgets:
             got = maximize(objective, x0, max_evals=budget)
-            with monkeypatch.context() as m:
-                m.setattr(opt, "_nelder_mead", _scipy_nelder_mead)
-                want = maximize(objective, x0, max_evals=budget)
+            want = _scipy_maximize(objective, x0, budget)
             assert got.x.tobytes() == want.x.tobytes(), (gi, budget)
             assert (got.value, got.evals, got.converged) == \
                 (want.value, want.evals, want.converged), (gi, budget)
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan")])
+def test_maximize_rejects_a_negative_or_nan_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        maximize(lambda v: float(np.sum(v)), np.ones(2), tol=tol)
 
 
 def test_mixer_histogram_3_regular():
@@ -177,6 +195,79 @@ def test_desk_recipe_records_are_pinned():
     )
     got = [(r.graph_id, r.variant, r.evals, r.best_size, r.rounds) for r in run_benchmark(cfg)]
     assert got == PINNED_DESK_RECORDS
+
+
+def _serial_records(cfg):
+    """The reference for ``run_benchmark``: one plain ``run_trial`` per trial."""
+    for gi, graph_seed in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.graph_count)):
+        graph = driver._make_graph(cfg, graph_seed)
+        optimum, _ = brute_force_mis(graph)
+        if optimum == 0:
+            continue
+        for vi, spec in enumerate(cfg.variants):
+            seed = np.random.SeedSequence((cfg.seed, gi, vi)).generate_state(1)[0]
+            yield run_trial(graph, spec, seed, optimum, graph_id=f"{cfg.ensemble}-{cfg.nodes}-{gi}",
+                            repetitions=cfg.repetitions, mixer_rounds=cfg.mixer_rounds,
+                            max_evals=cfg.max_evals, tol=cfg.tol)
+
+
+@pytest.mark.parametrize("max_dim,width", [(512, 256), (40, 3)])
+@pytest.mark.parametrize("max_evals", [None, 5])
+def test_lockstep_records_equal_serial_trials(monkeypatch, max_dim, width, max_evals):
+    # Graph 2 is replaced by an empty graph (optimum 0), which is skipped.
+    # With a cutoff of 40 amplitudes some graphs run serially, and a width
+    # of 3 makes the batch top up from the starts not yet taken.
+    make_graph = driver._make_graph
+
+    def with_an_empty_graph(cfg, seed):
+        return Graph.from_edges(0, []) if seed.spawn_key == (2,) else make_graph(cfg, seed)
+
+    monkeypatch.setattr(driver, "_make_graph", with_an_empty_graph)
+    cfg = BenchmarkConfig(
+        ensemble="erdos_renyi", nodes=8, edge_prob=0.4, graph_count=5,
+        variants=[VariantSpec("sa", 1), VariantSpec("ma", 1), VariantSpec("dqva", 1, 3),
+                  VariantSpec("ma", 2)],
+        repetitions=2, seed=3, mixer_rounds=2, max_evals=max_evals,
+    )
+    want = [repr(r.to_dict()) for r in _serial_records(cfg)]
+    monkeypatch.setattr(driver, "LOCKSTEP_MAX_DIM", max_dim)
+    monkeypatch.setattr(driver, "LOCKSTEP_WIDTH", width)
+    got = [repr(r.to_dict()) for r in run_benchmark(cfg)]
+    assert len(want) == 4 * 4
+    assert got == want
+
+
+def test_replay_rejects_a_start_point_that_differs_in_one_bit():
+    graph = erdos_renyi(8, 3.0, seed=1)
+    optimum, _ = brute_force_mis(graph)
+    spec = VariantSpec("ma", 1)
+    sub = driver._execution_seeds(11, 1)[0]
+    engine, x0 = single_round_start(IndependentSets(graph), "ma", 1, sub)
+    result = maximize(engine.expectation_live, x0)
+
+    def trial(recorded):
+        return run_trial(graph, spec, 11, optimum, graph_id="g", repetitions=1,
+                         optimizer=driver._replay(recorded))
+
+    assert trial([(x0, result)]).params == [float(v) for v in result.x]
+    off = x0.copy()
+    off[3] = np.nextafter(off[3], 4.0)
+    with pytest.raises(DriverError, match="start point"):
+        trial([(off, result)])
+    with pytest.raises(DriverError, match="start point"):
+        trial([])
+
+
+@pytest.mark.parametrize("over", [{"mixer_rounds": 0}, {"mixer_rounds": -2}, {"tol": -1.0},
+                                  {"tol": float("nan")}])
+def test_config_rejects_empty_rounds_and_bad_tol(over):
+    with pytest.raises(DriverError, match=next(iter(over))):
+        _tiny_config(**over)
+
+
+def test_dqva_outer_loop_rejects_empty_rounds():
+    with pytest.raises(AnsatzError, match="mixer_rounds"):
+        dqva_outer_loop(erdos_renyi(6, 2.0, seed=0), 2, seed=0, mixer_rounds=0)
 
 
 def test_empty_edge_ensemble_all_optimal():

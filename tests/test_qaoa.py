@@ -13,6 +13,7 @@ from mcdecomp.qaoa import (
     AnsatzEngine,
     AnsatzError,
     AnsatzSpec,
+    EngineBatch,
     IndependentSets,
     best_measured_set,
     build_ansatz,
@@ -320,6 +321,72 @@ def test_engine_matches_circuit_path_on_random_graphs(case):
                        spec.mask, spec.warm_start)
     fast = scatter(eng, eng.statevector(np.asarray(spec.params)))
     assert phase_aligned_deviation(fast, circ) < 1e-11
+
+
+def _batch_engines():
+    """SA/MA engines at p=1 and p=2 on different graphs: desk graphs, a
+    sparse one with isolated nodes, an edgeless one and a single node."""
+    graphs = [erdos_renyi(10, 4.5, seed=s) for s in range(8)]
+    graphs += [erdos_renyi(9, 1.0, seed=3), Graph.from_edges(6, []), Graph.from_edges(1, [])]
+    assert any(not graphs[-3].neighbors(v) for v in range(9))
+    return [AnsatzEngine(IndependentSets(g), variant, p)
+            for g in graphs for variant in (SA, MA) for p in (1, 2)]
+
+
+def _batch_points(engines, rng):
+    """Uniform angles, with exact 0 and pi on some coordinates and all-zero points."""
+    points = []
+    for k, engine in enumerate(engines):
+        x = rng.uniform(0.0, np.pi, engine.live_param_count)
+        if k % 3 == 0:
+            x[rng.integers(len(x))] = 0.0
+        if k % 4 == 1:
+            x[rng.integers(len(x))] = np.pi
+        if k % 7 == 2:
+            x[:] = 0.0
+        points.append(x)
+    return points
+
+
+def _assert_batch_matches(engines, points):
+    got = EngineBatch(engines).expectations(points)
+    assert len(got) == len(engines)
+    for value, engine, x in zip(got, engines, points):
+        assert np.float64(value).tobytes() == np.float64(engine.expectation_live(x)).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 16, 41, 100])
+def test_engine_batch_is_bitwise_the_single_calls(size):
+    rng = np.random.default_rng(size)
+    pool = _batch_engines()
+    engines = [pool[i] for i in rng.choice(len(pool), size=size)]
+    _assert_batch_matches(engines, _batch_points(engines, rng))
+
+
+def test_engine_batch_past_numpy_temporary_reuse_size():
+    # numpy may compute a binary operator in place in a temporary of 256 KiB
+    # or more, with the operands swapped; the joined state here holds more
+    # than 16 Ki complex amplitudes, so the kernel must not rely on operators.
+    rng = np.random.default_rng(7)
+    pool = _batch_engines()
+    engines = [pool[i] for i in rng.choice(len(pool), size=400)]
+    assert sum(len(e.basis) for e in engines) > 2**14
+    _assert_batch_matches(engines, _batch_points(engines, rng))
+
+
+def test_engine_batch_handles_masks_and_warm_starts():
+    rng = np.random.default_rng(3)
+    engines = []
+    for seed in range(6):
+        graph = erdos_renyi(9, 3.0, seed=seed)
+        sets = IndependentSets(graph)
+        _, witness = brute_force_mis(graph)
+        sigma = tuple(int(v) for v in rng.permutation(9))
+        for p, nu, warm in ((1, 1, (0,) * 9), (2, 3, witness), (2, 6, (0,) * 9)):
+            engines.append(AnsatzEngine(sets, DQVA, p, sigma,
+                                        dqva_default_mask(p, 9, nu, sigma, warm), warm))
+        engines.append(AnsatzEngine(sets, MA, 2))
+    _assert_batch_matches(engines, _batch_points(engines, rng))
 
 
 def test_engine_pairs_stack_each_rotation_with_its_partner():

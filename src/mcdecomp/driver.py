@@ -16,8 +16,9 @@ from .graphs import brute_force_mis, erdos_renyi, random_regular
 from .metrics import mixer_entangling_count
 from . import optimize as opt
 from .qaoa import (
-    DQVA, SA, EngineBatch, IndependentSets, check_variant, dqva_default_mask, dqva_outer_loop,
-    iter_independent_sets, optimize_single_round, param_count, round_slots, single_round_start,
+    DQVA, SA, EngineBatch, IndependentSets, check_variant, dqva_default_mask, dqva_execution,
+    dqva_outer_loop, iter_independent_sets, optimize_single_round, param_count, round_slots,
+    single_round_execution,
 )
 
 
@@ -25,8 +26,8 @@ class DriverError(ValueError):
     pass
 
 
-# ``run_benchmark`` steps the SA/MA executions on subspaces of at most this
-# many amplitudes in lockstep.  Desk graphs (10 nodes) hold 28-154; on
+# ``run_benchmark`` steps the executions of every variant on subspaces of at
+# most this many amplitudes in lockstep.  Desk graphs (10 nodes) hold 28-154; on
 # states of thousands the arithmetic, not the per-call overhead, sets the
 # time, and one ragged batch is no faster than single calls.
 LOCKSTEP_MAX_DIM = 512
@@ -46,7 +47,7 @@ COUNT_COLUMNS = (
 _COLUMN_KEYS = tuple(f"{family}/{budget}" for family, budget in COUNT_COLUMNS)
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     graph_id: str
     variant: str
@@ -240,30 +241,33 @@ def _execution_seeds(seed, repetitions: int) -> list[int]:
 
 def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
               graph_id: str, repetitions: int, mixer_rounds: int = 5,
-              max_evals=None, tol: float = 1e-4, optimizer=None) -> TrialRecord:
+              max_evals=None, tol: float = 1e-4, optimizer=None, sets=None) -> TrialRecord:
     """Best-of-N executions of one variant on one graph (fresh random starts).
 
     The record keeps the best execution's set, size, rounds, evals and (for
     SA/MA) angles; ``converged`` holds when every execution converged, and
     ``max_infeasible`` is the worst unaccounted mass over the executions.
     Each maximization is ``optimize.maximize`` with ``max_evals`` and ``tol``
-    unless ``optimizer(objective, x0)`` is given.
+    unless ``optimizer(objective, x0)`` is given.  ``sets`` is the graph's
+    ``IndependentSets``, built once here unless given.
     """
     if repetitions < 1:
         raise DriverError("repetitions must be >= 1")
     if optimizer is None:
         optimizer = lambda f, x0: opt.maximize(f, x0, max_evals=max_evals, tol=tol)
+    if sets is None:
+        sets = IndependentSets(graph)
     best = None
     converged = True
     worst_inf = 0.0
     for sub in _execution_seeds(seed, repetitions):
         if spec.variant == DQVA:
-            res = dqva_outer_loop(graph, spec.nu, seed=sub, p=spec.p,
-                                  mixer_rounds=mixer_rounds, optimizer=optimizer)
+            res = dqva_outer_loop(graph, spec.nu, seed=sub, p=spec.p, mixer_rounds=mixer_rounds,
+                                  optimizer=optimizer, sets=sets)
             rounds, params = res.rounds, None
         else:
             res = optimize_single_round(graph, spec.variant, spec.p, seed=sub,
-                                        optimizer=optimizer)
+                                        optimizer=optimizer, sets=sets)
             rounds, params = 1, [float(v) for v in res.params]
         bits = res.best_bits
         converged = converged and res.converged
@@ -303,11 +307,13 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1):
     """Yield TrialRecords for every (graph, variant); reproducible from the seed.
 
     Each trial's seed derives from (master seed, graph index, variant index).
-    The SA/MA executions on subspaces of at most ``LOCKSTEP_MAX_DIM``
-    amplitudes are first maximized together (``_lockstep``); then every trial
-    runs through ``run_trial`` in order, and those executions replay their
-    results there, so the records equal those of serial ``run_trial`` calls.
-    Trials run in one thread: ``jobs`` accepts only 1.
+    The executions of every variant on subspaces of at most
+    ``LOCKSTEP_MAX_DIM`` amplitudes are first run together (``_lockstep``),
+    DQVA's inner rounds included; then every trial runs through
+    ``run_trial`` in order, and those executions replay their maximizations
+    there, so the records equal those of serial ``run_trial`` calls.  Such a
+    graph's ``IndependentSets`` is built once and serves the lockstep and
+    its trials.  Trials run in one thread: ``jobs`` accepts only 1.
     """
     if jobs != 1:
         raise DriverError(f"jobs must be 1 (trials run serially), got {jobs}")
@@ -317,84 +323,110 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1):
         optimum, _ = brute_force_mis(graph)
         if optimum:
             graphs.append((gi, graph, optimum))
-    replays = _lockstep_trials(cfg, graphs)
+    # count the independent sets only as far as the cutoff
+    shared = {gi: IndependentSets(graph) for gi, graph, _ in graphs
+              if sum(1 for _ in islice(iter_independent_sets(graph), LOCKSTEP_MAX_DIM + 1))
+              <= LOCKSTEP_MAX_DIM}
+    replays = _lockstep_trials(cfg, shared)
     for gi, graph, optimum in graphs:
         graph_id = f"{cfg.ensemble}-{cfg.nodes}-{gi}"
+        # the lockstep's sets; a larger graph's trials build their own, so
+        # that only one of those is alive at a time
+        sets = shared.pop(gi, None)
         for vi, spec in enumerate(cfg.variants):
             yield run_trial(
                 graph, spec, _trial_seed(cfg, gi, vi), optimum, graph_id=graph_id,
                 repetitions=cfg.repetitions, mixer_rounds=cfg.mixer_rounds,
-                max_evals=cfg.max_evals, tol=cfg.tol, optimizer=replays.get((gi, vi)),
+                max_evals=cfg.max_evals, tol=cfg.tol, optimizer=replays.pop((gi, vi), None),
+                sets=sets,
             )
 
 
-def _lockstep_trials(cfg: BenchmarkConfig, graphs) -> dict:
-    """Maximize the lockstep's executions of ``graphs`` (index, graph, optimum).
+def _lockstep_trials(cfg: BenchmarkConfig, shared) -> dict:
+    """Run every execution on the graphs of ``shared`` (graph index to its
+    ``IndependentSets``) through ``_lockstep``.
 
-    Returns a replaying optimizer for ``run_trial`` per (graph index, variant
-    index) whose executions ran here; the others are absent.
+    Returns a replaying optimizer for ``run_trial`` per (graph index,
+    variant index).
     """
-    single = [(vi, spec) for vi, spec in enumerate(cfg.variants) if spec.variant != DQVA]
-    jobs = []
-    for gi, graph, _ in graphs if single else ():
-        # count the independent sets only as far as the cutoff
-        if sum(1 for _ in islice(iter_independent_sets(graph), LOCKSTEP_MAX_DIM + 1)) \
-                > LOCKSTEP_MAX_DIM:
-            continue
-        jobs += [((gi, vi), graph, spec, sub) for vi, spec in single
-                 for sub in _execution_seeds(_trial_seed(cfg, gi, vi), cfg.repetitions)]
+    jobs = [((gi, vi), sets, spec, sub) for gi, sets in shared.items()
+            for vi, spec in enumerate(cfg.variants)
+            for sub in _execution_seeds(_trial_seed(cfg, gi, vi), cfg.repetitions)]
+    executions = (
+        dqva_execution(sets, spec.nu, sub, spec.p, cfg.mixer_rounds) if spec.variant == DQVA
+        else single_round_execution(sets, spec.variant, spec.p, sub)
+        for _, sets, spec, sub in jobs)
     runs: dict = {}
-    for (key, *_), run in zip(jobs, _lockstep(_starts(jobs), cfg.max_evals, cfg.tol)):
-        runs.setdefault(key, []).append(run)
+    for (key, *_), recorded in zip(jobs, _lockstep(executions, cfg.max_evals, cfg.tol)):
+        runs.setdefault(key, []).extend(recorded)
     return {key: _replay(recorded) for key, recorded in runs.items()}
 
 
-def _starts(jobs):
-    """Each job's (engine, x0), built as the lockstep takes it; the jobs of
-    one graph share its ``IndependentSets``."""
-    graph = sets = None
-    for _, job_graph, spec, sub in jobs:
-        if job_graph is not graph:
-            graph, sets = job_graph, IndependentSets(job_graph)
-        yield single_round_start(sets, spec.variant, spec.p, sub)
+class _Round:
+    """One inner round in the lockstep: its execution's index and generator,
+    the engine, the start, the search and the search's pending point."""
+
+    __slots__ = ("run", "execution", "engine", "x0", "search", "point")
+
+    def __init__(self, run, execution, engine, x0, max_evals, tol):
+        self.run, self.execution, self.engine, self.x0 = run, execution, engine, x0
+        self.search = opt.search(x0, max_evals, tol)
+        self.point = next(self.search)
 
 
-def _lockstep(starts, max_evals, tol) -> list[tuple[np.ndarray, opt.OptResult]]:
-    """``optimize.search`` from each ``(engine, x0)`` of ``starts``, stepped
-    together; returns each start's ``(x0, result)`` in order.
+def _lockstep(executions, max_evals, tol) -> list[list[tuple[np.ndarray, opt.OptResult]]]:
+    """Run the ``executions`` (see ``qaoa.dqva_execution``) with their rounds'
+    ``optimize.search`` stepped together; returns each execution's
+    ``(x0, result)`` per round, in order.
 
     Each step evaluates the pending point of every search in the batch with
     one ``EngineBatch`` call.  Building a batch costs about as much per
     engine as ten of its evals, so it is rebuilt only once half of its
-    searches have finished:
-    finished members are evaluated until then and their values dropped.  A
-    rebuild tops the batch up to ``LOCKSTEP_WIDTH`` from ``starts``, which
-    are taken only then, so that few engines are alive at a time.
+    searches have finished: finished members are evaluated until then and
+    their values dropped.  A finished search's result goes to its
+    execution at once, and the round that execution yields next joins at
+    the rebuild.  A rebuild takes those rounds first and tops the batch up
+    to ``LOCKSTEP_WIDTH`` with new executions, which start only then, so
+    that at most that many executions are alive at a time.
     """
-    starts = iter(starts)
+    executions = iter(executions)
     runs = []
-    running = []  # [run index, engine, search or None once finished, pending point]
+    ready = []  # the (run index, execution, (engine, x0)) of the rounds to join
+    running = []
     while True:
-        for engine, x0 in islice(starts, LOCKSTEP_WIDTH - len(running)):
-            search = opt.search(x0, max_evals, tol)
-            running.append([len(runs), engine, search, next(search)])
-            runs.append((x0, None))
+        while len(running) + len(ready) < LOCKSTEP_WIDTH:
+            execution = next(executions, None)
+            if execution is None:
+                break
+            runs.append([])
+            _advance(ready, len(runs) - 1, execution, None)
+        running += [_Round(run, execution, *step, max_evals, tol) for run, execution, step in ready]
+        ready = []
         if not running:
             return runs
         members = running
-        batch = EngineBatch(member[1] for member in members)
+        batch = EngineBatch(member.engine for member in members)
         while 2 * len(running) > len(members):
-            values = batch.expectations([member[3] for member in members])
+            values = batch.expectations([member.point for member in members])
             running = []
             for member, value in zip(members, values):
-                if member[2] is None:
+                if member.search is None:
                     continue
                 try:
-                    member[3] = member[2].send(value)
+                    member.point = member.search.send(value)
                     running.append(member)
                 except StopIteration as done:
-                    runs[member[0]] = (runs[member[0]][0], done.value)
-                    member[2] = None
+                    member.search = None
+                    runs[member.run].append((member.x0, done.value))
+                    _advance(ready, member.run, member.execution, done.value)
+
+
+def _advance(ready, run, execution, result) -> None:
+    """Send ``result`` to ``execution`` and queue the round it yields next."""
+    try:
+        ready.append((run, execution, execution.send(result)))
+    except StopIteration:
+        pass
 
 
 def _replay(recorded):

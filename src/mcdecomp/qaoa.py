@@ -324,13 +324,15 @@ class AnsatzEngine:
         betas = params.tolist()
         c = np.cos(params).tolist()
         js = (1j * np.sin(params)).tolist()
+        # ufunc calls, not operators, in ``EngineBatch``'s operand order (see there)
+        mul, sub = np.multiply, np.subtract
         for mixers, gamma_slot in self._rounds:
             for idx, swp, slot in mixers:
                 if betas[slot] == 0.0:
                     continue
-                amps[idx] = c[slot] * amps[idx] - js[slot] * amps[swp]
+                amps[idx] = sub(mul(c[slot], amps[idx]), mul(js[slot], amps[swp]))
             if gamma_slot is not None and params[gamma_slot] != 0.0:
-                amps = amps * np.exp(1j * params[gamma_slot] * self._w)
+                amps = mul(amps, np.exp(mul(1j * params[gamma_slot], self._w)))
         return amps
 
     def statevector_live(self, live_values) -> np.ndarray:
@@ -440,22 +442,23 @@ def start_point(engine: AnsatzEngine, rng) -> np.ndarray:
     return rng.uniform(0.0, np.pi, engine.live_param_count)
 
 
-def single_round_start(sets: IndependentSets, variant: str, p: int, seed):
-    """The engine and start point that ``optimize_single_round`` uses for ``seed``."""
-    engine = AnsatzEngine(sets, variant, p)
-    return engine, start_point(engine, np.random.default_rng(seed))
+def _readout(engine: AnsatzEngine, x):
+    """The best measured set at ``x`` and the state's unaccounted mass."""
+    amps = engine.statevector_live(x)
+    return best_measured_set(amps, engine.basis, engine.n), _unaccounted_mass(amps)
 
 
-def _optimize(engine: AnsatzEngine, x0, optimizer):
-    """One variational round from ``x0``: the maximization
-    (``optimize.maximize`` unless ``optimizer`` is given), and the readout.
-
-    Returns the optimizer's result, the best measured set and the optimized
-    state's unaccounted mass.
-    """
-    res = (optimizer or opt.maximize)(engine.expectation_live, x0)
-    amps = engine.statevector_live(res.x)
-    return res, best_measured_set(amps, engine.basis, engine.n), _unaccounted_mass(amps)
+def _drive(execution, optimizer):
+    """Run an execution serially: maximize each round it yields with
+    ``optimizer`` (``optimize.maximize`` unless given), send the result
+    back, and return the execution's result."""
+    try:
+        engine, x0 = next(execution)
+        while True:
+            res = (optimizer or opt.maximize)(engine.expectation_live, x0)
+            engine, x0 = execution.send(res)
+    except StopIteration as done:
+        return done.value
 
 
 @dataclass
@@ -468,35 +471,38 @@ class DqvaResult:
     converged: bool = True
 
 
-def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
-                    mixer_rounds: int = 5, optimizer=None) -> DqvaResult:
-    """Dynamic-ansatz driver: random mixer permutations outside, warm-started
-    re-optimization inside, growing the independent set from the empty set
-    until it stalls.
+def dqva_execution(sets: IndependentSets, nu: int, seed=None, p: int = 1, mixer_rounds: int = 5):
+    """One dynamic-ansatz execution on ``sets`` as a generator.
 
-    Returns the best feasible set found and the number of optimizer
-    invocations (the rounds-of-variational-optimization count);
-    ``converged`` holds only when every inner optimization converged.
+    Each inner round yields ``(engine, x0)`` and must be sent the
+    ``optimize.OptResult`` of maximizing ``engine.expectation_live`` from
+    ``x0``; the generator's return value is the ``DqvaResult``.  Bad
+    arguments raise ``AnsatzError`` here, before any engine is built.
     """
     if nu < 1:
         raise AnsatzError("nu must be >= 1")
     if mixer_rounds < 1:
         raise AnsatzError("mixer_rounds must be >= 1")
-    n = graph.n
+    check_variant(DQVA, p)
+    return _dqva_rounds(sets, nu, seed, p, mixer_rounds)
+
+
+def _dqva_rounds(sets: IndependentSets, nu: int, seed, p: int, mixer_rounds: int):
+    n = sets.n
     rng = np.random.default_rng(seed)
     best = (0,) * n
     rounds = 0
     evals = 0
     worst_inf = 0.0
     converged = True
-    sets = IndependentSets(graph)
     for _ in range(mixer_rounds):
         sigma = tuple(int(v) for v in rng.permutation(n))
         cur = best
         for _ in range(n):
             mask = dqva_default_mask(p, n, nu, sigma, in_set=cur)
             engine = AnsatzEngine(sets, DQVA, p, sigma, mask, cur)
-            res, cand, inf = _optimize(engine, start_point(engine, rng), optimizer)
+            res = yield engine, start_point(engine, rng)
+            cand, inf = _readout(engine, res.x)
             rounds += 1
             evals += res.evals
             converged = converged and res.converged
@@ -505,6 +511,30 @@ def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
                 break
             best = cur = cand
     return DqvaResult(best, sum(best), rounds, evals, worst_inf, converged)
+
+
+def _sets_of(graph: Graph, sets: IndependentSets | None) -> IndependentSets:
+    if sets is None:
+        return IndependentSets(graph)
+    if sets.graph != graph:
+        raise AnsatzError("sets belong to another graph")
+    return sets
+
+
+def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
+                    mixer_rounds: int = 5, optimizer=None, sets=None) -> DqvaResult:
+    """Dynamic-ansatz driver: random mixer permutations outside, warm-started
+    re-optimization inside, growing the independent set from the empty set
+    until it stalls.
+
+    Returns the best feasible set found and the number of optimizer
+    invocations (the rounds-of-variational-optimization count);
+    ``converged`` holds only when every inner optimization converged.
+    ``sets`` is the graph's ``IndependentSets``, built here unless given.
+    Runs ``dqva_execution`` serially.
+    """
+    execution = dqva_execution(_sets_of(graph, sets), nu, seed, p, mixer_rounds)
+    return _drive(execution, optimizer)
 
 
 @dataclass
@@ -517,11 +547,24 @@ class SingleRoundResult:
     converged: bool = True
 
 
-def optimize_single_round(graph: Graph, variant: str, p: int = 1, seed=None,
-                          optimizer=None) -> SingleRoundResult:
-    """One variational round of the single-/multi-angle ansatz from |0...0>."""
+def single_round_execution(sets: IndependentSets, variant: str, p: int = 1, seed=None):
+    """One single-/multi-angle execution on ``sets``: ``dqva_execution``'s
+    protocol with one round, returning the ``SingleRoundResult``."""
     if variant not in (SA, MA):
         raise AnsatzError("use dqva_outer_loop for the dynamic variant")
-    engine, x0 = single_round_start(IndependentSets(graph), variant, p, seed)
-    res, bits, inf = _optimize(engine, x0, optimizer)
+    check_variant(variant, p)
+    return _single_round(sets, variant, p, seed)
+
+
+def _single_round(sets: IndependentSets, variant: str, p: int, seed):
+    engine = AnsatzEngine(sets, variant, p)
+    res = yield engine, start_point(engine, np.random.default_rng(seed))
+    bits, inf = _readout(engine, res.x)
     return SingleRoundResult(bits, res.value, res.evals, np.asarray(res.x), inf, res.converged)
+
+
+def optimize_single_round(graph: Graph, variant: str, p: int = 1, seed=None,
+                          optimizer=None, sets=None) -> SingleRoundResult:
+    """One variational round of the single-/multi-angle ansatz from |0...0>;
+    runs ``single_round_execution`` serially (``sets`` as for ``dqva_outer_loop``)."""
+    return _drive(single_round_execution(_sets_of(graph, sets), variant, p, seed), optimizer)

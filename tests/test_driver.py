@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mcdecomp.driver as driver
+import mcdecomp.qaoa as qaoa
 from mcdecomp.driver import (
     BenchmarkConfig,
     DriverError,
@@ -17,7 +18,8 @@ from mcdecomp.ir import Graph
 from mcdecomp.metrics import exact_count_zeroed
 from mcdecomp.optimize import OptResult, maximize
 from mcdecomp.qaoa import (
-    AnsatzEngine, AnsatzError, IndependentSets, dqva_outer_loop, param_count, single_round_start,
+    AnsatzEngine, AnsatzError, IndependentSets, dqva_execution, dqva_outer_loop, param_count,
+    single_round_execution,
 )
 
 
@@ -216,7 +218,8 @@ def _serial_records(cfg):
 def test_lockstep_records_equal_serial_trials(monkeypatch, max_dim, width, max_evals):
     # Graph 2 is replaced by an empty graph (optimum 0), which is skipped.
     # With a cutoff of 40 amplitudes some graphs run serially, and a width
-    # of 3 makes the batch top up from the starts not yet taken.
+    # of 3 makes the batch top up from the executions not yet started and
+    # DQVA's next inner rounds join part-way; a budget of 5 cuts every search.
     make_graph = driver._make_graph
 
     def with_an_empty_graph(cfg, seed):
@@ -226,14 +229,14 @@ def test_lockstep_records_equal_serial_trials(monkeypatch, max_dim, width, max_e
     cfg = BenchmarkConfig(
         ensemble="erdos_renyi", nodes=8, edge_prob=0.4, graph_count=5,
         variants=[VariantSpec("sa", 1), VariantSpec("ma", 1), VariantSpec("dqva", 1, 3),
-                  VariantSpec("ma", 2)],
+                  VariantSpec("ma", 2), VariantSpec("dqva", 2, 4)],
         repetitions=2, seed=3, mixer_rounds=2, max_evals=max_evals,
     )
     want = [repr(r.to_dict()) for r in _serial_records(cfg)]
     monkeypatch.setattr(driver, "LOCKSTEP_MAX_DIM", max_dim)
     monkeypatch.setattr(driver, "LOCKSTEP_WIDTH", width)
     got = [repr(r.to_dict()) for r in run_benchmark(cfg)]
-    assert len(want) == 4 * 4
+    assert len(want) == 4 * 5
     assert got == want
 
 
@@ -242,7 +245,7 @@ def test_replay_rejects_a_start_point_that_differs_in_one_bit():
     optimum, _ = brute_force_mis(graph)
     spec = VariantSpec("ma", 1)
     sub = driver._execution_seeds(11, 1)[0]
-    engine, x0 = single_round_start(IndependentSets(graph), "ma", 1, sub)
+    engine, x0 = next(single_round_execution(IndependentSets(graph), "ma", 1, sub))
     result = maximize(engine.expectation_live, x0)
 
     def trial(recorded):
@@ -258,6 +261,27 @@ def test_replay_rejects_a_start_point_that_differs_in_one_bit():
         trial([])
 
 
+def test_replay_rejects_a_dqva_inner_start_that_differs_in_one_bit():
+    graph = erdos_renyi(8, 3.0, seed=1)
+    optimum, _ = brute_force_mis(graph)
+    spec = VariantSpec("dqva", 2, 4)
+    sub = driver._execution_seeds(11, 1)[0]
+    [recorded] = driver._lockstep([dqva_execution(IndependentSets(graph), 4, sub, 2, 2)],
+                                  None, 1e-4)
+    assert len(recorded) >= 3
+
+    def trial(recorded, optimizer=None):
+        return run_trial(graph, spec, 11, optimum, graph_id="g", repetitions=1, mixer_rounds=2,
+                         optimizer=optimizer or driver._replay(recorded))
+
+    assert trial(recorded).to_dict() == trial(None, optimizer=maximize).to_dict()
+    x0, result = recorded[2]
+    off = x0.copy()
+    off[0] = np.nextafter(off[0], 4.0)
+    with pytest.raises(DriverError, match="start point"):
+        trial(recorded[:2] + [(off, result)] + recorded[3:])
+
+
 @pytest.mark.parametrize("over", [{"mixer_rounds": 0}, {"mixer_rounds": -2}, {"tol": -1.0},
                                   {"tol": float("nan")}])
 def test_config_rejects_empty_rounds_and_bad_tol(over):
@@ -265,9 +289,20 @@ def test_config_rejects_empty_rounds_and_bad_tol(over):
         _tiny_config(**over)
 
 
-def test_dqva_outer_loop_rejects_empty_rounds():
-    with pytest.raises(AnsatzError, match="mixer_rounds"):
-        dqva_outer_loop(erdos_renyi(6, 2.0, seed=0), 2, seed=0, mixer_rounds=0)
+def test_dqva_outer_loop_rejects_empty_rounds(monkeypatch):
+    # no rounds, or no live parameter per round: both raise before any
+    # engine is built, and the execution raises when it is made
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(qaoa, "AnsatzEngine", no_engine)
+    graph = erdos_renyi(6, 2.0, seed=0)
+    for over in ({"mixer_rounds": 0}, {"nu": 0}):
+        args = {"nu": 2, "seed": 0, "mixer_rounds": 2, **over}
+        with pytest.raises(AnsatzError, match=next(iter(over))):
+            dqva_outer_loop(graph, **args)
+        with pytest.raises(AnsatzError, match=next(iter(over))):
+            dqva_execution(IndependentSets(graph), **args)
 
 
 def test_empty_edge_ensemble_all_optimal():

@@ -374,6 +374,24 @@ def test_engine_batch_past_numpy_temporary_reuse_size():
     _assert_batch_matches(engines, _batch_points(engines, rng))
 
 
+@pytest.mark.parametrize("variant,p", [(SA, 3), (MA, 2)])
+def test_engine_past_numpy_temporary_reuse_size(variant, p):
+    # An edgeless 15-node graph has 2^15 independent sets, so every mixer
+    # gathers and the phase layer multiplies 512 KiB temporaries, where an
+    # operator may compute in place with the operands swapped.  The engine
+    # must round as a one-engine batch does.  From p=2 on the amplitudes are
+    # general complex numbers, and the operator form changed the last bit of
+    # some of these values.
+    engine = AnsatzEngine(IndependentSets(Graph.from_edges(15, [])), variant, p)
+    assert len(engine.basis) == 2**15
+    batch = EngineBatch([engine])
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x = rng.uniform(0.0, np.pi, engine.live_param_count)
+        got = batch.expectations([x])[0]
+        assert np.float64(got).tobytes() == np.float64(engine.expectation_live(x)).tobytes()
+
+
 def test_engine_batch_handles_masks_and_warm_starts():
     rng = np.random.default_rng(3)
     engines = []

@@ -35,7 +35,7 @@ class IRError(ValueError):
     """Raised for malformed gates, circuits, or graphs."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """A single gate: named single-qudit primitive or multi-controlled X/Rx.
 
@@ -382,23 +382,22 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        norm = set()
-        for u, v in self.edges:
+        norm = frozenset((u, v) if u < v else (v, u) for u, v in self.edges)
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in norm:  # u <= v
             if u == v:
                 raise IRError(f"self-loop on node {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if u < 0 or v >= self.n:
                 raise IRError(f"edge ({u},{v}) out of range for {self.n} nodes")
-            norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(norm))
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in norm:
             nbrs[u].append(v)
             nbrs[v].append(u)
+        object.__setattr__(self, "edges", norm)
         object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in nbrs))
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        return Graph(n, frozenset((min(u, v), max(u, v)) for u, v in edges))
+        """The graph on n nodes with the given (u, v) pairs, in either order."""
+        return Graph(n, edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.n:

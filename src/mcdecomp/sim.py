@@ -1,9 +1,16 @@
 """Dense statevector simulation over 2-level registers.
 
-Serves as the correctness oracle for decompositions and the backend for the
-QAOA experiments.  Line 0 is the most significant bit of the basis index, so
-the bitstring of basis state ``b`` is ``format(b, f"0{width}b")`` with
-character ``i`` belonging to line ``i``.
+Serves as the correctness oracle for decompositions and holds the
+``Statevector`` type of the QAOA experiments.  Line 0 is the most significant
+bit of the basis index, so the bitstring of basis state ``b`` is
+``format(b, f"0{width}b")`` with character ``i`` belonging to line ``i``.
+
+``apply_circuit``, ``circuit_unitary`` and ``circuit_columns`` share one gate
+loop, ``_apply_gates``.  It splits the gates into maximal runs on at most
+``FUSION_LINES`` lines.  A one-gate run is applied in place, on strided
+views of the amplitude tensor; a longer run is multiplied out into one small
+matrix and applied a chunk of columns at a time (gate clustering, as in
+Häner & Steiger, arXiv:1704.01127).
 """
 from __future__ import annotations
 
@@ -59,6 +66,27 @@ def bits_to_index(bits) -> int:
     return idx
 
 
+def _check_gate(gate: Gate, width: int) -> None:
+    """Reject a gate that a 2-level register of this width cannot run."""
+    lines = gate.lines
+    if len(set(lines)) != len(lines):
+        raise SimulationError(f"gate uses a line twice (target or control): {lines}")
+    for line in lines:
+        if not 0 <= line < width:
+            raise SimulationError(f"gate line {line} exceeds width {width}")
+    for _, pol in gate.controls:
+        if pol == POS2:
+            raise SimulationError("qutrit controls cannot be simulated on a 2-level register")
+        if pol not in (POS1, NEG0):
+            raise SimulationError(f"unknown polarity {pol!r}")
+
+
+def _check_contiguous(amps: np.ndarray) -> None:
+    # reshape silently copies a non-contiguous array, and the writes would be lost
+    if not amps.flags.c_contiguous:
+        raise SimulationError("amplitudes must be C-contiguous to be updated in place")
+
+
 def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int) -> None:
     """Apply a gate to raw amplitudes in place; amps is 1-D or (2^w, batch).
 
@@ -66,24 +94,11 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int) -> None:
     axis is fixed to the index its polarity fires on, and the target axis
     split into its 0 and 1 halves; both halves are views, updated in place.
     """
-    if not amps.flags.c_contiguous:
-        raise SimulationError("amplitudes must be C-contiguous to be updated in place")
-    lines = gate.lines
-    if len(set(lines)) != len(lines):
-        raise SimulationError(f"gate uses a line twice (target or control): {lines}")
-    for line in lines:
-        if not 0 <= line < width:
-            raise SimulationError(f"gate line {line} exceeds width {width}")
+    _check_contiguous(amps)
+    _check_gate(gate, width)
     idx: list = [slice(None)] * width
     for line, pol in gate.controls:
-        if pol == POS1:
-            idx[line] = 1
-        elif pol == NEG0:
-            idx[line] = 0
-        elif pol == POS2:
-            raise SimulationError("qutrit controls cannot be simulated on a 2-level register")
-        else:
-            raise SimulationError(f"unknown polarity {pol!r}")
+        idx[line] = 1 if pol == POS1 else 0
     tensor = amps.reshape((2,) * width + amps.shape[1:])
     target = gate.targets[0]
     idx[target] = 0
@@ -108,10 +123,76 @@ def _apply_gate_inplace(amps: np.ndarray, gate: Gate, width: int) -> None:
     a1 += old0
 
 
+# A run of gates on at most this many lines is applied as one 2^k x 2^k matrix.
+FUSION_LINES = 3
+# A fused matrix is applied to columns holding about this many entries at a time (4 MiB).
+CHUNK_ENTRIES = 1 << 18
+
+
+def column_chunk(rows: int) -> int:
+    """Columns per chunk of a matrix with this many rows: at least one."""
+    return max(1, CHUNK_ENTRIES // rows)
+
+
+def _runs(gates, width: int) -> list[tuple[list[Gate], set[int]]]:
+    """Check each gate, then split the gates into maximal runs on at most FUSION_LINES lines."""
+    runs: list[tuple[list[Gate], set[int]]] = []
+    for g in gates:
+        _check_gate(g, width)
+        if runs and len(runs[-1][1].union(g.lines)) <= FUSION_LINES:
+            runs[-1][0].append(g)
+            runs[-1][1].update(g.lines)
+        else:
+            runs.append(([g], set(g.lines)))
+    return runs
+
+
+def _run_matrix(run: list[Gate], lines: list[int]) -> np.ndarray:
+    """The run's unitary on ``lines`` (lines[0] most significant), gate by gate from I."""
+    pos = {line: i for i, line in enumerate(lines)}
+    mat = np.eye(2 ** len(lines), dtype=complex)
+    for g in run:
+        local = Gate(g.kind, tuple(pos[t] for t in g.targets),
+                     tuple((pos[line], pol) for line, pol in g.controls), g.angle, g.matrix)
+        _apply_gate_inplace(mat, local, len(lines))
+    return mat
+
+
+def _apply_gates(mat: np.ndarray, gates, width: int) -> None:
+    """Apply the gates in order to mat in place; mat is 1-D or (2^w, batch).
+
+    Every gate is checked against the full width first.  A run of one gate
+    goes through the in-place kernel.  A longer run is multiplied out on its
+    k lines and applied as one 2^k x 2^k matrix, a chunk of columns at a
+    time: the run's axes are gathered to the front, multiplied and scattered
+    back, through two buffers that every chunk reuses (a fresh array of a few
+    MB costs more in page faults than the product).
+    """
+    _check_contiguous(mat)
+    tensor = mat.reshape((2,) * width + (-1,))  # a view: mat is contiguous
+    step = column_chunk(2**width)
+    buffers = None
+    for run, run_lines in _runs(gates, width):
+        if len(run) == 1:
+            _apply_gate_inplace(mat, run[0], width)
+            continue
+        lines = sorted(run_lines)
+        u = _run_matrix(run, lines)
+        if buffers is None:
+            size = 2**width * min(step, tensor.shape[-1])
+            buffers = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+        for c0 in range(0, tensor.shape[-1], step):
+            moved = np.moveaxis(tensor[..., c0:c0 + step], lines, range(len(lines)))
+            gathered = buffers[0][:moved.size].reshape(len(u), -1)
+            product = buffers[1][:moved.size].reshape(len(u), -1)
+            np.copyto(gathered.reshape(moved.shape), moved)
+            np.matmul(u, gathered, out=product)
+            np.copyto(moved, product.reshape(moved.shape))
+
+
 def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     amps = state.amplitudes.copy()
-    for g in circuit.gates:
-        _apply_gate_inplace(amps, g, state.width)
+    _apply_gates(amps, circuit.gates, state.width)
     return Statevector(amps, state.width)
 
 
@@ -121,8 +202,7 @@ def circuit_unitary(c: Circuit, width: int | None = None) -> np.ndarray:
     if w > MAX_UNITARY_WIDTH:
         raise SimulationError(f"width {w} exceeds dense-unitary limit {MAX_UNITARY_WIDTH}")
     mat = np.eye(2**w, dtype=complex)
-    for g in c.gates:
-        _apply_gate_inplace(mat, g, w)
+    _apply_gates(mat, c.gates, w)
     return mat
 
 
@@ -145,8 +225,7 @@ def circuit_columns(c: Circuit, columns) -> np.ndarray:
     columns = np.asarray(list(columns), dtype=int)
     mat = np.zeros((2**c.width, len(columns)), dtype=complex)
     mat[columns, np.arange(len(columns))] = 1.0
-    for g in c.gates:
-        _apply_gate_inplace(mat, g, c.width)
+    _apply_gates(mat, c.gates, c.width)
     return mat
 
 
@@ -163,6 +242,11 @@ def _max_deviation(a: np.ndarray, b: np.ndarray, phase: complex = 1.0) -> float:
                for r in range(0, len(a2), rows))
 
 
+def unit_phase(z: complex) -> complex:
+    """z / |z|, or 1 when z is too small to carry a phase."""
+    return z / abs(z) if abs(z) >= 1e-12 else 1.0
+
+
 def phase_aligned_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """min over global phase of the elementwise max deviation |a - e^{i phi} b|."""
     a = np.asarray(a)
@@ -171,30 +255,37 @@ def phase_aligned_deviation(a: np.ndarray, b: np.ndarray) -> float:
         raise SimulationError(f"shape mismatch {a.shape} vs {b.shape}")
     k = np.argmax(np.abs(b))
     ref = b.flat[k]
-    phase = a.flat[k] / ref if abs(ref) >= 1e-12 else 0.0
     # no usable reference amplitude: compare without phase alignment
-    phase = phase / abs(phase) if abs(phase) >= 1e-12 else 1.0
+    phase = unit_phase(a.flat[k] / ref if abs(ref) >= 1e-12 else 0.0)
     return _max_deviation(a, b, phase)
 
 
-def identity_deviation(a: np.ndarray) -> float:
-    """``phase_aligned_deviation(a, I)`` for a square matrix, without a dense identity.
+def identity_deviation(a: np.ndarray, start: int | None = None,
+                       phase: complex | None = None) -> float:
+    """max |a - phase * I| over the columns that ``a`` holds, without a dense identity.
 
-    The phase comes from ``a[0, 0]`` as it would from I's first entry; off the
+    With ``start`` given, ``a`` holds columns start, start+1, ... of a square
+    matrix with ``len(a)`` rows; without it, ``a`` is the whole matrix and
+    must be square.  The phase defaults to that of ``a[0, 0]``, as
+    ``phase_aligned_deviation(a, I)`` takes it from I's first entry.  Off the
     diagonal each entry is compared with 0 and on it with the phase, over
     blocks of rows.
     """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or (start is None and a.shape[0] != a.shape[1]):
         raise SimulationError(f"expected a square matrix, got shape {a.shape}")
-    phase = a[0, 0]
-    phase = phase / abs(phase) if abs(phase) >= 1e-12 else 1.0
-    rows = max(1, _DEVIATION_BLOCK // len(a))
+    start = 0 if start is None else start
+    if not 0 <= start <= len(a) - a.shape[1]:
+        raise SimulationError(f"columns {start}..{start + a.shape[1] - 1} exceed {len(a)} rows")
+    if phase is None:
+        if start != 0:
+            raise SimulationError("the phase of a block without column 0 must be given")
+        phase = unit_phase(a[0, 0])
+    rows = max(1, _DEVIATION_BLOCK // a.shape[1])
     worst = 0.0
     for r in range(0, len(a), rows):
         block = np.abs(a[r:r + rows])
-        i = np.arange(len(block))
-        block[i, r + i] = np.abs(a[r + i, r + i] - phase)
+        diag = np.arange(max(r, start), min(r + rows, start + a.shape[1]))
+        block[diag - r, diag - start] = np.abs(a[diag, diag - start] - phase)
         worst = max(worst, float(block.max()))
     return worst
-

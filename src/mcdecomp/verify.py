@@ -28,12 +28,15 @@ from .ir import (
 )
 from .decompose import decompose, ladder_gates
 from .sim import (
+    MAX_UNITARY_WIDTH,
+    SimulationError,
     _apply_gate_inplace,
     circuit_columns,
-    circuit_unitary,
+    column_chunk,
     gate_unitary,
     identity_deviation,
     phase_aligned_deviation,
+    unit_phase,
 )
 
 
@@ -98,16 +101,26 @@ def burnable_deviation(circuit: Circuit, ideal_gate, register_width: int) -> flo
 def exact_deviation(circuit: Circuit, ideal_gate) -> float:
     """Deviation from ideal (x) identity over the full register (borrowed contract).
 
-    The ideal is an X or MCX, a permutation that is its own inverse, so it is
-    applied to the rows of the circuit's unitary in place and the product is
-    compared with e^{i phi} I: the same entries as U - e^{i phi} V, one for
-    one, without a second dense matrix.
+    The unitary is never built whole: the circuit runs on one block of basis
+    columns at a time.  The ideal is an X or MCX, a permutation that is its
+    own inverse, so it is applied to each block's rows in place and the
+    product is compared with those columns of e^{i phi} I, the phase taken
+    from entry (0, 0): the same entries as U - e^{i phi} V, one for one.
     """
     if ideal_gate.kind not in ("x", "mcx"):
         raise VerifyError(f"exact_deviation needs an x or mcx ideal, got {ideal_gate.kind!r}")
-    u = circuit_unitary(circuit)
-    _apply_gate_inplace(u, ideal_gate, circuit.width)
-    return identity_deviation(u)
+    if circuit.width > MAX_UNITARY_WIDTH:
+        raise SimulationError(f"width {circuit.width} exceeds dense-unitary limit {MAX_UNITARY_WIDTH}")
+    dim = 2**circuit.width
+    step = column_chunk(dim)
+    worst, phase = 0.0, None
+    for start in range(0, dim, step):
+        block = circuit_columns(circuit, range(start, min(start + step, dim)))
+        _apply_gate_inplace(block, ideal_gate, circuit.width)
+        if phase is None:
+            phase = unit_phase(block[0, 0])
+        worst = max(worst, identity_deviation(block, start, phase))
+    return worst
 
 
 def verify_schemes(max_controls: int = 5, angles: int = 20, seed: int = 11,
@@ -120,6 +133,10 @@ def verify_schemes(max_controls: int = 5, angles: int = 20, seed: int = 11,
     """
     if not 1 <= max_controls <= 6:
         raise VerifyError("matrix oracle needs 1 <= max_controls <= 6 (width 2n-1)")
+    if angles < 1:
+        raise VerifyError(f"angles must be >= 1, got {angles}")
+    if not tol >= 0:  # also false for NaN, which would fail every check
+        raise VerifyError(f"tol must be >= 0, got {tol!r}")
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 

@@ -132,6 +132,15 @@ def test_verify_rejects_an_empty_suite(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "-1"), ("--angles", "0")])
+def test_verify_rejects_bad_tolerance_and_angle_count(capsys, flag, value):
+    # exit 3 would say a route failed; these inputs are invalid, not failed checks
+    assert run_cli(["verify", "--max-controls", "2", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "checks passed" not in captured.out
+
+
 def test_bench_preset_outputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = {

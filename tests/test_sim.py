@@ -1,15 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcdecomp.ir import Circuit, Gate, NEG0, POS1, POS2, ccx, cx, h, mcrx, mcx, rx, ry, rz, x
+from mcdecomp import sim
+from mcdecomp.ir import Circuit, Gate, NEG0, POS1, POS2, ccx, cx, h, mcrx, mcx, rx, ry, rz, t_gate, x
 from mcdecomp.sim import (
     SimulationError,
     _apply_gate_inplace,
+    _apply_gates,
     Statevector,
     apply_circuit,
     bits_to_index,
+    circuit_columns,
     circuit_unitary,
     identity_deviation,
     phase_aligned_deviation,
@@ -185,16 +190,75 @@ def test_kernel_rejects_target_that_is_also_a_control():
 
 
 def test_kernel_rejects_non_contiguous_amplitudes():
-    with pytest.raises(SimulationError):
-        _apply_gate_inplace(np.zeros((3, 4), dtype=complex).T, x(0), 2)
-    with pytest.raises(SimulationError):
-        _apply_gate_inplace(np.zeros(8, dtype=complex)[::2], x(0), 2)
+    for apply in (lambda a: _apply_gate_inplace(a, x(0), 2),
+                  lambda a: _apply_gates(a, [h(0), cx(0, 1), t_gate(1)], 2)):
+        with pytest.raises(SimulationError):
+            apply(np.zeros((3, 4), dtype=complex).T)
+        with pytest.raises(SimulationError):
+            apply(np.zeros(8, dtype=complex)[::2])
 
 
 def test_kernel_rejects_qutrit_and_unknown_polarities():
     for pol in (POS2, "?"):
         with pytest.raises(SimulationError):
             _apply_one(Statevector.zero(2), Gate("mcx", (1,), ((0, pol),)))
+
+
+# --- the fused gate loop against one gate at a time ---------------------------
+
+def _one_gate_at_a_time(mat, gates, width):
+    """The reference loop: every gate through the in-place kernel, in order."""
+    for gate in gates:
+        _apply_gate_inplace(mat, gate, width)
+    return mat
+
+
+ALPHABETS = {  # mixed runs, runs of only diagonal gates, runs of only X gates
+    "mixed": SINGLE + ("mcx", "mcrx"), "diagonal": ("t", "tdg", "s", "sdg", "rz"), "x": ("x", "mcx"),
+}
+
+
+@st.composite
+def _circuits(draw):
+    """Gates on widths 1-8; mcx/mcrx take 1..width-1 controls of either polarity."""
+    width = draw(st.integers(1, 8))
+    alphabet = ALPHABETS[draw(st.sampled_from(sorted(ALPHABETS)))]
+    if width == 1:
+        alphabet = tuple(k for k in alphabet if k not in ("mcx", "mcrx"))
+    kinds = draw(st.lists(st.sampled_from(alphabet), max_size=30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return Circuit(2, width, tuple(_random_gate(rng, width, kind) for kind in kinds))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_circuits(), st.sampled_from(["one column", "few columns", "default"]), st.integers(0, 2**32 - 1))
+def test_fused_loop_matches_one_gate_at_a_time(circuit, chunk, seed):
+    width, dim = circuit.width, 2**circuit.width
+    entries = {"one column": 1, "few columns": 3 * dim, "default": sim.CHUNK_ENTRIES}[chunk]
+    rng = np.random.default_rng(seed)
+    columns = rng.choice(dim, size=min(dim, 5), replace=False)
+    block = rng.normal(size=(dim, 4)) + 1j * rng.normal(size=(dim, 4))
+    state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    with mock.patch.object(sim, "CHUNK_ENTRIES", entries):  # small chunks: runs cross them
+        unitary = circuit_unitary(circuit)
+        some_columns = circuit_columns(circuit, columns)
+        got_block, got_state = block.copy(), state.copy()
+        _apply_gates(got_block, circuit.gates, width)
+        _apply_gates(got_state, circuit.gates, width)
+    want = _one_gate_at_a_time(np.eye(dim, dtype=complex), circuit.gates, width)
+    for got, expected in [(unitary, want), (some_columns, want[:, columns]),
+                          (got_block, _one_gate_at_a_time(block, circuit.gates, width)),
+                          (got_state, _one_gate_at_a_time(state, circuit.gates, width))]:
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_fused_loop_applies_gates_wider_than_a_run_in_place():
+    wide = mcx([0, (1, NEG0), 2, (3, NEG0)], 5)
+    assert wide.arity > sim.FUSION_LINES
+    gates = (h(0), t_gate(1), cx(0, 1), rz(1, 0.4), wide, h(5), ry(4, 0.3), cx(5, 4), wide, x(2))
+    want = _one_gate_at_a_time(np.eye(64, dtype=complex), gates, 6)
+    with mock.patch.object(sim, "CHUNK_ENTRIES", 64 * 5):
+        assert np.max(np.abs(circuit_unitary(Circuit(2, 6, gates)) - want)) < 1e-12
 
 
 def _reference_deviation(a, b):
@@ -227,3 +291,18 @@ def test_identity_deviation_matches_the_dense_identity(dim):
 def test_identity_deviation_needs_a_square_matrix():
     with pytest.raises(SimulationError):
         identity_deviation(np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("columns", [1, 5, 64])
+def test_identity_deviation_over_column_blocks(columns):
+    rng = np.random.default_rng(columns)
+    dim = 64
+    a = np.exp(0.7j) * np.eye(dim) + 1e-3 * (rng.normal(size=(dim, dim))
+                                            + 1j * rng.normal(size=(dim, dim)))
+    phase = sim.unit_phase(a[0, 0])
+    blocks = [identity_deviation(a[:, s:s + columns], s, phase) for s in range(0, dim, columns)]
+    assert max(blocks) == identity_deviation(a)
+    with pytest.raises(SimulationError):
+        identity_deviation(a[:, 1:3], 1)  # no column 0 to take the phase from
+    with pytest.raises(SimulationError):
+        identity_deviation(a[:, :3], dim - 2, phase)  # columns past the last row

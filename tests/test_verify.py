@@ -1,10 +1,20 @@
 import re
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from mcdecomp import sim
 from mcdecomp.decompose import DecomposeError, decompose, ladder_gates
+from mcdecomp.gadgets import vchain_dirty_cx_gates
 from mcdecomp.ir import AncillaBudget, Circuit, GateSetSpec, h, mcrx, mcx, rz
-from mcdecomp.sim import circuit_unitary, gate_unitary, phase_aligned_deviation
+from mcdecomp.sim import (
+    _apply_gate_inplace,
+    circuit_unitary,
+    gate_unitary,
+    identity_deviation,
+    phase_aligned_deviation,
+)
 from mcdecomp.verify import (
     CheckResult,
     VerifyError,
@@ -59,6 +69,13 @@ def test_empty_suite_rejected(max_controls):
         verify_schemes(max_controls=max_controls)
 
 
+@pytest.mark.parametrize("kwargs", [{"tol": float("nan")}, {"tol": -1.0}, {"angles": 0}])
+def test_bad_tolerance_and_angle_count_rejected(kwargs):
+    # a NaN or negative tol would mark every correct route FAIL
+    with pytest.raises(VerifyError):
+        verify_schemes(max_controls=2, **kwargs)
+
+
 @pytest.mark.parametrize("circuit, k", [
     (ladder(4), 4),
     (ladder(4, m=4), 4),
@@ -69,6 +86,45 @@ def test_exact_deviation_matches_the_dense_ideal(circuit, k):
     dense = phase_aligned_deviation(circuit_unitary(circuit),
                                     gate_unitary(ideal, circuit.width))
     assert exact_deviation(circuit, ideal) == dense
+
+
+def vchain(k):
+    return Circuit(2, 2 * k - 1, tuple(vchain_dirty_cx_gates(range(k), range(k + 1, 2 * k - 1), k)))
+
+
+def _dense_exact_deviation(circuit, ideal):
+    """The whole unitary, one gate at a time, then the ideal on its rows."""
+    u = np.eye(2**circuit.width, dtype=complex)
+    for g in circuit.gates + (ideal,):
+        _apply_gate_inplace(u, g, circuit.width)
+    return identity_deviation(u)
+
+
+def _columns_per_block(circuit, columns):
+    return mock.patch.object(sim, "CHUNK_ENTRIES", columns * 2**circuit.width)
+
+
+@pytest.mark.parametrize("columns", [3, 2**12])  # ragged blocks, and one block
+@pytest.mark.parametrize("circuit, k", [
+    (ladder(4), 4), (ladder(5), 5), (ladder(5, m=4), 5), (vchain(4), 4), (vchain(5), 5),
+])
+def test_blocked_exact_deviation_matches_the_dense_unitary(circuit, k, columns):
+    ideal = mcx(list(range(k)), k)
+    with _columns_per_block(circuit, columns):
+        blocked = exact_deviation(circuit, ideal)
+    dense = _dense_exact_deviation(circuit, ideal)
+    if all(g.kind == "mcx" for g in circuit.gates):  # a permutation: exact either way
+        assert blocked == dense
+    else:
+        assert abs(blocked - dense) <= 1e-14
+
+
+def test_blocked_exact_deviation_sees_every_missing_gate():
+    circuit, ideal = vchain(4), mcx(list(range(4)), 4)
+    with _columns_per_block(circuit, 24):  # six blocks, the last one ragged
+        for i in range(len(circuit.gates)):
+            dropped = Circuit(2, circuit.width, circuit.gates[:i] + circuit.gates[i + 1:])
+            assert exact_deviation(dropped, ideal) > 1e-6, i
 
 
 def test_exact_deviation_rejects_a_non_permutation_ideal():

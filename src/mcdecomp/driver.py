@@ -7,7 +7,6 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from itertools import islice
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .metrics import mixer_entangling_count
 from . import optimize as opt
 from .qaoa import (
     DQVA, SA, EngineBatch, IndependentSets, check_variant, dqva_default_mask, dqva_execution,
-    dqva_outer_loop, iter_independent_sets, optimize_single_round, param_count, round_slots,
+    dqva_outer_loop, independent_set_indices, optimize_single_round, param_count, round_slots,
     single_round_execution,
 )
 
@@ -323,10 +322,8 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1):
         optimum, _ = brute_force_mis(graph)
         if optimum:
             graphs.append((gi, graph, optimum))
-    # count the independent sets only as far as the cutoff
     shared = {gi: IndependentSets(graph) for gi, graph, _ in graphs
-              if sum(1 for _ in islice(iter_independent_sets(graph), LOCKSTEP_MAX_DIM + 1))
-              <= LOCKSTEP_MAX_DIM}
+              if len(independent_set_indices(graph)) <= LOCKSTEP_MAX_DIM}
     replays = _lockstep_trials(cfg, shared)
     for gi, graph, optimum in graphs:
         graph_id = f"{cfg.ensemble}-{cfg.nodes}-{gi}"

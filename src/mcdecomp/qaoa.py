@@ -134,26 +134,33 @@ class AnsatzSpec:
     nu: int | None = None
 
 
+def check_layout(variant: str, p: int, n: int, permutation=None, mask=None,
+                 warm_start=None) -> None:
+    """Raise ``AnsatzError`` unless ``permutation`` orders each of the ``n``
+    nodes once, ``mask`` is one of the dynamic variant's and has one entry
+    per slot of its parameter layout, and ``warm_start`` holds one bit, 0 or
+    1, per node (each when given)."""
+    if permutation is not None and sorted(permutation) != list(range(n)):
+        raise AnsatzError("permutation must order all nodes")
+    if mask is not None:
+        if variant != DQVA:
+            raise AnsatzError("mask is only meaningful for the dynamic variant")
+        if len(mask) != param_count(variant, p, n):
+            raise AnsatzError("mask length must match the full parameter layout")
+    if warm_start is not None and (len(warm_start) != n or any(b not in (0, 1) for b in warm_start)):
+        raise AnsatzError("warm start must hold one bit (0 or 1) per node")
+
+
 def validate_spec(graph: Graph, spec: AnsatzSpec) -> None:
     check_variant(spec.variant, spec.p)
-    n = graph.n
-    expect = param_count(spec.variant, spec.p, n)
+    expect = param_count(spec.variant, spec.p, graph.n)
     if spec.params and len(spec.params) != expect:
         raise AnsatzError(f"{spec.variant} with p={spec.p} needs {expect} params, got {len(spec.params)}")
-    if spec.permutation is not None and sorted(spec.permutation) != list(range(n)):
-        raise AnsatzError("permutation must order all nodes")
-    if spec.mask is not None:
-        if spec.variant != DQVA:
-            raise AnsatzError("mask is only meaningful for the dynamic variant")
-        if len(spec.mask) != expect:
-            raise AnsatzError("mask length must match the full parameter layout")
-        if spec.nu is not None and sum(spec.mask) != spec.nu:
-            raise AnsatzError(f"mask must leave nu={spec.nu} live parameters")
-    if spec.warm_start is not None:
-        if len(spec.warm_start) != n:
-            raise AnsatzError("warm start length must equal the node count")
-        if not graph.is_independent(spec.warm_start):
-            raise AnsatzError("warm start is not an independent set")
+    check_layout(spec.variant, spec.p, graph.n, spec.permutation, spec.mask, spec.warm_start)
+    if spec.mask is not None and spec.nu is not None and sum(spec.mask) != spec.nu:
+        raise AnsatzError(f"mask must leave nu={spec.nu} live parameters")
+    if spec.warm_start is not None and not graph.is_independent(spec.warm_start):
+        raise AnsatzError("warm start is not an independent set")
 
 
 def build_ansatz(graph: Graph, spec: AnsatzSpec) -> Circuit:
@@ -198,27 +205,17 @@ def _popcount(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def independent_set_indices(graph: Graph) -> np.ndarray:
-    """Sorted basis indices of every independent set (node i is bit n-1-i)."""
-    return np.sort(np.fromiter(iter_independent_sets(graph), dtype=np.int64))
+    """Sorted basis indices of every independent set (node i is bit n-1-i).
 
-
-def iter_independent_sets(graph: Graph):
-    """Yield the basis index of every independent set once, in no set order.
-
-    Enumerates by bitmask: each set is extended only by nodes on bits above
-    its highest member that none of its members neighbor, so every set is
-    produced exactly once, and a caller may stop early.
+    Grows the sets one node at a time from the lowest bit up: node v joins
+    every set so far that holds none of its neighbors.  Its bit is above all
+    of theirs, so each step appends a sorted block above a sorted one.
     """
     n = graph.n
-    nbr = _basis_neighbor_masks(graph)
-    stack = [(0, (1 << n) - 1)]
-    while stack:
-        chosen, avail = stack.pop()
-        yield chosen
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            stack.append((chosen | low, avail & ~nbr[n - low.bit_length()]))
+    sets = np.zeros(1, dtype=np.int64)
+    for v, nbr in reversed(list(enumerate(_basis_neighbor_masks(graph)))):
+        sets = np.concatenate((sets, sets[(sets & nbr) == 0] | (1 << (n - 1 - v))))
+    return sets
 
 
 def _basis_neighbor_masks(graph: Graph) -> list[int]:
@@ -246,8 +243,11 @@ class IndependentSets:
     rotation couples, and ``weights`` the set sizes.  ``idx`` stacks ``sel0``
     (the node and all of its neighbors |0>) on ``sel1`` (the node flipped to
     |1>), and ``swp`` is ``sel1`` on ``sel0``, so ``amps[swp]`` lines each
-    amplitude up with its rotation partner.  It does not depend on the
-    ansatz, so one instance serves every engine on a graph.
+    amplitude up with its rotation partner.  The set-size table ``levels``
+    holds the distinct sizes and ``level_of`` each set's entry in it, so
+    that ``levels[level_of]`` equals ``weights`` and a phase layer takes
+    one exp per size.  It does not depend on the ansatz, so one instance
+    serves every engine on a graph.
     """
 
     def __init__(self, graph: Graph):
@@ -266,6 +266,7 @@ class IndependentSets:
         self.pairs = [(np.concatenate((s0, s1)), np.concatenate((s1, s0)))
                       for s0, s1 in zip(np.split(sel0, cuts), np.split(sel1, cuts))]
         self.weights = _popcount(basis, n)
+        self.levels, self.level_of = np.unique(self.weights, return_inverse=True)
 
 
 class AnsatzEngine:
@@ -278,7 +279,18 @@ class AnsatzEngine:
     precomputed in permutation order.  A call takes cos and i*sin of all
     parameters once, and each live mixer is then one gather-update-scatter
     over its stacked pair, with the same complex arithmetic per amplitude as
-    the pairwise update.  Cross-checked against the circuit path in the tests.
+    the pairwise update.  A phase layer takes exp(i gamma) once per entry of
+    the set-size table and gathers it per amplitude.
+
+    The mixers are restricted to the sets the ansatz can reach.  Walking the
+    live mixers in order from the start state, each keeps only the pairs
+    with a reached side, and both sides of a kept pair count as reached; a
+    mixer left with no pair is dropped, and once every set is reached the
+    rest keep all of theirs.  A skipped pair holds two amplitudes that are
+    exactly zero on every call, whatever the angles, so skipping it can
+    change only the sign of a zero, which |amps|^2 never sees; the state
+    keeps its full length.  Cross-checked against the unrestricted update
+    and against the circuit path in the tests.
     """
 
     def __init__(self, sets: IndependentSets, variant: str, p: int = 1,
@@ -288,6 +300,7 @@ class AnsatzEngine:
         self.variant = variant
         self.p = p
         self.n = n = sets.n
+        check_layout(variant, p, n, permutation, mask, warm_start)
         self.sigma = tuple(permutation) if permutation is not None else tuple(range(n))
         self.mask = tuple(mask) if mask is not None else None
         self.warm_start = tuple(warm_start) if warm_start is not None else (0,) * n
@@ -298,15 +311,29 @@ class AnsatzEngine:
             raise AnsatzError("warm start is not an independent set")
         self._w = sets.weights
         self._size = param_count(variant, p, n)
+        self._levels, self._level_of = sets.levels, sets.level_of
         self._live = [i for i in range(self._size) if self.mask is None or self.mask[i]]
         live = set(self._live)
-        # per round: the live mixers as (idx, swp, slot) in sigma order, and
-        # the live phase slot or None
-        self._rounds = [
-            ([sets.pairs[node] + (mixers[node],) for node in self.sigma if mixers[node] in live],
-             phase if phase in live else None)
-            for mixers, phase in round_slots(variant, p, n)
-        ]
+        reached = np.zeros(len(basis), dtype=bool)
+        reached[self._start] = True
+        everything = reached.all()
+        # per round: the live mixers' kept pairs as (idx, swp, slot) in sigma
+        # order, and the live phase slot or None
+        self._rounds = []
+        for mixers, phase in round_slots(variant, p, n):
+            kept = []
+            for node in self.sigma:
+                if mixers[node] not in live:
+                    continue
+                idx, swp = sets.pairs[node]
+                if not everything:
+                    near = reached[idx] | reached[swp]
+                    idx, swp = idx[near], swp[near]
+                    reached[idx] = True
+                    everything = reached.all()
+                if len(idx):
+                    kept.append((idx, swp, mixers[node]))
+            self._rounds.append((kept, phase if phase in live else None))
 
     @property
     def live_param_count(self) -> int:
@@ -332,7 +359,8 @@ class AnsatzEngine:
                     continue
                 amps[idx] = sub(mul(c[slot], amps[idx]), mul(js[slot], amps[swp]))
             if gamma_slot is not None and params[gamma_slot] != 0.0:
-                amps = mul(amps, np.exp(mul(1j * params[gamma_slot], self._w)))
+                phases = np.exp(mul(1j * params[gamma_slot], self._levels))
+                amps = mul(amps, phases[self._level_of])
         return amps
 
     def statevector_live(self, live_values) -> np.ndarray:
@@ -349,19 +377,20 @@ class AnsatzEngine:
 class EngineBatch:
     """``expectation_live`` of many engines in one call, over a ragged batch.
 
-    The engines' subspace states are joined end to end.  The k-th live mixer
-    of a round is one mixer position: its gather-update-scatter runs once
-    for every engine that has it, over the engines' ``idx``/``swp`` arrays
-    offset to their place in the joined state, and reads cos and i*sin per
-    amplitude through flat (engine, slot) indices.  A phase layer takes
-    exp(i gamma w) once per (engine, set size) level, with the engine's
-    gamma read the same way, and gathers it per amplitude; an engine
-    without a phase in that round reads an extra slot that holds 0.  Every
-    amplitude sees the arithmetic of ``AnsatzEngine.statevector``, and
-    |amps|^2 @ w stays one dot product per engine, so each value is bitwise
-    equal to the engine's own call.  A skipped zero angle is applied here as
-    cos 0 = 1 and sin 0 = 0, which can change only the sign of zero
-    amplitudes, never a value.
+    The engines' subspace states are joined end to end.  The k-th kept
+    mixer of a round (after each engine's reach restriction) is one mixer
+    position: its gather-update-scatter runs once for every engine that has
+    it, over the engines' ``idx``/``swp`` arrays offset to their place in
+    the joined state, and reads cos and i*sin per amplitude through flat
+    (engine, slot) indices.  A phase layer takes exp(i gamma w) once per
+    entry of each engine's set-size table (``IndependentSets.levels``),
+    with the engine's gamma read the same way, and gathers it per
+    amplitude; an engine without a phase in that round reads an extra slot
+    that holds 0.  Every amplitude sees the arithmetic of
+    ``AnsatzEngine.statevector``, and |amps|^2 @ w stays one dot product
+    per engine, so each value is bitwise equal to the engine's own call.  A
+    skipped zero angle is applied here as cos 0 = 1 and sin 0 = 0, which
+    can change only the sign of zero amplitudes, never a value.
     """
 
     def __init__(self, engines):
@@ -374,10 +403,9 @@ class EngineBatch:
             [at + np.array(e._live, dtype=np.int64) for at, e in zip(slot_at, engines)])
         self._starts = np.array([at + e._start for at, e in zip(amp_at, engines)])
         self._cuts = [(slice(a, b), e._w) for a, b, e in zip(amp_at, amp_at[1:], engines)]
-        levels = [np.unique(e._w, return_inverse=True) for e in engines]
-        level_at = np.cumsum([0] + [len(w) for w, _ in levels])
-        self._levels = np.concatenate([w for w, _ in levels])
-        self._level_of = np.concatenate([at + inv for at, (_, inv) in zip(level_at, levels)])
+        level_at = np.cumsum([0] + [len(e._levels) for e in engines])
+        self._levels = np.concatenate([e._levels for e in engines])
+        self._level_of = np.concatenate([at + e._level_of for at, e in zip(level_at, engines)])
         self._rounds = []
         for r in range(max(len(e._rounds) for e in engines)):
             here = [(k, e._rounds[r]) for k, e in enumerate(engines) if r < len(e._rounds)]

@@ -199,6 +199,39 @@ def test_desk_recipe_records_are_pinned():
     assert got == PINNED_DESK_RECORDS
 
 
+# The same for sparse n=16 graphs, 3 graphs, seed 0; each holds more than
+# ``LOCKSTEP_MAX_DIM`` independent sets, so these trials take the serial path.
+PINNED_SPARSE_RECORDS = [
+    ("erdos_renyi-16-0", "sa(p=1)", 101, 8, 1),
+    ("erdos_renyi-16-0", "dqva(p=1,nu=5)", 791, 6, 9),
+    ("erdos_renyi-16-1", "sa(p=1)", 128, 7, 1),
+    ("erdos_renyi-16-1", "dqva(p=1,nu=5)", 967, 7, 9),
+    ("erdos_renyi-16-2", "sa(p=1)", 104, 9, 1),
+    ("erdos_renyi-16-2", "dqva(p=1,nu=5)", 766, 7, 10),
+]
+# The records' ``params`` as ``float.hex``; None for DQVA.
+PINNED_SPARSE_PARAMS = [
+    ["0x1.921fb5926716cp+0", "0x1.1e9bf2b7dc932p+1"], None,
+    ["0x1.921fb570f66e2p+0", "0x1.8047a513d45bbp+1"], None,
+    ["0x1.921fb56ed9fdap+0", "0x1.c570b6e8ad5d9p-2"], None,
+]
+
+
+def test_sparse_recipe_records_are_pinned():
+    cfg = BenchmarkConfig(
+        ensemble="erdos_renyi", nodes=16, density=3.0, graph_count=3,
+        variants=[VariantSpec("sa", 1), VariantSpec("dqva", 1, 5)],
+        repetitions=1, seed=0,
+    )
+    graphs = [driver._make_graph(cfg, s) for s in np.random.SeedSequence(0).spawn(3)]
+    assert min(len(qaoa.independent_set_indices(g)) for g in graphs) > driver.LOCKSTEP_MAX_DIM
+    records = list(run_benchmark(cfg))
+    got = [(r.graph_id, r.variant, r.evals, r.best_size, r.rounds) for r in records]
+    assert got == PINNED_SPARSE_RECORDS
+    params = [None if r.params is None else [float(v).hex() for v in r.params] for r in records]
+    assert params == PINNED_SPARSE_PARAMS
+
+
 def _serial_records(cfg):
     """The reference for ``run_benchmark``: one plain ``run_trial`` per trial."""
     for gi, graph_seed in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.graph_count)):

@@ -25,10 +25,14 @@ from mcdecomp.qaoa import (
     param_count,
     partial_mixer,
     phase_separator,
+    round_slots,
     validate_spec,
 )
-from mcdecomp.sim import Statevector, apply_circuit, circuit_unitary, phase_aligned_deviation
+from mcdecomp.sim import (
+    Statevector, apply_circuit, bits_to_index, circuit_unitary, phase_aligned_deviation,
+)
 
+PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 PATH5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 STAR = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 K4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -247,8 +251,12 @@ def test_engine_basis_small_graphs(graph, count):
 
 
 def test_engine_basis_is_the_independent_bitstrings():
-    for seed, (n, d) in enumerate([(7, 2.0), (9, 3.0), (10, 4.5), (11, 2.5), (12, 3.0)]):
-        graph = erdos_renyi(n, d, seed=seed)
+    graphs = [erdos_renyi(n, d, seed=seed)
+              for seed, (n, d) in enumerate([(7, 2.0), (9, 3.0), (10, 4.5), (11, 2.5), (12, 3.0)])]
+    # no node (the empty set alone), no edge (all 2^15 sets), every edge
+    graphs += [Graph.from_edges(0, []), Graph.from_edges(15, []),
+               Graph.from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])]
+    for graph in graphs:
         assert AnsatzEngine(IndependentSets(graph), MA).basis.tolist() == independent_bitstrings(graph)
         assert independent_set_indices(graph).tolist() == independent_bitstrings(graph)
 
@@ -419,6 +427,92 @@ def test_engine_pairs_stack_each_rotation_with_its_partner():
 def test_engine_rejects_dependent_warm_start():
     with pytest.raises(AnsatzError):
         AnsatzEngine(IndependentSets(PATH5), DQVA, 1, warm_start=(1, 1, 0, 0, 0))
+
+
+@pytest.mark.parametrize("variant, layout", [
+    (SA, dict(permutation=(0, 0, 1))),
+    (SA, dict(permutation=(0, 1, 2, -1))),
+    (SA, dict(permutation=(0, 1, 2, 7))),
+    (DQVA, dict(mask=(True,) * 9)),
+    (DQVA, dict(mask=(True, True))),
+    (MA, dict(mask=(True,) * 5)),
+    (DQVA, dict(warm_start=(0, 1))),
+    (DQVA, dict(warm_start=(0, 0, 0, 2))),
+], ids=["repeated-node", "negative-node", "node-out-of-range", "long-mask", "short-mask",
+        "mask-without-dqva", "short-warm-start", "warm-start-not-bits"])
+def test_engine_rejects_a_bad_layout(variant, layout):
+    # the 4-node path: 5 parameter slots at p=1 for the dynamic variant
+    with pytest.raises(AnsatzError):
+        AnsatzEngine(IndependentSets(PATH4), variant, 1, **layout)
+
+
+def unrestricted_statevector(sets, variant, p, sigma, mask, warm_start, full_params):
+    """The reference for ``AnsatzEngine.statevector``: every pair of every
+    live mixer with a nonzero angle, and exp(i gamma w) taken per amplitude."""
+    amps = np.zeros(len(sets.basis), dtype=complex)
+    amps[np.searchsorted(sets.basis, bits_to_index(warm_start))] = 1.0
+    params = np.asarray(full_params)
+    c = np.cos(params).tolist()
+    js = (1j * np.sin(params)).tolist()
+    mul, sub = np.multiply, np.subtract
+    for mixers, phase in round_slots(variant, p, sets.n):
+        for node in sigma:
+            slot = mixers[node]
+            if (mask is None or mask[slot]) and params[slot] != 0.0:
+                idx, swp = sets.pairs[node]
+                amps[idx] = sub(mul(c[slot], amps[idx]), mul(js[slot], amps[swp]))
+        if (mask is None or mask[phase]) and params[phase] != 0.0:
+            amps = mul(amps, np.exp(mul(1j * params[phase], sets.weights)))
+    return amps
+
+
+def reach_cases():
+    """SA/MA at p = 1..3 from |0...0> and DQVA masks from warm starts, under
+    the identity and a random order, on a path, a star and seeded ER graphs
+    (one with isolated nodes)."""
+    rng = np.random.default_rng(21)
+    graphs = [PATH5, STAR, erdos_renyi(9, 1.0, seed=3), erdos_renyi(10, 4.5, seed=0),
+              erdos_renyi(12, 3.0, seed=1)]
+    for graph in graphs:
+        n = graph.n
+        sets = IndependentSets(graph)
+        sigmas = [tuple(range(n)), tuple(int(v) for v in rng.permutation(n))]
+        for sigma in sigmas:
+            for variant in (SA, MA):
+                for p in (1, 2, 3):
+                    yield sets, variant, p, sigma, None, (0,) * n
+        _, witness = brute_force_mis(graph)
+        for warm in ((0,) * n, tuple(witness[:n // 2]) + (0,) * (n - n // 2), witness):
+            for p, nu in ((1, 1), (1, 3), (2, 4), (2, 2 * n + 2)):
+                mask = dqva_default_mask(p, n, nu, sigmas[1], in_set=warm)
+                yield sets, DQVA, p, sigmas[1], mask, warm
+            mask = tuple(bool(b) for b in rng.integers(0, 2, param_count(DQVA, 2, n)))
+            yield sets, DQVA, 2, sigmas[0], mask, warm
+
+
+def test_reach_restricted_engine_is_bitwise_the_unrestricted_update():
+    rng = np.random.default_rng(5)
+    for sets, variant, p, sigma, mask, warm in reach_cases():
+        engine = AnsatzEngine(sets, variant, p, sigma, mask, warm)
+        size = param_count(variant, p, sets.n)
+        points = [rng.uniform(0.0, np.pi, size) for _ in range(3)] + [np.zeros(size)]
+        points[1][::2] = 0.0
+        points[2][1::3] = np.pi
+        for x in points:
+            want = unrestricted_statevector(sets, variant, p, sigma, mask, warm, x)
+            probs = np.abs(want) ** 2
+            assert (np.abs(engine.statevector(x)) ** 2).tobytes() == probs.tobytes()
+            assert np.float64(engine.expectation(x)).tobytes() == \
+                np.float64(float(probs @ sets.weights)).tobytes()
+    # not vacuous: a first layer from |0...0> skips pairs, and a second
+    # layer, with every set reached, keeps each node's pairs whole
+    sets = IndependentSets(PATH5)
+    first, _ = AnsatzEngine(sets, SA, 1)._rounds[0]
+    assert sum(len(idx) for idx, _, _ in first) < sum(len(idx) for idx, _ in sets.pairs)
+    second, _ = AnsatzEngine(sets, MA, 2)._rounds[1]
+    assert len(second) == len(sets.pairs)
+    for (idx, swp, _), (all_idx, all_swp) in zip(second, sets.pairs):
+        assert np.array_equal(idx, all_idx) and np.array_equal(swp, all_swp)
 
 
 def test_best_measured_set_prefers_size_then_probability():

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -139,9 +138,8 @@ def _doubling_range(text: str) -> list[int]:
 SWEEP_COLUMNS = COUNT_COLUMNS
 
 
-def sweep_counts(sizes, density, variant, p, nu_rule, seed, regime=BURNABLE,
-                 graphs_per_size: int = 10):
-    """Mean entangling totals per graph size and gate-set column (count-only).
+def sweep_counts(sizes, density, variant, p, nu_rule, seed, graphs_per_size: int = 10):
+    """Mean burnable entangling totals per graph size and gate-set column (count-only).
 
     Each size draws a small seeded ensemble so the series reflect the trend
     rather than single-instance degree fluctuations.  The dynamic variant
@@ -157,7 +155,7 @@ def sweep_counts(sizes, density, variant, p, nu_rule, seed, regime=BURNABLE,
                 hist = mixer_histogram(graph, 1, dqva_live_nodes(graph, p, nu))
             else:
                 hist = mixer_histogram(graph, p)
-            for key, total in entangling_totals(hist, regime).items():
+            for key, total in entangling_totals(hist, BURNABLE).items():
                 totals[key] += total
         row = {"m": m}
         row.update({k: round(v / graphs_per_size) for k, v in totals.items()})
@@ -227,7 +225,7 @@ def cmd_gdc(args) -> int:
         totals = entangling_totals(mixer_histogram(graph, args.p), BURNABLE)
         for f in grid:
             for column, total in totals.items():
-                rows.append([gi, f"{f:.6f}", column, f"{total * (-math.log(f)):.6f}"])
+                rows.append([gi, f"{f:.6f}", column, f"{gdc({column: total}, {column: f}):.6f}"])
     _write_csv(_out_path(args.out, "gdc_sweep.csv"),
                ["graph", "fidelity", "gateset", "gdc"], rows)
     return EXIT_OK

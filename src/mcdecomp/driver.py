@@ -263,20 +263,16 @@ def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
         if spec.variant == DQVA:
             res = dqva_outer_loop(graph, spec.nu, seed=sub, p=spec.p, mixer_rounds=mixer_rounds,
                                   optimizer=optimizer, sets=sets)
-            rounds, params = res.rounds, None
         else:
             res = optimize_single_round(graph, spec.variant, spec.p, seed=sub,
                                         optimizer=optimizer, sets=sets)
-            rounds, params = 1, [float(v) for v in res.params]
-        bits = res.best_bits
         converged = converged and res.converged
         worst_inf = max(worst_inf, res.max_infeasible)
-        if not graph.is_independent(bits):
+        if not graph.is_independent(res.best_bits):
             raise DriverError("reported set is not independent")
-        if best is None or sum(bits) > sum(best[0]):
-            best = (bits, rounds, res.evals, params)
-    bits, rounds, evals, params = best
-    size = sum(bits)
+        if best is None or res.best_size > best.best_size:
+            best = res
+    size = best.best_size
     hist = trial_mixer_histogram(graph, spec)
     n_params = spec.nu if spec.variant == DQVA else param_count(spec.variant, spec.p, graph.n)
     return TrialRecord(
@@ -286,15 +282,15 @@ def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
         best_size=size,
         optimum=optimum,
         ratio=size / optimum if optimum else 1.0,
-        rounds=rounds,
-        evals=evals,
+        rounds=best.rounds,
+        evals=best.evals,
         seed=int(seed) if np.isscalar(seed) else -1,
         mixer_histogram=hist,
         entangling=entangling_totals(hist),
         converged=converged,
         max_infeasible=worst_inf,
-        best_set=bits,
-        params=params,
+        best_set=best.best_bits,
+        params=None if best.params is None else [float(v) for v in best.params],
     )
 
 

@@ -129,22 +129,18 @@ def mcx_cx_gates(controls, target: int, dirty) -> list[Gate]:
     return vchain_dirty_cx_gates(controls, dirty, target)
 
 
-def su2_split_gates(controls, target: int, theta: float,
-                    first=None, second=None) -> list[Gate]:
+def su2_split_gates(controls, target: int, theta: float, mcx_gates=None) -> list[Gate]:
     """Rotation split of C^n(Rx): Rz, Ry, MCX, Ry, MCX, Rz on the target.
 
-    ``first`` and ``second`` optionally supply the gates of each
-    multi-controlled NOT; ``second`` defaults to ``first``, and both default to
-    the bare MCX gate.
+    ``mcx_gates`` optionally supplies the gates of both multi-controlled
+    NOTs; it defaults to the bare MCX gate.
     """
-    if first is None:
-        first = [mcx(controls, target)]
-    if second is None:
-        second = first
+    if mcx_gates is None:
+        mcx_gates = [mcx(controls, target)]
     return (
         [rz(target, np.pi / 2), ry(target, theta / 2)]
-        + list(first)
+        + list(mcx_gates)
         + [ry(target, -theta / 2)]
-        + list(second)
+        + list(mcx_gates)
         + [rz(target, -np.pi / 2)]
     )

@@ -5,6 +5,8 @@ import numpy as np
 
 from .ir import Graph
 
+PAIRING_TRIES = 1000  # pairings ``random_regular`` draws before it gives up
+
 
 class GraphError(ValueError):
     pass
@@ -22,14 +24,14 @@ def erdos_renyi(m: int, d: float, seed=None) -> Graph:
     return Graph.from_edges(m, edges)
 
 
-def random_regular(m: int, degree: int = 3, seed=None, max_tries: int = 1000) -> Graph:
+def random_regular(m: int, degree: int = 3, seed=None) -> Graph:
     """Random simple regular graph via the pairing model with rejection."""
     if (m * degree) % 2 != 0:
         raise GraphError("m * degree must be even")
     if m <= degree:
         raise GraphError("need more nodes than the degree")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(PAIRING_TRIES):
         stubs = np.repeat(np.arange(m), degree)
         rng.shuffle(stubs)
         edges = set()
@@ -42,7 +44,7 @@ def random_regular(m: int, degree: int = 3, seed=None, max_tries: int = 1000) ->
             edges.add((min(u, v), max(u, v)))
         if ok:
             return Graph(m, frozenset(edges))
-    raise GraphError(f"no simple {degree}-regular pairing found in {max_tries} tries")
+    raise GraphError(f"no simple {degree}-regular pairing found in {PAIRING_TRIES} tries")
 
 
 def neighbor_masks(graph: Graph) -> list[int]:

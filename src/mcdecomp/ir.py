@@ -419,7 +419,17 @@ class Graph:
 
     @staticmethod
     def from_json(text: str) -> "Graph":
+        """The graph of a ``to_json`` object; ``IRError`` unless ``nodes`` is a
+        non-negative integer and ``edges`` a list of integer pairs."""
         d = json.loads(text)
         if not isinstance(d, dict) or not {"nodes", "edges"} <= d.keys():
             raise IRError("graph JSON needs an object with 'nodes' and 'edges'")
-        return Graph.from_edges(d["nodes"], d["edges"])
+        n, edges = d["nodes"], d["edges"]
+        # type() is int, not isinstance: JSON true/false load as bools, which are ints
+        if type(n) is not int or n < 0:
+            raise IRError(f"graph 'nodes' must be a non-negative integer, got {n!r}")
+        if not isinstance(edges, list) or any(
+                type(e) is not list or len(e) != 2 or any(type(v) is not int for v in e)
+                for e in edges):
+            raise IRError("graph 'edges' must be a list of [u, v] integer pairs")
+        return Graph.from_edges(n, edges)

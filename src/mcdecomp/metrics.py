@@ -16,7 +16,6 @@ from .ir import (
     S2_3,
     S2_M,
     S3_2,
-    ZERO,
     ZEROED,
 )
 
@@ -140,19 +139,18 @@ def mixer_entangling_count(ell: int, family: str, budget: str, regime: str = ZER
     """Entangling cost of one partial mixer on a degree-ell node.
 
     Zeroed budgets use the exact table; burnable budgets use the compute-only
-    construction counts (qutrits: the asymptotic 6n-4, exact from n=1).
+    construction counts, and qutrits their row of the burnable table (exact
+    from n=1).
     """
     if ell == 0:
         return 0
-    if family == S3_2:
-        if regime == ZEROED:
-            return exact_count_zeroed(ell, S3_2, NONE_BUDGET)
-        return 6 * ell - 4
     if regime == ZEROED:
         return exact_count_zeroed(ell, family, budget)
-    if regime == BURNABLE:
-        return _built_burnable_entangling(ell, family, budget)
-    raise MetricsError(f"unsupported mixer regime {regime!r}")
+    if regime != BURNABLE:
+        raise MetricsError(f"unsupported mixer regime {regime!r}")
+    if family == S3_2:
+        return asymptotic_count_burnable(ell, "rx", S3_2, budget).entangling
+    return _built_burnable_entangling(ell, family, budget)
 
 
 # --- Gate decomposition cost -------------------------------------------------
@@ -250,10 +248,8 @@ def threshold_chain(f1: float, f2: float, max_m: int = 8) -> ThresholdChain:
 # Per-control entangling slopes of the burnable table, keyed by arity; used to
 # compare gate sets at large n.
 def _asymptotic_slopes(family: str, budget: str, gate: str, m: int | None) -> dict[int, Fraction]:
-    if family == S3_2:
-        if budget != NONE_BUDGET:
-            raise MetricsError("qutrit set has counts only without ancillas")
-        return {1: Fraction(10), 2: Fraction(6)}
+    if family == S3_2 and budget != NONE_BUDGET:
+        raise MetricsError("qutrit set has counts only without ancillas")
     if family == S2_M:
         lead = asymptotic_count_burnable(1, gate, family, budget, m=m)
         return {lead.gate_arity: lead.coefficient}

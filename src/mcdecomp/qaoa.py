@@ -25,6 +25,7 @@ SA = "sa"
 MA = "ma"
 DQVA = "dqva"
 VARIANTS = (SA, MA, DQVA)
+MEASURED_FLOOR = 1e-4  # ``best_measured_set`` counts no outcome below it as measured
 
 
 class AnsatzError(ValueError):
@@ -269,6 +270,29 @@ class IndependentSets:
         self.levels, self.level_of = np.unique(self.weights, return_inverse=True)
 
 
+def _evolve(dim, starts, rounds, params, c, js, levels, level_of) -> np.ndarray:
+    """The ansatz state over ``dim`` amplitudes, from 1 at ``starts``.
+
+    Per round, each mixer ``(idx, swp, slot)`` is one gather-update-scatter
+    over its stacked pair, and a phase (unless None) takes exp(i gamma) once
+    per entry of ``levels`` and gathers it through ``level_of``; ``c`` and
+    ``js`` are cos and i*sin of ``params``.  A slot or phase is one index
+    for an engine and one per amplitude or level for a batch.
+    """
+    amps = np.zeros(dim, dtype=complex)
+    amps[starts] = 1.0
+    # Ufunc calls, not operators: on a temporary of 256 KiB or more an
+    # operator may compute in place with the operands swapped, and a swapped
+    # complex product rounds differently, so engine and batch would part.
+    mul, sub = np.multiply, np.subtract
+    for mixers, phase in rounds:
+        for idx, swp, slot in mixers:
+            amps[idx] = sub(mul(c[slot], amps[idx]), mul(js[slot], amps[swp]))
+        if phase is not None:
+            amps = mul(amps, np.exp(mul(1j * params[phase], levels))[level_of])
+    return amps
+
+
 class AnsatzEngine:
     """Statevector evaluation of one ansatz configuration on the independent sets.
 
@@ -276,11 +300,10 @@ class AnsatzEngine:
     holds one amplitude per independent set of ``sets`` (an
     ``IndependentSets``), and ``statevector`` returns amplitudes in the order
     of ``basis``.  Per round the live (idx, swp, parameter slot) list is
-    precomputed in permutation order.  A call takes cos and i*sin of all
-    parameters once, and each live mixer is then one gather-update-scatter
-    over its stacked pair, with the same complex arithmetic per amplitude as
-    the pairwise update.  A phase layer takes exp(i gamma) once per entry of
-    the set-size table and gathers it per amplitude.
+    precomputed in permutation order, and a call runs ``_evolve`` with cos
+    and i*sin of all parameters taken once, as Python scalars.  A zero angle
+    is applied, not skipped: cos 0 = 1 and sin 0 = 0 can change only the
+    sign of a zero amplitude.
 
     The mixers are restricted to the sets the ansatz can reach.  Walking the
     live mixers in order from the start state, each keeps only the pairs
@@ -345,23 +368,10 @@ class AnsatzEngine:
         return full
 
     def statevector(self, full_params) -> np.ndarray:
-        amps = np.zeros(len(self.basis), dtype=complex)
-        amps[self._start] = 1.0
         params = np.asarray(full_params)
-        betas = params.tolist()
-        c = np.cos(params).tolist()
-        js = (1j * np.sin(params)).tolist()
-        # ufunc calls, not operators, in ``EngineBatch``'s operand order (see there)
-        mul, sub = np.multiply, np.subtract
-        for mixers, gamma_slot in self._rounds:
-            for idx, swp, slot in mixers:
-                if betas[slot] == 0.0:
-                    continue
-                amps[idx] = sub(mul(c[slot], amps[idx]), mul(js[slot], amps[swp]))
-            if gamma_slot is not None and params[gamma_slot] != 0.0:
-                phases = np.exp(mul(1j * params[gamma_slot], self._levels))
-                amps = mul(amps, phases[self._level_of])
-        return amps
+        return _evolve(len(self.basis), self._start, self._rounds, params,
+                       np.cos(params).tolist(), (1j * np.sin(params)).tolist(),
+                       self._levels, self._level_of)
 
     def statevector_live(self, live_values) -> np.ndarray:
         return self.statevector(self.full_params(live_values))
@@ -377,20 +387,19 @@ class AnsatzEngine:
 class EngineBatch:
     """``expectation_live`` of many engines in one call, over a ragged batch.
 
-    The engines' subspace states are joined end to end.  The k-th kept
-    mixer of a round (after each engine's reach restriction) is one mixer
-    position: its gather-update-scatter runs once for every engine that has
-    it, over the engines' ``idx``/``swp`` arrays offset to their place in
-    the joined state, and reads cos and i*sin per amplitude through flat
-    (engine, slot) indices.  A phase layer takes exp(i gamma w) once per
-    entry of each engine's set-size table (``IndependentSets.levels``),
-    with the engine's gamma read the same way, and gathers it per
-    amplitude; an engine without a phase in that round reads an extra slot
-    that holds 0.  Every amplitude sees the arithmetic of
-    ``AnsatzEngine.statevector``, and |amps|^2 @ w stays one dot product
-    per engine, so each value is bitwise equal to the engine's own call.  A
-    skipped zero angle is applied here as cos 0 = 1 and sin 0 = 0, which
-    can change only the sign of zero amplitudes, never a value.
+    The engines' subspace states are joined end to end and evolved by the
+    engines' kernel, ``_evolve``.  The k-th kept mixer of a round (after
+    each engine's reach restriction) is one mixer position: its
+    gather-update-scatter runs once for every engine that has it, over the
+    engines' ``idx``/``swp`` arrays offset to their place in the joined
+    state, and reads cos and i*sin per amplitude through flat (engine, slot)
+    indices.  A phase layer takes exp(i gamma w) once per entry of each
+    engine's set-size table (``IndependentSets.levels``), with the engine's
+    gamma read the same way, and gathers it per amplitude; an engine
+    without a phase in that round reads an extra slot that holds 0.  Every
+    amplitude thus sees the arithmetic of ``AnsatzEngine.statevector``, and
+    |amps|^2 @ w stays one dot product per engine, so each value is bitwise
+    equal to the engine's own call.
     """
 
     def __init__(self, engines):
@@ -429,26 +438,15 @@ class EngineBatch:
         """One expectation per engine, from each engine's live parameters."""
         params = np.zeros(self._zero + 1)
         params[self._live] = np.concatenate(live_points)
-        c = np.cos(params)
-        js = 1j * np.sin(params)
-        amps = np.zeros(self._dim, dtype=complex)
-        amps[self._starts] = 1.0
-        # The engine's expressions as ufunc calls with its operand order: on a
-        # temporary of 256 KiB or more, an operator may compute in place with
-        # the operands swapped, and a swapped complex product rounds differently.
-        mul, sub = np.multiply, np.subtract
-        for mixers, phase in self._rounds:
-            for idx, swp, slot in mixers:
-                amps[idx] = sub(mul(c[slot], amps[idx]), mul(js[slot], amps[swp]))
-            if phase is not None:
-                amps = mul(amps, np.exp(mul(1j * params[phase], self._levels))[self._level_of])
+        amps = _evolve(self._dim, self._starts, self._rounds, params, np.cos(params),
+                       1j * np.sin(params), self._levels, self._level_of)
         probs = np.abs(amps) ** 2
         # ``.dot`` is the BLAS dot product that ``@`` calls, with less overhead
         return [float(probs[cut].dot(w)) for cut, w in self._cuts]
 
 
-def best_measured_set(amps: np.ndarray, basis: np.ndarray, n: int, threshold: float = 1e-4):
-    """Largest set among subspace outcomes above the probability floor.
+def best_measured_set(amps: np.ndarray, basis: np.ndarray, n: int):
+    """Largest set among subspace outcomes at or above ``MEASURED_FLOOR``.
 
     ``amps`` are amplitudes over ``basis`` (see ``AnsatzEngine``), so every
     outcome is an independent set.  Mirrors taking the best sample from a
@@ -456,7 +454,7 @@ def best_measured_set(amps: np.ndarray, basis: np.ndarray, n: int, threshold: fl
     toward the lower basis index.
     """
     probs = np.abs(amps) ** 2
-    cand = np.flatnonzero(probs >= threshold)
+    cand = np.flatnonzero(probs >= MEASURED_FLOOR)
     if len(cand) == 0:
         cand = np.array([int(np.argmax(probs))])
     sizes = _popcount(basis[cand], n)
@@ -490,13 +488,22 @@ def _drive(execution, optimizer):
 
 
 @dataclass
-class DqvaResult:
+class ExecutionResult:
+    """How one execution ended: its best measured set, optimizer rounds,
+    objective evals, worst unaccounted mass of a readout and whether every
+    maximization converged; SA/MA also keep the round's ``value`` and ``params``."""
+
     best_bits: tuple[int, ...]
-    best_size: int
     rounds: int
     evals: int
-    max_infeasible: float = 0.0
-    converged: bool = True
+    max_infeasible: float
+    converged: bool
+    value: float | None = None
+    params: np.ndarray | None = None
+
+    @property
+    def best_size(self) -> int:
+        return sum(self.best_bits)
 
 
 def dqva_execution(sets: IndependentSets, nu: int, seed=None, p: int = 1, mixer_rounds: int = 5):
@@ -504,8 +511,9 @@ def dqva_execution(sets: IndependentSets, nu: int, seed=None, p: int = 1, mixer_
 
     Each inner round yields ``(engine, x0)`` and must be sent the
     ``optimize.OptResult`` of maximizing ``engine.expectation_live`` from
-    ``x0``; the generator's return value is the ``DqvaResult``.  Bad
-    arguments raise ``AnsatzError`` here, before any engine is built.
+    ``x0``; the generator's return value is the ``ExecutionResult``, with
+    ``rounds`` the number of inner rounds and no ``value`` or ``params``.
+    Bad arguments raise ``AnsatzError`` here, before any engine is built.
     """
     if nu < 1:
         raise AnsatzError("nu must be >= 1")
@@ -538,7 +546,7 @@ def _dqva_rounds(sets: IndependentSets, nu: int, seed, p: int, mixer_rounds: int
             if sum(cand) <= sum(best):
                 break
             best = cur = cand
-    return DqvaResult(best, sum(best), rounds, evals, worst_inf, converged)
+    return ExecutionResult(best, rounds, evals, worst_inf, converged)
 
 
 def _sets_of(graph: Graph, sets: IndependentSets | None) -> IndependentSets:
@@ -550,7 +558,7 @@ def _sets_of(graph: Graph, sets: IndependentSets | None) -> IndependentSets:
 
 
 def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
-                    mixer_rounds: int = 5, optimizer=None, sets=None) -> DqvaResult:
+                    mixer_rounds: int = 5, optimizer=None, sets=None) -> ExecutionResult:
     """Dynamic-ansatz driver: random mixer permutations outside, warm-started
     re-optimization inside, growing the independent set from the empty set
     until it stalls.
@@ -565,19 +573,10 @@ def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
     return _drive(execution, optimizer)
 
 
-@dataclass
-class SingleRoundResult:
-    best_bits: tuple[int, ...]
-    value: float
-    evals: int
-    params: np.ndarray
-    max_infeasible: float = 0.0
-    converged: bool = True
-
-
 def single_round_execution(sets: IndependentSets, variant: str, p: int = 1, seed=None):
     """One single-/multi-angle execution on ``sets``: ``dqva_execution``'s
-    protocol with one round, returning the ``SingleRoundResult``."""
+    protocol with one round, returning an ``ExecutionResult`` with
+    ``rounds`` 1 and the round's optimum ``value`` and angles ``params``."""
     if variant not in (SA, MA):
         raise AnsatzError("use dqva_outer_loop for the dynamic variant")
     check_variant(variant, p)
@@ -588,11 +587,11 @@ def _single_round(sets: IndependentSets, variant: str, p: int, seed):
     engine = AnsatzEngine(sets, variant, p)
     res = yield engine, start_point(engine, np.random.default_rng(seed))
     bits, inf = _readout(engine, res.x)
-    return SingleRoundResult(bits, res.value, res.evals, np.asarray(res.x), inf, res.converged)
+    return ExecutionResult(bits, 1, res.evals, inf, res.converged, res.value, np.asarray(res.x))
 
 
 def optimize_single_round(graph: Graph, variant: str, p: int = 1, seed=None,
-                          optimizer=None, sets=None) -> SingleRoundResult:
+                          optimizer=None, sets=None) -> ExecutionResult:
     """One variational round of the single-/multi-angle ansatz from |0...0>;
     runs ``single_round_execution`` serially (``sets`` as for ``dqva_outer_loop``)."""
     return _drive(single_round_execution(_sets_of(graph, sets), variant, p, seed), optimizer)

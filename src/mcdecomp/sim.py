@@ -196,13 +196,12 @@ def apply_circuit(state: Statevector, circuit: Circuit) -> Statevector:
     return Statevector(amps, state.width)
 
 
-def circuit_unitary(c: Circuit, width: int | None = None) -> np.ndarray:
+def circuit_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (product of gate matrices in order)."""
-    w = c.width if width is None else width
-    if w > MAX_UNITARY_WIDTH:
-        raise SimulationError(f"width {w} exceeds dense-unitary limit {MAX_UNITARY_WIDTH}")
-    mat = np.eye(2**w, dtype=complex)
-    _apply_gates(mat, c.gates, w)
+    if c.width > MAX_UNITARY_WIDTH:
+        raise SimulationError(f"width {c.width} exceeds dense-unitary limit {MAX_UNITARY_WIDTH}")
+    mat = np.eye(2**c.width, dtype=complex)
+    _apply_gates(mat, c.gates, c.width)
     return mat
 
 

@@ -198,12 +198,33 @@ def test_gdc_counts_without_fidelities(capsys):
     assert_one_line_error(capsys, run_cli(["gdc", "--counts", "2:300"]))
 
 
-@pytest.mark.parametrize("content", [None, '{"nodes": 3}', "[1, 2]"])
+@pytest.mark.parametrize("content", [
+    None, '{"nodes": 3}', "[1, 2]",
+    '{"nodes": "a", "edges": []}', '{"nodes": 2.5, "edges": []}', '{"nodes": 2, "edges": 5}',
+    '{"nodes": 2, "edges": [[0, "1"]]}', '{"nodes": 2, "edges": [[0, 1.5]]}',
+    '{"nodes": true, "edges": []}', '{"nodes": -1, "edges": []}',
+])
 def test_qaoa_unreadable_graph_file(tmp_path, capsys, content):
     graph = tmp_path / "graph.json"
     if content is not None:
         graph.write_text(content)
     assert_one_line_error(capsys, run_cli(["qaoa", "--variant", "sa", "--graph", str(graph)]))
+
+
+@pytest.mark.parametrize("bound", [["--f-max", "1.5"], ["--f-min", "nan"], ["--f-min", "0"]])
+def test_gdc_sweep_rejects_fidelities_outside_the_unit_interval(tmp_path, capsys, bound):
+    code = run_cli(["gdc", "--nodes", "10", *bound, "--out", str(tmp_path / "gdc.csv")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: ") and "must be in (0, 1]" in err
+
+
+def test_gdc_sweep_at_unit_fidelity_costs_zero(tmp_path):
+    out = tmp_path / "gdc.csv"
+    assert run_cli(["gdc", "--nodes", "10", "--f-max", "1", "--out", str(out)]) == 0
+    costs = [line.split(",")[-1] for line in out.read_text().splitlines()[2:]]
+    assert all(not c.startswith("-") for c in costs)
+    assert costs[-1] == "0.000000"
 
 
 def test_bench_missing_config_file(tmp_path, capsys):

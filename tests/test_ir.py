@@ -202,3 +202,14 @@ def test_graph_json_round_trip():
     g = Graph.from_edges(5, [(0, 1), (1, 2)])
     assert Graph.from_json(g.to_json()) == g
     assert json.loads(g.to_json()) == {"nodes": 5, "edges": [[0, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize("graph", [
+    {"nodes": "a", "edges": []}, {"nodes": 2.5, "edges": []}, {"nodes": True, "edges": []},
+    {"nodes": -1, "edges": []}, {"nodes": 2, "edges": 5}, {"nodes": 2, "edges": [[0, "1"]]},
+    {"nodes": 2, "edges": [[0, 1.5]]}, {"nodes": 3, "edges": [[0, 1, 2]]},
+    {"nodes": 2, "edges": [[0, True]]},
+])
+def test_graph_from_json_rejects_malformed_nodes_and_edges(graph):
+    with pytest.raises(IRError, match="graph '(nodes|edges)' must be"):
+        Graph.from_json(json.dumps(graph))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcdecomp.ir import GateSetSpec
+from mcdecomp.ir import BORROWED, BURNABLE, GateSetSpec, S3_2
 from mcdecomp.metrics import (
     LeadingTerm,
     MetricsError,
@@ -12,6 +12,7 @@ from mcdecomp.metrics import (
     exact_count_zeroed,
     gateset_dominates,
     gdc,
+    mixer_entangling_count,
     threshold_chain,
     threshold_requirement,
 )
@@ -163,3 +164,19 @@ def test_dominates_flips_at_threshold():
 def test_dominates_asymmetric():
     a, b = _specs(0.995)
     assert gateset_dominates(a, b, "rx", "one") != gateset_dominates(b, a, "rx", "one")
+
+
+def test_qutrit_mixer_counts_follow_the_burnable_table():
+    for ell in range(1, 9):
+        row = asymptotic_count_burnable(ell, "rx", S3_2, "none")
+        assert mixer_entangling_count(ell, S3_2, "none", BURNABLE) == row.entangling == 6 * ell - 4
+        assert mixer_entangling_count(ell, S3_2, "none") == exact_count_zeroed(ell, S3_2, "none")
+    a = GateSetSpec(S3_2, fidelities=((1, 0.999), (2, 0.99)))
+    b = GateSetSpec(S3_2, fidelities=((1, 0.999), (2, 0.98)))
+    assert gateset_dominates(a, b, "rx", "one") and not gateset_dominates(b, a, "x", "one")
+
+
+@pytest.mark.parametrize("family, budget", [("s2_2", "one"), ("s2_3", "n"), (S3_2, "none")])
+def test_mixer_count_rejects_the_borrowed_regime(family, budget):
+    with pytest.raises(MetricsError, match="regime"):
+        mixer_entangling_count(3, family, budget, BORROWED)

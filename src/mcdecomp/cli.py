@@ -195,20 +195,20 @@ def cmd_thresholds(args) -> int:
     return EXIT_OK
 
 
-def _parse_pairs(text: str) -> dict[int, float]:
-    out = {}
-    for part in text.split(","):
-        k, v = part.split(":")
-        out[int(k)] = float(v)
-    return out
+def _parse_pairs(text: str, flag: str, value_type) -> dict:
+    try:
+        return {int(k): value_type(v) for k, v in (part.split(":") for part in text.split(","))}
+    except ValueError:
+        raise CliError(f"{flag} expects ARITY:VALUE,... with int arities and "
+                       f"{value_type.__name__} values, got {text!r}")
 
 
 def cmd_gdc(args) -> int:
     if args.counts:
         if not args.fidelities:
             raise CliError("gdc --counts needs --fidelities ARITY:F,...")
-        hist = {k: int(v) for k, v in _parse_pairs(args.counts).items()}
-        fids = _parse_pairs(args.fidelities)
+        hist = _parse_pairs(args.counts, "--counts", int)
+        fids = _parse_pairs(args.fidelities, "--fidelities", float)
         value = gdc(hist, fids)
         _write_json(_out_path(args.out, "gdc.json"),
                     {"histogram": {str(k): v for k, v in hist.items()},

@@ -90,25 +90,26 @@ def _lower_ccx(ccxs, gadget) -> list[Gate]:
     return out
 
 
-def _split_halves(n: int) -> tuple[list[int], list[int]]:
-    return list(range((n + 1) // 2)), list(range((n + 1) // 2, n))
+def _split_halves(controls: list[int]) -> tuple[list[int], list[int]]:
+    half = (len(controls) + 1) // 2
+    return controls[:half], controls[half:]
 
 
-def _small_rx(n: int, theta: float, family: str) -> list[Gate]:
+def _small_rx(controls: list[int], target: int, theta: float, family: str) -> list[Gate]:
     """Base cases n <= 2, identical across budgets."""
-    if n == 1:
-        return crx_gates(0, 1, theta)
+    if len(controls) == 1:
+        return crx_gates(controls[0], target, theta)
     if family == S2_3:
-        return su2_split_gates([0, 1], 2, theta)
-    return compact_c2rx_gates(0, 1, 2, theta)
+        return su2_split_gates(controls, target, theta)
+    return compact_c2rx_gates(controls[0], controls[1], target, theta)
 
 
-def _zeroed_one_rx(n: int, theta: float, family: str) -> tuple[list[Gate], int]:
+def _zeroed_one_rx(controls, target, ancillas, theta, family) -> list[Gate]:
     """C^n(Rx) with one zeroed ancilla (half split through the ancilla)."""
-    if n <= 2:
-        return _small_rx(n, theta, family), 0
-    target, anc = n, n + 1
-    top, bottom = _split_halves(n)
+    if len(controls) <= 2:
+        return _small_rx(controls, target, theta, family)
+    anc = ancillas[0]
+    top, bottom = _split_halves(controls)
     build = _MCX[family]
     if family == S2_2 and len(top) == 2:
         outer = margolus_gates(top[0], top[1], anc)
@@ -116,109 +117,106 @@ def _zeroed_one_rx(n: int, theta: float, family: str) -> tuple[list[Gate], int]:
         outer = build(top, anc, bottom)
     mid_c = bottom + [anc]
     middle = su2_split_gates(mid_c, target, theta, build(mid_c, target, top))
-    return outer + middle + outer, 1
+    return outer + middle + outer
 
 
-def _zeroed_chain(n: int, family: str, middle) -> tuple[list[Gate], int]:
+def _zeroed_chain(controls, ancillas, family, middle) -> list[Gate]:
     """n-2 zeroed ancillas: compute chain, ``middle(controls)``, uncompute.
 
     The chain's Toffolis are lowered to Margolus gates on s2_2, whose relative
     phases cancel between the compute and the uncompute.
     """
-    ancillas = list(range(n + 1, n + 1 + (n - 2)))
-    chain = _chain_toffolis(range(n), ancillas)
+    chain = _chain_toffolis(controls, ancillas)
     if family == S2_2:
         chain = _lower_ccx(chain, margolus_gates)
     uncompute = [g.inverse() for g in reversed(chain)]
-    return chain + middle([n - 1, ancillas[-1]]) + uncompute, n - 2
+    return chain + middle([controls[-1], ancillas[-1]]) + uncompute
 
 
-def _zeroed_n_rx(n: int, theta: float, family: str) -> tuple[list[Gate], int]:
+def _zeroed_n_rx(controls, target, ancillas, theta, family) -> list[Gate]:
     """C^n(Rx) with n-2 zeroed ancillas (compute chain around a C^2(Rx))."""
-    if n <= 2:
-        return _small_rx(n, theta, family), 0
+    if len(controls) <= 2:
+        return _small_rx(controls, target, theta, family)
     build = _MCX[family]
     return _zeroed_chain(
-        n, family, lambda mid: su2_split_gates(mid, n, theta, build(mid, n, [])))
+        controls, ancillas, family,
+        lambda mid: su2_split_gates(mid, target, theta, build(mid, target, [])))
 
 
-def _zeroed_mcx(n: int, family: str, budget_count: str) -> tuple[list[Gate], int]:
+def _zeroed_mcx(controls, target, ancillas, family, budget_count) -> list[Gate]:
     """C^n(X) under a zeroed budget (outer compute pair plus middle MCX)."""
-    target = n
     build = _MCX[family]
-    if n <= 2:
-        return build(range(n), target, []), 0
+    if len(controls) <= 2:
+        return build(controls, target, [])
     if budget_count == ONE:
-        anc = n + 1
-        top, bottom = _split_halves(n)
+        anc = ancillas[0]
+        top, bottom = _split_halves(controls)
         outer = build(top, anc, bottom)
         middle = build(bottom + [anc], target, top)
-        return outer + middle + outer, 1
-    return _zeroed_chain(n, family, lambda mid: build(mid, target, []))
+        return outer + middle + outer
+    return _zeroed_chain(controls, ancillas, family, lambda mid: build(mid, target, []))
 
 
-def _burnable_rx_one(n: int, theta: float, family: str) -> tuple[list[Gate], int]:
+def _burnable_rx_one(controls, target, ancillas, theta, family) -> list[Gate]:
     """C^n(Rx), one burnable ancilla: AND all controls into it, then C(Rx).
 
     The C^n(X) onto the ancilla is split in half through the idle rotation
     target (restored by the four-gate borrowed split); the ancilla keeps the
     AND afterwards.
     """
-    if n <= 2:
-        return _small_rx(n, theta, family), 0
-    target, anc = n, n + 1
-    top, bottom = _split_halves(n)
+    if len(controls) <= 2:
+        return _small_rx(controls, target, theta, family)
+    anc = ancillas[0]
+    top, bottom = _split_halves(controls)
     build = _MCX[family]
     first = build(top, target, bottom)  # target line doubles as the borrowed carry
     second = build(bottom + [target], anc, top)
-    return first + second + first + second + crx_gates(anc, target, theta), 1
+    return first + second + first + second + crx_gates(anc, target, theta)
 
 
-def _burnable_x_one(n: int, family: str) -> tuple[list[Gate], int]:
+def _burnable_x_one(controls, target, ancillas, family) -> list[Gate]:
     """C^n(X), one burnable ancilla: compute-only half split (no restore)."""
-    target, anc = n, n + 1
     build = _MCX[family]
-    if n <= 2:
-        return build(range(n), target, []), 0
-    top, bottom = _split_halves(n)
+    if len(controls) <= 2:
+        return build(controls, target, [])
+    anc = ancillas[0]
+    top, bottom = _split_halves(controls)
     first = build(top, anc, bottom)
     second = build(bottom + [anc], target, top)
-    return first + second, 1
+    return first + second
 
 
-def _burnable_rx_n(n: int, theta: float, family: str) -> tuple[list[Gate], int]:
+def _burnable_rx_n(controls, target, ancillas, theta, family) -> list[Gate]:
     """C^n(Rx), n-2 burnable ancillas: compute chain plus C^2(Rx), no uncompute."""
-    if n <= 2:
-        return _small_rx(n, theta, family), 0
-    target = n
-    ancillas = list(range(n + 1, n + 1 + (n - 2)))
-    chain = _chain_toffolis(range(n - 1), ancillas)
-    mid_c = [n - 1, ancillas[-1]]
+    if len(controls) <= 2:
+        return _small_rx(controls, target, theta, family)
+    chain = _chain_toffolis(controls[:-1], ancillas)
+    mid_c = [controls[-1], ancillas[-1]]
     if family == S2_3:
-        return chain + su2_split_gates(mid_c, target, theta, [ccx(*mid_c, target)]), n - 2
+        return chain + su2_split_gates(mid_c, target, theta, [ccx(*mid_c, target)])
     return (_lower_ccx(chain, toffoli_cx_gates)
-            + compact_c2rx_gates(mid_c[0], mid_c[1], target, theta)), n - 2
+            + compact_c2rx_gates(mid_c[0], mid_c[1], target, theta))
 
 
-def _burnable_x_n(n: int, family: str) -> tuple[list[Gate], int]:
+def _burnable_x_n(controls, target, ancillas, family) -> list[Gate]:
     """C^n(X), n-2 burnable ancillas: the n-1 Toffoli compute ladder."""
-    target = n
     build = _MCX[family]
-    if n <= 2:
-        return build(range(n), target, []), 0
-    ancillas = list(range(n + 1, n + 1 + (n - 2)))
-    ladder = _chain_toffolis(range(n), ancillas) + [ccx(n - 1, ancillas[-1], target)]
+    if len(controls) <= 2:
+        return build(controls, target, [])
+    ladder = _chain_toffolis(controls, ancillas) + [ccx(controls[-1], ancillas[-1], target)]
     if family == S2_2:
-        return _lower_ccx(ladder, toffoli_cx_gates), n - 2
-    return ladder, n - 2
+        return _lower_ccx(ladder, toffoli_cx_gates)
+    return ladder
 
 
 def decompose(gate: Gate, gateset: GateSetSpec, budget: AncillaBudget) -> Circuit:
     """Rewrite a MultiControlledX/Rx into the gate set under the ancilla budget.
 
-    The output acts on the gate's own lines with ancilla lines appended after
-    the highest line in use.  Open (|0>) controls are expanded by X
-    conjugation before dispatch and count as single-qudit gates.
+    Each route builds its gates directly on the gate's own control and target
+    lines, with ancilla lines appended after the highest line in use; a block
+    that a route repeats (an outer compute pair, a borrowed split) is the same
+    gate objects each time.  Open (|0>) controls are expanded by X
+    conjugation around the route and count as single-qudit gates.
     """
     if gate.kind not in ("mcx", "mcrx"):
         raise DecomposeError("decompose expects a multi-controlled X or Rx gate")
@@ -231,16 +229,25 @@ def decompose(gate: Gate, gateset: GateSetSpec, budget: AncillaBudget) -> Circui
     n = len(gate.controls)
     if n == 0:
         raise DecomposeError("gate has no controls; apply the bare rotation directly")
+    lines = gate.lines
+    if len(set(lines)) != len(lines) or min(lines) < 0:
+        raise DecomposeError(f"gate lines must be distinct and non-negative, got {lines}")
 
+    controls = [line for line, _ in gate.controls]
+    target, family, theta = gate.targets[0], gateset.family, gate.angle
+    width = max(lines) + 1
+    # the base cases (n <= 2) take no ancilla line, the others one or n-2
+    n_anc = 0 if n <= 2 else 1 if budget.count == ONE else n - 2
+    layout = (controls, target, range(width, width + n_anc))
     routes = {
-        (ONE, ZEROED, "mcrx"): lambda: _zeroed_one_rx(n, gate.angle, gateset.family),
-        (N_PER_CONTROLS, ZEROED, "mcrx"): lambda: _zeroed_n_rx(n, gate.angle, gateset.family),
-        (ONE, ZEROED, "mcx"): lambda: _zeroed_mcx(n, gateset.family, ONE),
-        (N_PER_CONTROLS, ZEROED, "mcx"): lambda: _zeroed_mcx(n, gateset.family, N_PER_CONTROLS),
-        (ONE, BURNABLE, "mcrx"): lambda: _burnable_rx_one(n, gate.angle, gateset.family),
-        (N_PER_CONTROLS, BURNABLE, "mcrx"): lambda: _burnable_rx_n(n, gate.angle, gateset.family),
-        (ONE, BURNABLE, "mcx"): lambda: _burnable_x_one(n, gateset.family),
-        (N_PER_CONTROLS, BURNABLE, "mcx"): lambda: _burnable_x_n(n, gateset.family),
+        (ONE, ZEROED, "mcrx"): lambda: _zeroed_one_rx(*layout, theta, family),
+        (N_PER_CONTROLS, ZEROED, "mcrx"): lambda: _zeroed_n_rx(*layout, theta, family),
+        (ONE, ZEROED, "mcx"): lambda: _zeroed_mcx(*layout, family, ONE),
+        (N_PER_CONTROLS, ZEROED, "mcx"): lambda: _zeroed_mcx(*layout, family, N_PER_CONTROLS),
+        (ONE, BURNABLE, "mcrx"): lambda: _burnable_rx_one(*layout, theta, family),
+        (N_PER_CONTROLS, BURNABLE, "mcrx"): lambda: _burnable_rx_n(*layout, theta, family),
+        (ONE, BURNABLE, "mcx"): lambda: _burnable_x_one(*layout, family),
+        (N_PER_CONTROLS, BURNABLE, "mcx"): lambda: _burnable_x_n(*layout, family),
     }
     key = (budget.count, budget.regime, gate.kind)
     if key not in routes:
@@ -248,35 +255,7 @@ def decompose(gate: Gate, gateset: GateSetSpec, budget: AncillaBudget) -> Circui
             f"unsupported (gate set, budget) combination: {gateset.family}, "
             f"{budget.count} {budget.regime}, {gate.kind}"
         )
-    canon_gates, n_anc = routes[key]()
-    return _remap(gate, canon_gates, n_anc, budget.regime)
-
-
-def _remap(gate: Gate, canon_gates: list[Gate], n_anc: int, regime: str) -> Circuit:
-    """Map a canonical-layout route output onto the gate's actual lines."""
-    n = len(gate.controls)
-    width = max(gate.lines) + 1
-    mapping = {i: line for i, (line, _) in enumerate(gate.controls)}
-    mapping[n] = gate.targets[0]
-    anc_lines = []
-    for j in range(n_anc):
-        mapping[n + 1 + j] = width + j
-        anc_lines.append(width + j)
-
-    def map_gate(g: Gate) -> Gate:
-        return Gate(
-            g.kind,
-            tuple(mapping[t] for t in g.targets),
-            tuple((mapping[line], pol) for line, pol in g.controls),
-            g.angle,
-            g.matrix,
-        )
-
+    gates = routes[key]()
     flips = [x(line) for line, pol in gate.controls if pol == NEG0]
-    gates = flips + [map_gate(g) for g in canon_gates] + flips
-    return Circuit(
-        2,
-        width + n_anc,
-        tuple(gates),
-        ancilla=tuple((a, regime) for a in anc_lines),
-    )
+    return Circuit(2, width + n_anc, flips + gates + flips,
+                   ancilla=tuple((width + j, budget.regime) for j in range(n_anc)))

@@ -102,21 +102,20 @@ def vchain_dirty_cx_gates(controls, ancillas, target: int) -> list[Gate]:
         raise ValueError(f"need {k - 2} ancilla lines, got {len(ancillas)}")
     ancillas = ancillas[: k - 2]
     rung_targets = [target] + list(reversed(ancillas))
-    gates: list[Gate] = []
-    for _ in range(2):
-        for i in range(k - 1):
-            if i < k - 2:
-                a = controls[k - 1 - i]
-                b = ancillas[k - 3 - i]
-                if rung_targets[i] == target:
-                    gates += toffoli_cx_gates(a, b, rung_targets[i])
-                else:
-                    gates += lrrccx_gates(a, b, rung_targets[i], cancel="right")
+    sweep: list[Gate] = []
+    for i in range(k - 1):
+        if i < k - 2:
+            a = controls[k - 1 - i]
+            b = ancillas[k - 3 - i]
+            if rung_targets[i] == target:
+                sweep += toffoli_cx_gates(a, b, rung_targets[i])
             else:
-                gates += lrrccx_gates(controls[0], controls[1], rung_targets[i])
-        for i in range(k - 3):
-            gates += lrrccx_gates(controls[2 + i], ancillas[i], ancillas[i + 1], cancel="left")
-    return gates
+                sweep += lrrccx_gates(a, b, rung_targets[i], cancel="right")
+        else:
+            sweep += lrrccx_gates(controls[0], controls[1], rung_targets[i])
+    for i in range(k - 3):
+        sweep += lrrccx_gates(controls[2 + i], ancillas[i], ancillas[i + 1], cancel="left")
+    return sweep + sweep
 
 
 def mcx_cx_gates(controls, target: int, dirty) -> list[Gate]:

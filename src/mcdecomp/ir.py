@@ -349,7 +349,6 @@ class GateSetSpec:
 
 ONE = "one"
 N_PER_CONTROLS = "n"
-ZERO = "zero"
 
 
 @dataclass(frozen=True)
@@ -360,7 +359,7 @@ class AncillaBudget:
     regime: str = ZEROED
 
     def __post_init__(self):
-        if self.count not in (ZERO, ONE, N_PER_CONTROLS):
+        if self.count not in (ONE, N_PER_CONTROLS):
             raise IRError(f"unknown ancilla count {self.count!r}")
         if self.regime not in REGIMES:
             raise IRError(f"unknown ancilla regime {self.regime!r}")

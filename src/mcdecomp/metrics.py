@@ -160,8 +160,12 @@ def gdc(histogram: dict, fidelities: dict) -> float:
     """Gate decomposition cost: -sum_i n_i ln F_i (natural log).
 
     Any log base only rescales all GDCs uniformly; natural log is used here.
-    Zero iff every used fidelity is 1.
+    Zero iff every used fidelity is 1.  Every fidelity given is checked, used
+    or not.
     """
+    for key, f in fidelities.items():
+        if not 0 < f <= 1:
+            raise MetricsError(f"fidelity for {key!r} must be in (0, 1], got {f}")
     cost = 0.0
     for key, count in histogram.items():
         if count < 0:
@@ -170,10 +174,7 @@ def gdc(histogram: dict, fidelities: dict) -> float:
             continue
         if key not in fidelities:
             raise MetricsError(f"no fidelity for gate type {key!r}")
-        f = fidelities[key]
-        if not 0 < f <= 1:
-            raise MetricsError(f"fidelity for {key!r} must be in (0, 1], got {f}")
-        cost += count * (-math.log(f))
+        cost += count * (-math.log(fidelities[key]))
     return cost
 
 

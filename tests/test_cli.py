@@ -219,6 +219,21 @@ def test_gdc_sweep_rejects_fidelities_outside_the_unit_interval(tmp_path, capsys
     assert err.startswith("error: ") and "must be in (0, 1]" in err
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["--nodes", "3", "--density", "0", "--f-max", "1.5", "--f-steps", "2", "--graphs", "1"],
+     "must be in (0, 1]"),
+    (["--counts", "2:0", "--fidelities", "2:1.5"], "must be in (0, 1]"),
+    (["--counts", "2:1.5", "--fidelities", "2:0.9"], "--counts"),
+    (["--counts", "2:1,2", "--fidelities", "2:0.9"], "--counts"),
+    (["--counts", "2:1", "--fidelities", "2:0.9,3"], "--fidelities"),
+])
+def test_gdc_rejects_bad_counts_and_unused_fidelities(capsys, argv, needle):
+    assert run_cli(["gdc", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
 def test_gdc_sweep_at_unit_fidelity_costs_zero(tmp_path):
     out = tmp_path / "gdc.csv"
     assert run_cli(["gdc", "--nodes", "10", "--f-max", "1", "--out", str(out)]) == 0

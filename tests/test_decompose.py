@@ -12,6 +12,7 @@ from mcdecomp.gadgets import (
 from mcdecomp.ir import (
     AncillaBudget,
     Circuit,
+    Gate,
     GateSetSpec,
     NEG0,
     ccx,
@@ -20,10 +21,11 @@ from mcdecomp.ir import (
     mcrx,
     mcx,
     validate_circuit,
+    x,
 )
 from mcdecomp.metrics import exact_count_zeroed
 from mcdecomp.sim import circuit_unitary, gate_unitary, phase_aligned_deviation
-from mcdecomp.verify import exact_deviation, restricted_deviation
+from mcdecomp.verify import burnable_deviation, exact_deviation, restricted_deviation
 
 COLUMNS = [("s2_2", "one"), ("s2_3", "one"), ("s2_2", "n"), ("s2_3", "n")]
 
@@ -161,3 +163,57 @@ def test_vchain_dirty_count_and_exactness(k):
     assert n_cx == 8 * k - 6
     c = Circuit(2, 2 * k - 1, tuple(gates))
     assert exact_deviation(c, mcx(controls, k)) < 1e-12
+
+
+@pytest.mark.parametrize("gate", [
+    mcx([0, 1, 2], 1),  # the target is also a control
+    mcx([0, 0, 2], 3),  # a control repeats
+    mcrx([0, -1, 2], 3, 0.3),  # a negative line
+])
+def test_decompose_rejects_malformed_gates(gate):
+    with pytest.raises(DecomposeError):
+        decompose(gate, GateSetSpec("s2_3"), AncillaBudget("one"))
+
+
+def _relabel(gate, canonical):
+    """The canonical-layout circuit (controls 0..n-1, target n, ancillas n+1..)
+    moved onto the gate's lines, ancillas after the highest one, with open
+    controls X-conjugated: the reference for decomposing on the gate's lines."""
+    n = len(gate.controls)
+    width = max(gate.lines) + 1
+    mapping = {i: line for i, (line, _) in enumerate(gate.controls)}
+    mapping[n] = gate.targets[0]
+    n_anc = canonical.width - n - 1
+    mapping.update({n + 1 + j: width + j for j in range(n_anc)})
+    moved = [Gate(g.kind, tuple(mapping[t] for t in g.targets),
+                  tuple((mapping[line], pol) for line, pol in g.controls), g.angle, g.matrix)
+             for g in canonical.gates]
+    flips = [x(line) for line, pol in gate.controls if pol == NEG0]
+    return Circuit(2, width + n_anc, tuple(flips + moved + flips),
+                   ancilla=tuple((width + j, regime) for j, (_, regime)
+                                 in enumerate(canonical.ancilla)))
+
+
+ROUTES = [(family, count, regime, kind) for family in ("s2_2", "s2_3") for count in ("one", "n")
+          for regime in ("zeroed", "burnable") for kind in ("mcrx", "mcx")]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("family,count,regime,kind", ROUTES)
+def test_every_route_decomposes_on_a_shuffled_layout(family, count, regime, kind, n):
+    rng = np.random.default_rng(17 * n)
+    # n + 2 register lines in shuffled order; one below the top stays unused
+    gap = int(rng.integers(0, n + 1))
+    lines = [int(v) + (v >= gap) for v in rng.permutation(n + 1)]
+    controls = [(line, NEG0 if i % 2 else "+") for i, line in enumerate(lines[:n])]
+    theta = float(rng.uniform(0, 2 * np.pi))
+
+    def make(ctrls, target):
+        return mcx(ctrls, target) if kind == "mcx" else mcrx(ctrls, target, theta)
+
+    gate = make(controls, lines[n])
+    spec, budget = GateSetSpec(family), AncillaBudget(count, regime)
+    c = decompose(gate, spec, budget)
+    assert c == _relabel(gate, decompose(make(range(n), n), spec, budget))
+    deviation = restricted_deviation if regime == "zeroed" else burnable_deviation
+    assert deviation(c, gate, n + 2) < 1e-8

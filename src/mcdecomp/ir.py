@@ -7,6 +7,7 @@ bookkeeping.  All types are immutable and safe to share between threads.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
@@ -60,6 +61,12 @@ class Gate:
         if self.kind in ROTATION_KINDS or self.kind == "mcrx":
             if self.angle is None:
                 raise IRError(f"{self.kind!r} requires an angle")
+            try:
+                finite = math.isfinite(self.angle)
+            except TypeError:
+                finite = False
+            if not finite:
+                raise IRError(f"{self.kind!r} angle must be a finite real number, got {self.angle!r}")
         if self.kind == "u" and self.matrix is None:
             raise IRError("'u' requires an explicit 2x2 matrix")
 

@@ -520,6 +520,9 @@ def dqva_execution(sets: IndependentSets, nu: int, seed=None, p: int = 1, mixer_
     if mixer_rounds < 1:
         raise AnsatzError("mixer_rounds must be >= 1")
     check_variant(DQVA, p)
+    slots = param_count(DQVA, p, sets.n)
+    if nu > slots:
+        raise AnsatzError(f"nu={nu} exceeds the {slots} parameters of dqva with p={p} on {sets.n} nodes")
     return _dqva_rounds(sets, nu, seed, p, mixer_rounds)
 
 

@@ -1,6 +1,7 @@
 """Dense statevector simulation over 2-level registers.
 
-Serves as the correctness oracle for decompositions and holds the
+Runs the circuits of the correctness oracle (``verify`` needs only
+``circuit_columns``, ``gate_unitary`` and ``unit_phase``) and holds the
 ``Statevector`` type of the QAOA experiments.  Line 0 is the most significant
 bit of the basis index, so the bitstring of basis state ``b`` is
 ``format(b, f"0{width}b")`` with character ``i`` belonging to line ``i``.
@@ -129,11 +130,6 @@ FUSION_LINES = 3
 CHUNK_ENTRIES = 1 << 18
 
 
-def column_chunk(rows: int) -> int:
-    """Columns per chunk of a matrix with this many rows: at least one."""
-    return max(1, CHUNK_ENTRIES // rows)
-
-
 def _runs(gates, width: int) -> list[tuple[list[Gate], set[int]]]:
     """Check each gate, then split the gates into maximal runs on at most FUSION_LINES lines."""
     runs: list[tuple[list[Gate], set[int]]] = []
@@ -170,7 +166,7 @@ def _apply_gates(mat: np.ndarray, gates, width: int) -> None:
     """
     _check_contiguous(mat)
     tensor = mat.reshape((2,) * width + (-1,))  # a view: mat is contiguous
-    step = column_chunk(2**width)
+    step = max(1, CHUNK_ENTRIES // 2**width)
     buffers = None
     for run, run_lines in _runs(gates, width):
         if len(run) == 1:
@@ -257,34 +253,3 @@ def phase_aligned_deviation(a: np.ndarray, b: np.ndarray) -> float:
     # no usable reference amplitude: compare without phase alignment
     phase = unit_phase(a.flat[k] / ref if abs(ref) >= 1e-12 else 0.0)
     return _max_deviation(a, b, phase)
-
-
-def identity_deviation(a: np.ndarray, start: int | None = None,
-                       phase: complex | None = None) -> float:
-    """max |a - phase * I| over the columns that ``a`` holds, without a dense identity.
-
-    With ``start`` given, ``a`` holds columns start, start+1, ... of a square
-    matrix with ``len(a)`` rows; without it, ``a`` is the whole matrix and
-    must be square.  The phase defaults to that of ``a[0, 0]``, as
-    ``phase_aligned_deviation(a, I)`` takes it from I's first entry.  Off the
-    diagonal each entry is compared with 0 and on it with the phase, over
-    blocks of rows.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2 or (start is None and a.shape[0] != a.shape[1]):
-        raise SimulationError(f"expected a square matrix, got shape {a.shape}")
-    start = 0 if start is None else start
-    if not 0 <= start <= len(a) - a.shape[1]:
-        raise SimulationError(f"columns {start}..{start + a.shape[1] - 1} exceed {len(a)} rows")
-    if phase is None:
-        if start != 0:
-            raise SimulationError("the phase of a block without column 0 must be given")
-        phase = unit_phase(a[0, 0])
-    rows = max(1, _DEVIATION_BLOCK // a.shape[1])
-    worst = 0.0
-    for r in range(0, len(a), rows):
-        block = np.abs(a[r:r + rows])
-        diag = np.arange(max(r, start), min(r + rows, start + a.shape[1]))
-        block[diag - r, diag - start] = np.abs(a[diag, diag - start] - phase)
-        worst = max(worst, float(block.max()))
-    return worst

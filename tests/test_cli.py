@@ -39,6 +39,14 @@ def test_decompose_single_control(capsys):
     assert "entangling: 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_decompose_rejects_a_non_finite_angle(tmp_path, capsys, angle):
+    out = tmp_path / "c.json"
+    assert_one_line_error(capsys, run_cli(["decompose", "--controls", "3", "--gateset", "s2_2",
+                                           f"--angle={angle}", "--out", str(out)]))
+    assert not out.exists()
+
+
 def test_decompose_qutrit_rejected(capsys):
     assert run_cli(["decompose", "--controls", "3", "--gateset", "s3_2"]) == 2
     assert "counts only" in capsys.readouterr().err
@@ -323,6 +331,7 @@ def test_qaoa_restarts_apply_to_dqva(tmp_path, monkeypatch):
     ["--variant", "sa", "--restarts", "0"],
     ["--variant", "sa", "--p", "0"],
     ["--variant", "dqva", "--nu", "0"],
+    ["--variant", "dqva", "--nu", "6"],  # 4 nodes, p=1: 5 slots
     ["--variant", "ma", "--max-evals", "0"],
     ["--variant", "ma", "--max-evals", "-3"],
 ])
@@ -354,6 +363,7 @@ def _bench_config(tmp_path, **over):
     {"max_evals": -3},
     {"variants": [{"variant": "sa", "p": "1"}]},
     {"variants": [{"variant": "dqva", "nu": 2.5}]},
+    {"variants": [{"variant": "dqva", "nu": 7}]},        # 5 nodes, p=1: 6 slots
     {"graph_count": 1.5},
     {"repetitions": True},
     {"edge_prob": "0.5"},

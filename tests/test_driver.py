@@ -323,14 +323,14 @@ def test_config_rejects_empty_rounds_and_bad_tol(over):
 
 
 def test_dqva_outer_loop_rejects_empty_rounds(monkeypatch):
-    # no rounds, or no live parameter per round: both raise before any
-    # engine is built, and the execution raises when it is made
+    # no rounds, no live parameter per round, or more than the layout holds:
+    # each raises before any engine is built, and the execution raises when it is made
     def no_engine(*args, **kwargs):
         raise AssertionError("an engine was built")
 
     monkeypatch.setattr(qaoa, "AnsatzEngine", no_engine)
     graph = erdos_renyi(6, 2.0, seed=0)
-    for over in ({"mixer_rounds": 0}, {"nu": 0}):
+    for over in ({"mixer_rounds": 0}, {"nu": 0}, {"nu": 8}):  # 6 nodes, p=1: 7 slots
         args = {"nu": 2, "seed": 0, "mixer_rounds": 2, **over}
         with pytest.raises(AnsatzError, match=next(iter(over))):
             dqva_outer_loop(graph, **args)

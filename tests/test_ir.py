@@ -23,6 +23,7 @@ from mcdecomp.ir import (
     mcrx,
     mcx,
     rx,
+    ry,
     rz,
     validate_circuit,
     x,
@@ -57,6 +58,15 @@ def test_duplicate_ancilla_reported():
 def test_mcrx_requires_angle():
     with pytest.raises(IRError):
         Gate("mcrx", (1,), ((0, POS1),))
+
+
+@pytest.mark.parametrize("angle", [float("nan"), float("inf"), float("-inf"), "0.3", 1j])
+def test_rotation_angle_must_be_finite_and_real(angle):
+    # a NaN or infinite angle would reach the circuit JSON, which strict parsers reject
+    for make in (lambda: rx(0, angle), lambda: ry(0, angle), lambda: rz(0, angle),
+                 lambda: Gate("mcrx", (1,), ((0, POS1),), angle)):
+        with pytest.raises(IRError, match="finite real"):
+            make()
 
 
 def test_histogram_counts_multiline_gates_only():

@@ -16,7 +16,6 @@ from mcdecomp.sim import (
     bits_to_index,
     circuit_columns,
     circuit_unitary,
-    identity_deviation,
     phase_aligned_deviation,
 )
 
@@ -278,31 +277,3 @@ def test_blockwise_deviation_matches_full_array(shape):
     assert phase_aligned_deviation(a, zero) == float(np.max(np.abs(a)))
     strided = np.repeat(a, 2, axis=-1)[..., ::2]  # equal to a, but a strided view
     assert phase_aligned_deviation(strided, b) == phase_aligned_deviation(a, b)
-
-
-@pytest.mark.parametrize("dim", [1, 8, 512])
-def test_identity_deviation_matches_the_dense_identity(dim):
-    rng = np.random.default_rng(dim)
-    a = np.exp(0.7j) * np.eye(dim) + 1e-3 * (rng.normal(size=(dim, dim))
-                                            + 1j * rng.normal(size=(dim, dim)))
-    assert identity_deviation(a) == phase_aligned_deviation(a, np.eye(dim, dtype=complex))
-
-
-def test_identity_deviation_needs_a_square_matrix():
-    with pytest.raises(SimulationError):
-        identity_deviation(np.zeros((4, 2)))
-
-
-@pytest.mark.parametrize("columns", [1, 5, 64])
-def test_identity_deviation_over_column_blocks(columns):
-    rng = np.random.default_rng(columns)
-    dim = 64
-    a = np.exp(0.7j) * np.eye(dim) + 1e-3 * (rng.normal(size=(dim, dim))
-                                            + 1j * rng.normal(size=(dim, dim)))
-    phase = sim.unit_phase(a[0, 0])
-    blocks = [identity_deviation(a[:, s:s + columns], s, phase) for s in range(0, dim, columns)]
-    assert max(blocks) == identity_deviation(a)
-    with pytest.raises(SimulationError):
-        identity_deviation(a[:, 1:3], 1)  # no column 0 to take the phase from
-    with pytest.raises(SimulationError):
-        identity_deviation(a[:, :3], dim - 2, phase)  # columns past the last row

@@ -7,19 +7,18 @@ import pytest
 from mcdecomp import sim
 from mcdecomp.decompose import DecomposeError, decompose, ladder_gates
 from mcdecomp.gadgets import vchain_dirty_cx_gates
-from mcdecomp.ir import AncillaBudget, Circuit, GateSetSpec, h, mcrx, mcx, rz
+from mcdecomp.ir import AncillaBudget, Circuit, GateSetSpec, h, mcrx, mcx, rz, x
 from mcdecomp.sim import (
     _apply_gate_inplace,
     circuit_unitary,
     gate_unitary,
-    identity_deviation,
     phase_aligned_deviation,
 )
 from mcdecomp.verify import (
     CheckResult,
     VerifyError,
+    borrowed_deviation,
     burnable_deviation,
-    exact_deviation,
     restricted_deviation,
     verify_schemes,
 )
@@ -51,7 +50,7 @@ def test_injected_off_by_one_ladder_fails_with_name():
     # negative control: drop the final Toffoli from a correct ladder
     good = ladder(4)
     broken = Circuit(good.dim, good.width, good.gates[:-1], good.ancilla)
-    dev = exact_deviation(broken, mcx(list(range(4)), 4))
+    dev = borrowed_deviation(broken, mcx(list(range(4)), 4), 5)
     result = CheckResult("ladder(k=4,broken)", dev <= 1e-8, dev)
     assert not result.ok
     assert "ladder" in result.name
@@ -85,7 +84,7 @@ def test_exact_deviation_matches_the_dense_ideal(circuit, k):
     ideal = mcx(list(range(k)), k)
     dense = phase_aligned_deviation(circuit_unitary(circuit),
                                     gate_unitary(ideal, circuit.width))
-    assert exact_deviation(circuit, ideal) == dense
+    assert borrowed_deviation(circuit, ideal, k + 1) == dense
 
 
 def vchain(k):
@@ -93,25 +92,25 @@ def vchain(k):
 
 
 def _dense_exact_deviation(circuit, ideal):
-    """The whole unitary, one gate at a time, then the ideal on its rows."""
+    """The whole unitary, one gate at a time, against the ideal on every line."""
     u = np.eye(2**circuit.width, dtype=complex)
-    for g in circuit.gates + (ideal,):
+    for g in circuit.gates:
         _apply_gate_inplace(u, g, circuit.width)
-    return identity_deviation(u)
+    return phase_aligned_deviation(u, gate_unitary(ideal, circuit.width))
 
 
 def _columns_per_block(circuit, columns):
     return mock.patch.object(sim, "CHUNK_ENTRIES", columns * 2**circuit.width)
 
 
-@pytest.mark.parametrize("columns", [3, 2**12])  # ragged blocks, and one block
+@pytest.mark.parametrize("columns", [3, 2**12])  # ragged chunks, and one chunk
 @pytest.mark.parametrize("circuit, k", [
     (ladder(4), 4), (ladder(5), 5), (ladder(5, m=4), 5), (vchain(4), 4), (vchain(5), 5),
 ])
 def test_blocked_exact_deviation_matches_the_dense_unitary(circuit, k, columns):
     ideal = mcx(list(range(k)), k)
     with _columns_per_block(circuit, columns):
-        blocked = exact_deviation(circuit, ideal)
+        blocked = borrowed_deviation(circuit, ideal, k + 1)
     dense = _dense_exact_deviation(circuit, ideal)
     if all(g.kind == "mcx" for g in circuit.gates):  # a permutation: exact either way
         assert blocked == dense
@@ -121,15 +120,10 @@ def test_blocked_exact_deviation_matches_the_dense_unitary(circuit, k, columns):
 
 def test_blocked_exact_deviation_sees_every_missing_gate():
     circuit, ideal = vchain(4), mcx(list(range(4)), 4)
-    with _columns_per_block(circuit, 24):  # six blocks, the last one ragged
+    with _columns_per_block(circuit, 24):  # fused runs in chunks of 24 columns, the last ragged
         for i in range(len(circuit.gates)):
             dropped = Circuit(2, circuit.width, circuit.gates[:i] + circuit.gates[i + 1:])
-            assert exact_deviation(dropped, ideal) > 1e-6, i
-
-
-def test_exact_deviation_rejects_a_non_permutation_ideal():
-    with pytest.raises(VerifyError):
-        exact_deviation(ladder(3), mcrx([0, 1, 2], 3, 0.3))
+            assert borrowed_deviation(dropped, ideal, 5) > 1e-6, i
 
 
 # --- the burnable contract ------------------------------------------------------
@@ -171,6 +165,34 @@ def test_burnable_rejects_every_single_gate_drop():
             assert burnable_deviation(with_gates(BURNT, dropped), IDEAL, N + 1) > 1e-6, i
 
 
+# --- the three contracts tell each other apart ----------------------------------
+
+ZEROED_ROUTES = [(family, count, kind) for family in ("s2_2", "s2_3") for count in ("one", "n")
+                 for kind in ("mcrx", "mcx")]
+
+
+@pytest.mark.parametrize("family,count,kind", ZEROED_ROUTES)
+def test_zeroed_routes_fail_the_borrowed_contract(family, count, kind):
+    # each zeroed route needs its ancillas in |0>: other ancilla inputs go wrong
+    ideal = mcx(list(range(N)), N) if kind == "mcx" else IDEAL
+    c = decompose(ideal, GateSetSpec(family), AncillaBudget(count))
+    assert restricted_deviation(c, ideal, N + 1) < 1e-12
+    assert borrowed_deviation(c, ideal, N + 1) > 0.4
+
+
+def test_borrowed_check_takes_a_rotation_ideal():
+    gate = mcrx([0, 1, 2], 3, 0.9)
+    assert borrowed_deviation(Circuit(2, 5, (gate,)), gate, 4) == 0.0
+
+
+def test_a_flipped_ancilla_is_only_burnable():
+    gate = mcrx([0, 1, 2], 3, 0.9)
+    flipped = Circuit(2, 5, (gate, x(4)))
+    assert borrowed_deviation(flipped, gate, 4) == 1.0
+    assert restricted_deviation(flipped, gate, 4) == 1.0
+    assert burnable_deviation(flipped, gate, 4) == 0.0
+
+
 # --- the borrowed-line ladder ---------------------------------------------------
 
 @pytest.mark.parametrize("k", [3, 5, 7])
@@ -187,7 +209,7 @@ def test_ladder_m4_rungs_take_at_most_3_controls():
 
 @pytest.mark.parametrize("k, m", [(3, 3), (5, 4)])
 def test_ladder_exact_for_every_borrowed_state(k, m):
-    assert exact_deviation(ladder(k, m), mcx(list(range(k)), k)) < 1e-12
+    assert borrowed_deviation(ladder(k, m), mcx(list(range(k)), k), k + 1) < 1e-12
 
 
 def test_ladder_requires_enough_borrowed():

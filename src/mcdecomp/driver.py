@@ -31,7 +31,11 @@ class DriverError(ValueError):
 # time, and one ragged batch is no faster than single calls.
 LOCKSTEP_MAX_DIM = 512
 # Engines in one lockstep batch, which bounds its joined state and index arrays.
-LOCKSTEP_WIDTH = 32
+# The batch's searches run as one ``optimize.SearchGroup`` per dimension (desk:
+# three), whose step costs about as much for one row as for a few dozen, so
+# the width is set for groups of tens of rows: at 32 a desk group held about
+# five, too few to beat stepping each search on its own.
+LOCKSTEP_WIDTH = 128
 
 
 # Gate-set / budget columns reported on every trial record (zeroed regime).
@@ -355,63 +359,59 @@ def _lockstep_trials(cfg: BenchmarkConfig, shared) -> dict:
     return {key: _replay(recorded) for key, recorded in runs.items()}
 
 
-class _Round:
-    """One inner round in the lockstep: its execution's index and generator,
-    the engine, the start, the search and the search's pending point."""
-
-    __slots__ = ("run", "execution", "engine", "x0", "search", "point")
-
-    def __init__(self, run, execution, engine, x0, max_evals, tol):
-        self.run, self.execution, self.engine, self.x0 = run, execution, engine, x0
-        self.search = opt.search(x0, max_evals, tol)
-        self.point = next(self.search)
-
-
 def _lockstep(executions, max_evals, tol) -> list[list[tuple[np.ndarray, opt.OptResult]]]:
     """Run the ``executions`` (see ``qaoa.dqva_execution``) with their rounds'
-    ``optimize.search`` stepped together; returns each execution's
-    ``(x0, result)`` per round, in order.
+    searches stepped together; returns each execution's ``(x0, result)`` per
+    round, in order.
 
-    Each step evaluates the pending point of every search in the batch with
-    one ``EngineBatch`` call.  Building a batch costs about as much per
-    engine as ten of its evals, so it is rebuilt only once half of its
-    searches have finished: finished members are evaluated until then and
-    their values dropped.  A finished search's result goes to its
-    execution at once, and the round that execution yields next joins at
-    the rebuild.  A rebuild takes those rounds first and tops the batch up
-    to ``LOCKSTEP_WIDTH`` with new executions, which start only then, so
-    that at most that many executions are alive at a time.
+    The searches of one dimension form one ``optimize.SearchGroup``, and
+    each step evaluates the pending points of every group with one
+    ``EngineBatch`` call.  Building a batch costs about as much per engine
+    as ten of its evals, so it is rebuilt only once half of its searches
+    have finished: finished rows are evaluated until then and their values
+    dropped.  A finished search's result goes to its execution at once, and
+    the round that execution yields next joins at the rebuild.  A rebuild
+    drops the finished rows, adds those rounds and tops the batch up to
+    ``LOCKSTEP_WIDTH`` with new executions, which start only then, so that
+    at most that many executions are alive at a time.
     """
     executions = iter(executions)
     runs = []
     ready = []  # the (run index, execution, (engine, x0)) of the rounds to join
-    running = []
+    groups: dict[int, opt.SearchGroup] = {}  # by search dimension
+    live = 0
     while True:
-        while len(running) + len(ready) < LOCKSTEP_WIDTH:
+        while live + len(ready) < LOCKSTEP_WIDTH:
             execution = next(executions, None)
             if execution is None:
                 break
             runs.append([])
             _advance(ready, len(runs) - 1, execution, None)
-        running += [_Round(run, execution, *step, max_evals, tol) for run, execution, step in ready]
+        for group in groups.values():
+            group.drop_finished()
+        joining: dict[int, list] = {}
+        for run, execution, (engine, x0) in ready:
+            joining.setdefault(len(x0), []).append((run, execution, engine, x0))
+        for n, tags in joining.items():
+            if n not in groups:
+                groups[n] = opt.SearchGroup(n, max_evals, tol)
+            groups[n].add([x0 for *_, x0 in tags], tags)
         ready = []
-        if not running:
+        active = [group for group in groups.values() if len(group)]
+        members = [tag for group in active for tag in group.tags]
+        if not members:
             return runs
-        members = running
-        batch = EngineBatch(member.engine for member in members)
-        while 2 * len(running) > len(members):
-            values = batch.expectations([member.point for member in members])
-            running = []
-            for member, value in zip(members, values):
-                if member.search is None:
-                    continue
-                try:
-                    member.point = member.search.send(value)
-                    running.append(member)
-                except StopIteration as done:
-                    member.search = None
-                    runs[member.run].append((member.x0, done.value))
-                    _advance(ready, member.run, member.execution, done.value)
+        batch = EngineBatch(engine for _, _, engine, _ in members)
+        live = len(members)
+        while 2 * live > len(members):
+            values = batch.expectations(np.concatenate([group.points.ravel() for group in active]))
+            at = 0
+            for group in active:
+                for (run, execution, _, x0), result in group.tell(values[at:at + len(group)]):
+                    live -= 1
+                    runs[run].append((x0, result))
+                    _advance(ready, run, execution, result)
+                at += len(group)
 
 
 def _advance(ready, run, execution, result) -> None:

@@ -434,10 +434,11 @@ class EngineBatch:
             self._rounds.append((mixers, phase))
         self._dim = int(amp_at[-1])
 
-    def expectations(self, live_points) -> list[float]:
-        """One expectation per engine, from each engine's live parameters."""
+    def expectations(self, live_points: np.ndarray) -> list[float]:
+        """One expectation per engine, from the engines' live parameters
+        joined end to end in one flat array."""
         params = np.zeros(self._zero + 1)
-        params[self._live] = np.concatenate(live_points)
+        params[self._live] = live_points
         amps = _evolve(self._dim, self._starts, self._rounds, params, np.cos(params),
                        1j * np.sin(params), self._levels, self._level_of)
         probs = np.abs(amps) ** 2

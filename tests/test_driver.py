@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcdecomp.driver as driver
 import mcdecomp.qaoa as qaoa
@@ -16,7 +18,7 @@ from mcdecomp.driver import (
 from mcdecomp.graphs import brute_force_mis, erdos_renyi, random_regular
 from mcdecomp.ir import Graph
 from mcdecomp.metrics import exact_count_zeroed
-from mcdecomp.optimize import OptResult, maximize
+from mcdecomp.optimize import _SHRINK, OptResult, SearchGroup, maximize, search
 from mcdecomp.qaoa import (
     AnsatzEngine, AnsatzError, IndependentSets, dqva_execution, dqva_outer_loop, param_count,
     single_round_execution,
@@ -95,6 +97,151 @@ def test_maximize_follows_scipy_nelder_mead(variant, step):
 def test_maximize_rejects_a_negative_or_nan_tol(tol):
     with pytest.raises(ValueError, match="tol"):
         maximize(lambda v: float(np.sum(v)), np.ones(2), tol=tol)
+
+
+@pytest.mark.parametrize("x0", [[0.3, np.nan], [np.inf, 0.2], [-np.inf], [[0.1, 0.2], [0.3, 0.4]],
+                                [], np.zeros((0, 2))],
+                         ids=["nan", "inf", "-inf", "2-d", "empty", "empty-2-d"])
+def test_a_bad_start_raises_before_any_point(x0):
+    def objective(v):
+        raise AssertionError("a point was asked for")
+
+    with pytest.raises(ValueError, match="x0"):
+        search(x0)
+    with pytest.raises(ValueError, match="x0"):
+        maximize(objective, x0)
+    group = SearchGroup(2)
+    with pytest.raises(ValueError, match="x0"):
+        group.add([np.ones(2), x0], ["good", "bad"])
+    assert len(group) == 0
+
+
+def test_a_group_rejects_a_start_of_another_dimension():
+    group = SearchGroup(3)
+    with pytest.raises(ValueError, match="3 coordinates"):
+        group.add([np.ones(2)], ["row"])
+    assert len(group) == 0
+
+
+def test_row_argsort_keeps_the_serial_tie_order():
+    # ``SearchGroup`` sorts its simplices with ``argsort(axis=1)`` and must
+    # reorder tied vertices exactly as the serial 1-D ``argsort`` does.
+    rng = np.random.default_rng(0)
+    for width in range(2, 14):
+        values = rng.integers(0, 4, size=(3000, width)).astype(float)
+        values[values == 3] = np.inf
+        values[::7] = 0.5  # every vertex tied
+        values[1::7, :2] = np.inf  # tied infinities in front
+        got = values.argsort(axis=1)
+        for row, order in zip(values, got):
+            assert order.tolist() == row.argsort().tolist(), row
+
+
+def _test_objective(n, seed, kind):
+    """A cheap objective on R^n: smooth, rounded to a grid of 0.05 or 0.5 (so
+    that vertices tie), capped at a flat plateau, or constant."""
+    rng = np.random.default_rng(seed)
+    a, c = rng.normal(size=n), rng.uniform(0.5, 2.0, n)
+
+    def smooth(x):
+        return float(np.sin(c * x + a).sum())
+
+    return {
+        "smooth": smooth,
+        "grid": lambda x: round(smooth(x) / 0.05) * 0.05,
+        "coarse": lambda x: round(smooth(x) / 0.5) * 0.5,
+        "plateau": lambda x: min(smooth(x), 0.25 * n),
+        "flat": lambda x: 0.75,
+    }[kind]
+
+
+def _drive_group(group, starts, joins, objectives):
+    """Step ``group`` until every start has finished; start k joins at step
+    ``joins[k]``, and finished rows are dropped every seventh step."""
+    results, step = {}, 0
+    while len(results) < len(starts):
+        joining = [k for k in range(len(starts)) if joins[k] == step]
+        if joining:
+            group.add([starts[k] for k in joining], joining)
+        if step % 7 == 3:
+            group.drop_finished()
+        values = [objectives[k](x) for k, x in zip(group.tags, group.points)]
+        for k, result in group.tell(values):
+            assert k not in results
+            results[k] = result
+        step += 1
+    return results
+
+
+def _shrink_budget(n, objective, x0):
+    """A budget that cuts the search from ``x0`` inside a shrink, after its
+    first move, or None if the search never shrinks."""
+    group = SearchGroup(n)
+    group.add([x0], [0])
+    while len(group):
+        if not group.tell([objective(group.points[0])]):
+            row = group._rows[0]
+            if row.phase == _SHRINK and row.k >= 2:
+                # the budget with one call too few for this vertex
+                return row.calls + n
+        else:
+            group.drop_finished()
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), budget=st.sampled_from(["none", "small", "shrink"]),
+       rows=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(["smooth", "grid", "coarse",
+                                                                      "plateau", "flat"]),
+                               st.integers(0, 2**16), st.sampled_from([0.0, 0.3, 1.0])),
+                     min_size=1, max_size=5),
+       small=st.integers(0, 1000))
+def test_search_group_rows_equal_serial_searches(n, budget, rows, small):
+    objectives, starts, joins = [], [], []
+    for join, kind, seed, zero_share in rows:
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(0.0, np.pi, n)
+        x0[rng.random(n) < zero_share] = 0.0
+        objectives.append(_test_objective(n, seed, kind))
+        starts.append(x0)
+        joins.append(join)
+    max_evals = None
+    if budget == "small":
+        max_evals = 1 + small % (n + 3)
+    elif budget == "shrink":
+        max_evals = next((b for k in range(len(starts))
+                          if (b := _shrink_budget(n, objectives[k], starts[k])) is not None),
+                         None)
+    got = _drive_group(SearchGroup(n, max_evals), starts, joins, objectives)
+    for k, (objective, x0) in enumerate(zip(objectives, starts)):
+        want = maximize(objective, x0, max_evals=max_evals)
+        assert got[k].x.tobytes() == want.x.tobytes(), k
+        assert np.float64(got[k].value).tobytes() == np.float64(want.value).tobytes(), k
+        assert (got[k].evals, got[k].converged) == (want.evals, want.converged), k
+
+
+def test_search_group_stops_on_a_probe_spread_of_exactly_tol():
+    # Every probe vertex raises the sum, so the probe reads 0 and then tol.
+    objective = lambda x: 1e-4 * float(x.sum() > 1.5)
+    x0 = np.array([0.5, 1.0, 0.0])
+    got = _drive_group(SearchGroup(3), [x0], [0], [objective])[0]
+    assert (got.x is x0, got.value, got.evals, got.converged) == (True, 0.0, 4, True)
+    want = maximize(objective, x0)
+    assert (want.x is x0, want.value, want.evals, want.converged) == (True, 0.0, 4, True)
+
+
+@pytest.mark.parametrize("n", [2, 5, 11])
+def test_search_group_follows_a_search_cut_inside_a_shrink(n):
+    # The shrink budgets the property test draws, checked to exist: a grid
+    # objective shrinks, and the cut leaves the moved vertex its old value.
+    objective = _test_objective(n, 3, "grid")
+    x0 = np.random.default_rng(n).uniform(0.0, np.pi, n)
+    budget = _shrink_budget(n, objective, x0)
+    assert budget is not None
+    got = _drive_group(SearchGroup(n, budget), [x0], [0], [objective])[0]
+    want = maximize(objective, x0, max_evals=budget)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert (got.value, got.evals, got.converged) == (want.value, want.evals, False)
 
 
 def test_mixer_histogram_3_regular():
@@ -247,12 +394,14 @@ def _serial_records(cfg):
 
 
 @pytest.mark.parametrize("max_dim,width", [(512, 256), (40, 3)])
-@pytest.mark.parametrize("max_evals", [None, 5])
+@pytest.mark.parametrize("max_evals", [None, 5, 40, 90])
 def test_lockstep_records_equal_serial_trials(monkeypatch, max_dim, width, max_evals):
     # Graph 2 is replaced by an empty graph (optimum 0), which is skipped.
     # With a cutoff of 40 amplitudes some graphs run serially, and a width
     # of 3 makes the batch top up from the executions not yet started and
-    # DQVA's next inner rounds join part-way; a budget of 5 cuts every search.
+    # DQVA's next inner rounds join part-way; a budget of 5 cuts every search
+    # inside its first simplex, and budgets of 40 and 90 cut searches inside
+    # reflections and shrinks.
     make_graph = driver._make_graph
 
     def with_an_empty_graph(cfg, seed):

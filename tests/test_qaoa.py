@@ -357,7 +357,7 @@ def _batch_points(engines, rng):
 
 
 def _assert_batch_matches(engines, points):
-    got = EngineBatch(engines).expectations(points)
+    got = EngineBatch(engines).expectations(np.concatenate(points))
     assert len(got) == len(engines)
     for value, engine, x in zip(got, engines, points):
         assert np.float64(value).tobytes() == np.float64(engine.expectation_live(x)).tobytes()
@@ -396,7 +396,7 @@ def test_engine_past_numpy_temporary_reuse_size(variant, p):
     rng = np.random.default_rng(11)
     for _ in range(20):
         x = rng.uniform(0.0, np.pi, engine.live_param_count)
-        got = batch.expectations([x])[0]
+        got = batch.expectations(x)[0]
         assert np.float64(got).tobytes() == np.float64(engine.expectation_live(x)).tobytes()
 
 

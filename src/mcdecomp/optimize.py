@@ -1,21 +1,22 @@
 """Derivative-free local maximization for the variational loops.
 
-``search`` runs a port of scipy's non-adaptive Nelder–Mead
+``maximize`` runs a port of scipy's non-adaptive Nelder–Mead
 (``scipy.optimize._minimize_neldermead``, scipy 1.17): the same
 coefficients (reflection 1, expansion 2, contraction 1/2, shrink 1/2), the
 same centroid sum, the same unstable ``argsort`` ordering, the same
 convergence test and the same budget cut-off. Every step computes the same
-floating-point values in the same order, so the paths, evaluation counts and
-records equal those of ``scipy.optimize.minimize(method="Nelder-Mead")``.
-The package owns it because that call was scipy's only use here, and
-importing ``scipy.optimize`` cost most of a fresh process's start-up.
+floating-point values in the same order, so the paths equal those of
+``scipy.optimize.minimize(method="Nelder-Mead")`` started from the plateau
+probe's simplex.  The search takes the probe's values for that simplex
+rather than evaluating its vertices again, so each start vertex costs one
+evaluation.  The package owns the port because that call was scipy's only
+use here, and importing ``scipy.optimize`` cost most of a fresh process's
+start-up.
 
-The search is a generator that yields each point it needs and is sent that
-point's value; ``maximize`` is the serial driver that evaluates each point as
-it is asked for.  ``SearchGroup`` runs many searches of one dimension
-together, each row on the same path bit for bit, with each step's arithmetic
-done once for the whole group as array operations, so that a caller can
-evaluate their points in one batch (``driver.run_benchmark``).
+``SearchGroup`` runs many searches of one dimension together, each row on
+the path of ``maximize`` bit for bit, with each step's arithmetic done once
+for the whole group as array operations, so that a caller can evaluate
+their points in one batch (``driver.run_benchmark``).
 """
 from __future__ import annotations
 
@@ -38,29 +39,6 @@ class _BudgetSpent(Exception):
     pass
 
 
-def search(x0, max_evals: int | None = None, tol: float = 1e-4):
-    """Nelder–Mead maximization from ``x0`` as a generator.
-
-    Each yielded point must be answered with ``send(objective(point))``; the
-    generator's return value (``StopIteration.value``) is the ``OptResult``.
-    Bad arguments raise ``ValueError`` here, before any point is asked for:
-    ``x0`` must be a non-empty, finite vector (a scalar is a 1-vector).
-
-    Terminates on simplex/objective tolerance (``xatol=1e-4``, ``fatol=tol``)
-    or on the evaluation budget (default 500 per parameter); deterministic
-    for a deterministic objective. Budget exhaustion is flagged via
-    ``converged`` with the best point so far returned.
-
-    The budget contract: a plateau probe first evaluates the N+1 vertices of
-    the initial simplex and returns ``x0`` when they agree to ``tol``. Those
-    evals are counted, and the simplex search re-evaluates the same vertices
-    under a budget of ``max(1, max_evals - (N+1))`` calls, so a non-flat
-    start spends at least one more: ``evals <= max(max_evals, N+2)``.
-    """
-    x0 = _start(x0)
-    return _steps(x0, _budget(max_evals, tol, len(x0)), tol)
-
-
 def _budget(max_evals, tol, n: int) -> int:
     """The evaluation budget of a search in ``n`` dimensions; ``ValueError``
     unless ``max_evals`` (None for the default) and ``tol`` are valid."""
@@ -80,38 +58,75 @@ def _start(x0) -> np.ndarray:
     return x0
 
 
+def _probe_simplex(x0: np.ndarray) -> np.ndarray:
+    """The ``(rows, n+1, n)`` simplices around the ``(rows, n)`` starts
+    ``x0``, as scipy builds its default: vertex i+1 moves coordinate i by
+    5 %, or to 0.00025 from zero."""
+    n = x0.shape[1]
+    sim = np.repeat(x0[:, None], n + 1, 1)
+    i = np.arange(n)
+    sim[:, i + 1, i] = np.where(x0 != 0, x0 * 1.05, 0.00025)
+    return sim
+
+
+def _stalled(sims, i, fsim, tol) -> bool:
+    """scipy's stopping test on the sorted simplex ``sims[i]`` and its
+    values ``fsim``, its two tests in the other order, both pure.  The
+    values are sorted (NaN last), so max|fsim[0] - fsim[1:]| is
+    fsim[-1] - fsim[0]: rounding is monotone, so the same value decides the
+    same way.  The simplex is read only when the values pass, which keeps
+    the group's per-row test cheap."""
+    return fsim[-1] - fsim[0] <= tol and np.abs(sims[i, 1:] - sims[i, 0]).max() <= XATOL
+
+
+# The trial points a*xbar + b*worst, one (a, b) row per kind: reflection,
+# expansion, outside and inside contraction.  x + (-b)*w is x - b*w bit for
+# bit, so these are scipy's 2*xbar - w, 3*xbar - 2*w, 1.5*xbar - 0.5*w and
+# 0.5*xbar + 0.5*w.
+_REFLECTION, _EXPANSION, _OUTSIDE, _INSIDE = range(4)
+_TRIAL = np.array([[2.0, -1.0], [3.0, -2.0], [1.5, -0.5], [0.5, 0.5]])
+
+
+def _trial(kinds, xbar, worst) -> np.ndarray:
+    """The trial point of one kind, or of one kind per row of ``xbar`` and
+    ``worst``."""
+    ab = _TRIAL.take(kinds, 0)
+    return ab[..., :1] * xbar + ab[..., 1:] * worst
+
+
 def maximize(objective, x0, max_evals: int | None = None, tol: float = 1e-4) -> OptResult:
-    """Run ``search`` serially, evaluating each point with ``objective``."""
-    steps = search(x0, max_evals, tol)
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send(objective(x))
-    except StopIteration as done:
-        return done.value
+    """Nelder–Mead maximization of ``objective`` from ``x0``.
 
+    Bad arguments raise ``ValueError`` before any point is evaluated:
+    ``x0`` must be a non-empty, finite vector (a scalar is a 1-vector).
 
-def _steps(x0: np.ndarray, budget: int, tol: float):
-    # Probe the initial simplex first: a flat objective returns x0 after
-    # dimension+1 evaluations instead of bouncing around the plateau.
+    Terminates on simplex/objective tolerance (``xatol=1e-4``, ``fatol=tol``)
+    or on the evaluation budget (default 500 per parameter); deterministic
+    for a deterministic objective. Budget exhaustion is flagged via
+    ``converged`` with the best point so far returned.
+
+    The budget contract: a plateau probe first evaluates the N+1 vertices of
+    the initial simplex and returns ``x0`` when they agree to ``tol``.
+    Otherwise the simplex search starts from those vertices and their
+    values, and its steps run under a budget of ``max(1, max_evals - (N+1))``
+    calls, so a non-flat start spends at least one more:
+    ``evals <= max(max_evals, N+2)``.
+    """
+    x0 = _start(x0)
     n = len(x0)
-    simplex = [x0]
-    for i in range(n):
-        pt = x0.copy()
-        pt[i] = pt[i] * 1.05 if pt[i] != 0 else 0.00025
-        simplex.append(pt)
-    values = []
-    for pt in simplex:
-        values.append((yield pt))
+    budget = _budget(max_evals, tol, n)
+    # Probe the start simplex first: a flat objective returns x0 after N+1
+    # evaluations instead of bouncing around the plateau.
+    sim = _probe_simplex(x0[None])[0]
+    values = [objective(pt) for pt in sim]
     if max(values) - min(values) <= tol:
-        return OptResult(x0, values[0], len(values), True)
+        return OptResult(x0, values[0], n + 1, True)
 
     # Minimize the negated objective from that simplex, as scipy does. A call
     # past ``maxfev`` abandons the step in progress; a shrink cut off that way
     # leaves the moved vertices with their old values.
-    maxfev = max(1, budget - len(values))
-    sim = np.array(simplex)
-    fsim = np.full(n + 1, np.inf)
+    maxfev = max(1, budget - (n + 1))
+    fsim = -np.array(values, dtype=float)
     calls = 0
 
     def ask(x):
@@ -119,34 +134,27 @@ def _steps(x0: np.ndarray, budget: int, tol: float):
         if calls >= maxfev:
             raise _BudgetSpent
         calls += 1
-        return -(yield x.copy())
+        return -objective(x.copy())
 
-    try:
-        for k in range(n + 1):
-            fsim[k] = yield from ask(sim[k])
-    except _BudgetSpent:
-        pass
     # scipy sorts the initial simplex twice; the sort is not stable, so on
     # tied values the second pass may reorder rows, and the path with it.
+    # The first sort copies ``sim``, so the points the probe passed to the
+    # objective are never written.
     for _ in range(2):
         ind = fsim.argsort()
         sim, fsim = sim[ind], fsim[ind]
 
     while calls < maxfev:
         try:
-            # scipy's tests in the other order, both pure.  fsim is sorted
-            # (NaN last), so max|fsim[0] - fsim[1:]| is fsim[-1] - fsim[0]:
-            # rounding is monotone, so the same value decides the same way.
-            if (fsim[-1] - fsim[0] <= tol
-                    and np.abs(sim[1:] - sim[0]).max() <= XATOL):
+            if _stalled(sim[None], 0, fsim, tol):
                 break
             worst = sim[-1]
             xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - worst
-            fxr = yield from ask(xr)
+            xr = _trial(_REFLECTION, xbar, worst)
+            fxr = ask(xr)
             if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * worst
-                fxe = yield from ask(xe)
+                xe = _trial(_EXPANSION, xbar, worst)
+                fxe = ask(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
@@ -154,32 +162,26 @@ def _steps(x0: np.ndarray, budget: int, tol: float):
                 # outside contraction when the reflection improved on the
                 # worst vertex, inside contraction otherwise
                 outside = fxr < fsim[-1]
-                xc = 1.5 * xbar - 0.5 * worst if outside else 0.5 * xbar + 0.5 * worst
-                fxc = yield from ask(xc)
+                xc = _trial(_OUTSIDE if outside else _INSIDE, xbar, worst)
+                fxc = ask(xc)
                 if (fxc <= fxr) if outside else (fxc < fsim[-1]):
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     for j in range(1, n + 1):
                         sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = yield from ask(sim[j])
+                        fsim[j] = ask(sim[j])
         except _BudgetSpent:
             pass
         ind = fsim.argsort()
         sim, fsim = sim[ind], fsim[ind]
 
-    return OptResult(sim[0].copy(), -np.min(fsim), calls + len(values), calls < maxfev)
+    return OptResult(sim[0].copy(), -np.min(fsim), calls + n + 1, calls < maxfev)
 
 
-# A row's place in the search: the plateau probe, the simplex's initial
-# evaluation, the pending reflection, expansion or contraction, a shrink
-# (``k`` is the vertex asked for), or finished.
-_PROBE, _INIT, _REFLECT, _EXPAND, _CONTRACT, _SHRINK, _DONE = range(7)
-# The trial points a*xbar + b*worst, one (a, b) row per kind: reflection,
-# expansion, outside and inside contraction.  x + (-b)*w is x - b*w bit for
-# bit, so these are the serial 2*xbar - w, 3*xbar - 2*w, 1.5*xbar - 0.5*w and
-# 0.5*xbar + 0.5*w.
-_REFLECTION, _EXPANSION, _OUTSIDE, _INSIDE = range(4)
-_TRIAL = np.array([[2.0, -1.0], [3.0, -2.0], [1.5, -0.5], [0.5, 0.5]])
+# A row's place in the search: the plateau probe, the pending reflection,
+# expansion or contraction, a shrink (``k`` is the vertex asked for), or
+# finished.
+_PROBE, _REFLECT, _EXPAND, _CONTRACT, _SHRINK, _DONE = range(6)
 
 
 class _Row:
@@ -197,19 +199,19 @@ class _Row:
 
 
 class SearchGroup:
-    """``search`` for many starts of one dimension ``n``, stepped together.
+    """``maximize`` for many starts of one dimension ``n``, stepped together.
 
     Each row holds one search.  ``points`` is the ``(rows, n)`` array of
     the rows' pending points; ``tell`` takes their values in row order and
     returns ``(tag, OptResult)`` for each row that finished on that step.
-    A row's path, evaluations and result are those of ``search(x0,
-    max_evals, tol)`` bit for bit: the group keeps the simplices in one
-    ``(rows, n+1, n)`` array and their values in one ``(rows, n+1)`` array,
-    and each step computes the serial values element for element (a
-    row-wise ``argsort``, the centroid as ``np.add.reduce`` over the
-    vertex axis, the trial points and shrink moves), once for every row
-    that needs it.  A finished row keeps its last point, and its values are
-    ignored until ``drop_finished``.
+    A row asks for the points that ``maximize(objective, x0, max_evals,
+    tol)`` evaluates, in order, and its result is that call's bit for bit:
+    the group keeps the simplices in one ``(rows, n+1, n)`` array and their
+    values in one ``(rows, n+1)`` array, and each step computes the serial
+    values element for element (a row-wise ``argsort``, the centroid as
+    ``np.add.reduce`` over the vertex axis, the trial points and shrink
+    moves), once for every row that needs it.  A finished row keeps its
+    last point, and its values are ignored until ``drop_finished``.
     """
 
     def __init__(self, n: int, max_evals: int | None = None, tol: float = 1e-4):
@@ -234,12 +236,8 @@ class SearchGroup:
         if any(len(x0) != self.n for x0 in starts):
             raise ValueError(f"every start must have {self.n} coordinates")
         x0 = np.array(starts).reshape(-1, self.n)
-        # the probe's simplex: vertex i+1 moves coordinate i by 5 %
-        sim = np.repeat(x0[:, None], self.n + 1, 1)
-        i = np.arange(self.n)
-        sim[:, i + 1, i] = np.where(x0 != 0, x0 * 1.05, 0.00025)
-        self._sim = np.concatenate([self._sim, sim])
-        self._fsim = np.concatenate([self._fsim, np.full((len(x0), self.n + 1), np.inf)])
+        self._sim = np.concatenate([self._sim, _probe_simplex(x0)])
+        self._fsim = np.concatenate([self._fsim, np.empty((len(x0), self.n + 1))])
         self.points = np.concatenate([self.points, x0])
         self._xbar = np.concatenate([self._xbar, x0])
         self._rows += [_Row(tag, x) for tag, x in zip(tags, starts)]
@@ -262,7 +260,7 @@ class SearchGroup:
         moves = []  # vertices that a shrink moves
         asks, asked = [], []  # rows whose next point is a vertex, and that vertex
         trials, kinds = [], []  # rows asking for an expansion or contraction, and which
-        firsts, ends = [], []  # rows ending the initial evaluation / any step
+        firsts, ends = [], []  # rows ending the probe / any step
 
         def shrink(r, row):
             moves.append(r * m + row.k)
@@ -281,29 +279,21 @@ class SearchGroup:
                 row.values.append(v)
                 if row.k < n:
                     row.k += 1
+                    asks.append(r)
+                    asked.append(r * m + row.k)
                 elif max(row.values) - min(row.values) <= tol:
                     row.phase = _DONE
                     finished.append((row.tag, OptResult(row.x0, row.values[0], m, True)))
-                    continue
                 else:
-                    row.phase, row.k, row.calls = _INIT, 0, 1
-                    row.maxfev = max(1, self._budget - m)
-                asks.append(r)
-                asked.append(r * m + row.k)
-                continue
-            f = -v
-            if phase == _INIT:
-                cells.append(r * m + row.k)
-                cell_values.append(f)
-                row.k += 1
-                if row.k <= n and row.calls < row.maxfev:
-                    row.calls += 1
-                    asks.append(r)
-                    asked.append(r * m + row.k)
-                else:
+                    # the simplex search starts from the probe's values
+                    row.calls, row.maxfev = 0, max(1, self._budget - m)
+                    cells += range(r * m, r * m + m)
+                    cell_values += [-f for f in row.values]
                     firsts.append(r)
                     ends.append(r)
-            elif phase == _REFLECT:
+                continue
+            f = -v
+            if phase == _REFLECT:
                 row.fxr = f
                 if f < row.best:
                     kind = _EXPANSION
@@ -356,7 +346,7 @@ class SearchGroup:
             # the reflection again, from the same centroid and worst vertex
             rows = np.array(takes_xr)
             worst = rows * m + n
-            vertices[worst] = 2 * self._xbar.take(rows, 0) - vertices.take(worst, 0)
+            vertices[worst] = _trial(_REFLECTION, self._xbar.take(rows, 0), vertices.take(worst, 0))
         if moves:
             moves = np.array(moves)
             first = vertices.take(moves - moves % m, 0)
@@ -367,9 +357,7 @@ class SearchGroup:
             points[asks] = vertices.take(asked, 0)
         if trials:
             rows = np.array(trials)
-            ab = _TRIAL.take(kinds, 0)
-            points[rows] = (ab[:, :1] * self._xbar.take(rows, 0)
-                            + ab[:, 1:] * vertices.take(rows * m + n, 0))
+            points[rows] = _trial(kinds, self._xbar.take(rows, 0), vertices.take(rows * m + n, 0))
         return finished
 
     def _sort(self, rows: np.ndarray):
@@ -392,10 +380,7 @@ class SearchGroup:
         finished, go, reflect = [], [], []
         for i, (r, f) in enumerate(zip(ends, fsim.tolist())):
             row = self._rows[r]
-            # scipy's tests in the other order, both pure; the values are
-            # sorted (NaN last), so max|f[0] - f[1:]| is f[-1] - f[0]
-            if row.calls < row.maxfev and not (
-                    f[-1] - f[0] <= self._tol and np.abs(sim[i, 1:] - sim[i, 0]).max() <= XATOL):
+            if row.calls < row.maxfev and not _stalled(sim, i, f, self._tol):
                 row.phase = _REFLECT
                 row.calls += 1
                 row.best, row.second, row.worst = f[0], f[-2], f[-1]

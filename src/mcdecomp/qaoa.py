@@ -26,6 +26,10 @@ MA = "ma"
 DQVA = "dqva"
 VARIANTS = (SA, MA, DQVA)
 MEASURED_FLOOR = 1e-4  # ``best_measured_set`` counts no outcome below it as measured
+# The most independent sets a subspace may hold, 2^22: every sampled
+# average-degree-3 Erdős–Rényi graph of up to 28 nodes has fewer (at most
+# 3.0M), and an edgeless graph, with 2^n, passes up to 22 nodes.
+MAX_INDEPENDENT_SETS = 1 << 22
 
 
 class AnsatzError(ValueError):
@@ -211,11 +215,16 @@ def independent_set_indices(graph: Graph) -> np.ndarray:
     Grows the sets one node at a time from the lowest bit up: node v joins
     every set so far that holds none of its neighbors.  Its bit is above all
     of theirs, so each step appends a sorted block above a sorted one.
+    Raises ``AnsatzError`` before the sets pass ``MAX_INDEPENDENT_SETS``.
     """
     n = graph.n
     sets = np.zeros(1, dtype=np.int64)
     for v, nbr in reversed(list(enumerate(_basis_neighbor_masks(graph)))):
-        sets = np.concatenate((sets, sets[(sets & nbr) == 0] | (1 << (n - 1 - v))))
+        grown = sets[(sets & nbr) == 0] | (1 << (n - 1 - v))
+        if len(sets) + len(grown) > MAX_INDEPENDENT_SETS:
+            raise AnsatzError(f"the graph has more than {MAX_INDEPENDENT_SETS} independent sets, "
+                              "too many for the subspace engine")
+        sets = np.concatenate((sets, grown))
     return sets
 
 

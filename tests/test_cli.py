@@ -193,6 +193,22 @@ def test_count_sweep_rejects_bad_range_without_hanging(sweep):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("variant", [["sa"], ["dqva", "--nu", "2"]])
+def test_qaoa_rejects_an_oversized_subspace(tmp_path, variant):
+    # an edgeless 28-node graph has 2^28 independent sets, past the cap
+    graph = tmp_path / "e28.json"
+    graph.write_text(Graph.from_edges(28, []).to_json())
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "mcdecomp.cli", "qaoa", "--variant", *variant,
+                          "--graph", str(graph), "--out", str(tmp_path / "q.json")],
+                         capture_output=True, text=True, timeout=60, env=env,
+                         preexec_fn=_limit_memory)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "independent sets" in out.stderr
+
+
 def test_cli_import_leaves_scipy_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}

@@ -18,7 +18,7 @@ from mcdecomp.driver import (
 from mcdecomp.graphs import brute_force_mis, erdos_renyi, random_regular
 from mcdecomp.ir import Graph
 from mcdecomp.metrics import exact_count_zeroed
-from mcdecomp.optimize import _SHRINK, OptResult, SearchGroup, maximize, search
+from mcdecomp.optimize import _SHRINK, OptResult, SearchGroup, maximize
 from mcdecomp.qaoa import (
     AnsatzEngine, AnsatzError, IndependentSets, dqva_execution, dqva_outer_loop, param_count,
     single_round_execution,
@@ -39,7 +39,7 @@ def test_maximize_constant_terminates_quickly():
 def test_maximize_budget_flag():
     rng = np.random.default_rng(0)
     res = maximize(lambda v: float(np.sum(np.sin(v))), rng.uniform(0, 1, 4), max_evals=10)
-    assert res.evals <= 15
+    assert res.evals <= 10
     assert not res.converged
 
 
@@ -52,7 +52,10 @@ def test_maximize_rejects_a_nonpositive_budget(max_evals):
 def _scipy_maximize(objective, x0, max_evals):
     """The reference for ``maximize``: its plateau probe written out, then
     ``scipy.optimize.minimize`` on the negated objective from the probe's
-    simplex, under the budget the ``optimize.search`` docstring states."""
+    simplex.  scipy evaluates that simplex again, where ``maximize`` reuses
+    the probe's values, so scipy's budget is the steps' budget that the
+    ``maximize`` docstring states plus the N+1 vertices, and its ``nfev``
+    counts every evaluation of ``maximize``."""
     minimize = pytest.importorskip("scipy.optimize").minimize
     simplex = [x0]
     for i in range(len(x0)):
@@ -64,19 +67,19 @@ def _scipy_maximize(objective, x0, max_evals):
         return OptResult(x0, values[0], len(values), True)
     budget = max_evals if max_evals is not None else 500 * len(x0)
     res = minimize(lambda v: -objective(v), x0, method="Nelder-Mead",
-                   options={"maxfev": max(1, budget - len(values)), "fatol": 1e-4,
+                   options={"maxfev": max(1, budget - len(values)) + len(values), "fatol": 1e-4,
                             "xatol": 1e-4, "initial_simplex": np.array(simplex)})
-    return OptResult(res.x, -res.fun, res.nfev + len(values), bool(res.success))
+    return OptResult(res.x, -res.fun, res.nfev, bool(res.success))
 
 
 @pytest.mark.parametrize("variant,step", [("sa", None), ("ma", None), ("ma", 0.02)])
 def test_maximize_follows_scipy_nelder_mead(variant, step):
     # Desk objectives (n=10, density 4.5), and one rounded to multiples of
     # ``step`` so that vertices tie and the unstable sort picks the path.
-    # Budgets up to N+1 stop inside the simplex's first evaluation; SA
-    # budgets between about 60 and 140 stop some runs part-way through a
-    # shrink. Everything must match bit for bit. The port follows scipy
-    # 1.17 and was checked against 1.17.1; older releases are not checked.
+    # Budgets up to N+2 allow one call after the probe; SA budgets between
+    # about 60 and 140 stop some runs part-way through a shrink. Everything
+    # must match bit for bit. The port follows scipy 1.17 and was checked
+    # against 1.17.1; older releases are not checked.
     pytest.importorskip("scipy", minversion="1.17")
     budgets = [None, *range(1, 140 if variant == "sa" else 60, 3)]
     for gi in range(3):
@@ -106,8 +109,6 @@ def test_a_bad_start_raises_before_any_point(x0):
     def objective(v):
         raise AssertionError("a point was asked for")
 
-    with pytest.raises(ValueError, match="x0"):
-        search(x0)
     with pytest.raises(ValueError, match="x0"):
         maximize(objective, x0)
     group = SearchGroup(2)
@@ -218,6 +219,30 @@ def test_search_group_rows_equal_serial_searches(n, budget, rows, small):
         assert got[k].x.tobytes() == want.x.tobytes(), k
         assert np.float64(got[k].value).tobytes() == np.float64(want.value).tobytes(), k
         assert (got[k].evals, got[k].converged) == (want.evals, want.converged), k
+        if max_evals is not None:
+            assert got[k].evals <= max(max_evals, n + 2), k
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 11])
+def test_no_start_simplex_vertex_is_evaluated_twice(n):
+    # The simplex search starts from the probe's values, so each of the N+1
+    # probe vertices is asked for once, serially and by a group row.
+    objective = _test_objective(n, 1, "smooth")
+    x0 = np.random.default_rng(n).uniform(0.0, np.pi, n)
+
+    def recording(asked):
+        def recorded(x):
+            asked.append(x.tobytes())
+            return objective(x)
+        return recorded
+
+    serial, grouped = [], []
+    res = maximize(recording(serial), x0)
+    _drive_group(SearchGroup(n), [x0], [0], [recording(grouped)])
+    assert res.converged and res.evals == len(serial) > n + 1
+    assert grouped == serial
+    for vertex in serial[:n + 1]:
+        assert serial.count(vertex) == 1
 
 
 def test_search_group_stops_on_a_probe_spread_of_exactly_tol():
@@ -321,18 +346,18 @@ def test_record_flags_an_unconverged_execution():
 # (graph_id, variant, evals, best_size, rounds) of the desk recipe, 4 graphs, seed 0.
 # Any change to the engine's arithmetic or to the optimizer's path moves these.
 PINNED_DESK_RECORDS = [
-    ("erdos_renyi-10-0", "sa(p=1)", 115, 5, 1),
-    ("erdos_renyi-10-0", "ma(p=1)", 1101, 5, 1),
-    ("erdos_renyi-10-0", "dqva(p=1,nu=5)", 588, 5, 8),
-    ("erdos_renyi-10-1", "sa(p=1)", 109, 4, 1),
-    ("erdos_renyi-10-1", "ma(p=1)", 455, 4, 1),
-    ("erdos_renyi-10-1", "dqva(p=1,nu=5)", 577, 4, 7),
-    ("erdos_renyi-10-2", "sa(p=1)", 62, 3, 1),
-    ("erdos_renyi-10-2", "ma(p=1)", 378, 3, 1),
-    ("erdos_renyi-10-2", "dqva(p=1,nu=5)", 623, 4, 7),
-    ("erdos_renyi-10-3", "sa(p=1)", 102, 4, 1),
-    ("erdos_renyi-10-3", "ma(p=1)", 714, 4, 1),
-    ("erdos_renyi-10-3", "dqva(p=1,nu=5)", 188, 2, 6),
+    ("erdos_renyi-10-0", "sa(p=1)", 112, 5, 1),
+    ("erdos_renyi-10-0", "ma(p=1)", 1089, 5, 1),
+    ("erdos_renyi-10-0", "dqva(p=1,nu=5)", 570, 5, 8),
+    ("erdos_renyi-10-1", "sa(p=1)", 106, 4, 1),
+    ("erdos_renyi-10-1", "ma(p=1)", 443, 4, 1),
+    ("erdos_renyi-10-1", "dqva(p=1,nu=5)", 565, 4, 7),
+    ("erdos_renyi-10-2", "sa(p=1)", 59, 3, 1),
+    ("erdos_renyi-10-2", "ma(p=1)", 366, 3, 1),
+    ("erdos_renyi-10-2", "dqva(p=1,nu=5)", 611, 4, 7),
+    ("erdos_renyi-10-3", "sa(p=1)", 99, 4, 1),
+    ("erdos_renyi-10-3", "ma(p=1)", 702, 4, 1),
+    ("erdos_renyi-10-3", "dqva(p=1,nu=5)", 182, 2, 6),
 ]
 
 
@@ -349,12 +374,12 @@ def test_desk_recipe_records_are_pinned():
 # The same for sparse n=16 graphs, 3 graphs, seed 0; each holds more than
 # ``LOCKSTEP_MAX_DIM`` independent sets, so these trials take the serial path.
 PINNED_SPARSE_RECORDS = [
-    ("erdos_renyi-16-0", "sa(p=1)", 101, 8, 1),
-    ("erdos_renyi-16-0", "dqva(p=1,nu=5)", 791, 6, 9),
-    ("erdos_renyi-16-1", "sa(p=1)", 128, 7, 1),
-    ("erdos_renyi-16-1", "dqva(p=1,nu=5)", 967, 7, 9),
-    ("erdos_renyi-16-2", "sa(p=1)", 104, 9, 1),
-    ("erdos_renyi-16-2", "dqva(p=1,nu=5)", 766, 7, 10),
+    ("erdos_renyi-16-0", "sa(p=1)", 98, 8, 1),
+    ("erdos_renyi-16-0", "dqva(p=1,nu=5)", 767, 6, 9),
+    ("erdos_renyi-16-1", "sa(p=1)", 125, 7, 1),
+    ("erdos_renyi-16-1", "dqva(p=1,nu=5)", 943, 7, 9),
+    ("erdos_renyi-16-2", "sa(p=1)", 101, 9, 1),
+    ("erdos_renyi-16-2", "dqva(p=1,nu=5)", 742, 7, 10),
 ]
 # The records' ``params`` as ``float.hex``; None for DQVA.
 PINNED_SPARSE_PARAMS = [
@@ -399,9 +424,9 @@ def test_lockstep_records_equal_serial_trials(monkeypatch, max_dim, width, max_e
     # Graph 2 is replaced by an empty graph (optimum 0), which is skipped.
     # With a cutoff of 40 amplitudes some graphs run serially, and a width
     # of 3 makes the batch top up from the executions not yet started and
-    # DQVA's next inner rounds join part-way; a budget of 5 cuts every search
-    # inside its first simplex, and budgets of 40 and 90 cut searches inside
-    # reflections and shrinks.
+    # DQVA's next inner rounds join part-way; a budget of 5 leaves every
+    # search at most two calls after its probe, and budgets of 40 and 90
+    # cut searches inside reflections and shrinks.
     make_graph = driver._make_graph
 
     def with_an_empty_graph(cfg, seed):

@@ -261,6 +261,20 @@ def test_engine_basis_is_the_independent_bitstrings():
         assert independent_set_indices(graph).tolist() == independent_bitstrings(graph)
 
 
+def test_independent_sets_are_capped(monkeypatch):
+    import mcdecomp.qaoa as qaoa
+
+    # the cap passes the sampled degree-3 graph on 28 nodes with the most sets (3.0M)
+    assert len(independent_set_indices(erdos_renyi(28, 3.0, seed=202))) == 3013056
+    with pytest.raises(AnsatzError, match="independent sets"):
+        independent_set_indices(Graph.from_edges(28, []))
+    # raised before the sets pass the cap: 2^5 sets pass a cap of 32, 2^6 do not
+    monkeypatch.setattr(qaoa, "MAX_INDEPENDENT_SETS", 32)
+    assert len(independent_set_indices(Graph.from_edges(5, []))) == 32
+    with pytest.raises(AnsatzError, match="more than 32 independent sets"):
+        IndependentSets(Graph.from_edges(6, []))
+
+
 def seeded_engine_cases():
     """Seeded ER graphs n <= 10 with SA p=2, MA p=1 and masked warm-start DQVA."""
     for seed, (n, d) in enumerate([(6, 2.0), (8, 3.0), (10, 4.5)]):

@@ -15,8 +15,8 @@ from .graphs import brute_force_mis, erdos_renyi, random_regular
 from .metrics import mixer_entangling_count
 from . import optimize as opt
 from .qaoa import (
-    DQVA, SA, EngineBatch, IndependentSets, check_variant, dqva_default_mask, dqva_execution,
-    dqva_outer_loop, independent_set_indices, optimize_single_round, param_count, round_slots,
+    DQVA, SA, EngineBatch, check_variant, dqva_default_mask, dqva_execution, dqva_outer_loop,
+    independent_set_indices, optimize_single_round, param_count, round_slots,
     single_round_execution,
 )
 
@@ -244,32 +244,28 @@ def _execution_seeds(seed, repetitions: int) -> list[int]:
 
 def run_trial(graph: Graph, spec: VariantSpec, seed, optimum: int,
               graph_id: str, repetitions: int, mixer_rounds: int = 5,
-              max_evals=None, tol: float = 1e-4, optimizer=None, sets=None) -> TrialRecord:
+              max_evals=None, tol: float = 1e-4, optimizer=None) -> TrialRecord:
     """Best-of-N executions of one variant on one graph (fresh random starts).
 
     The record keeps the best execution's set, size, rounds, evals and (for
     SA/MA) angles; ``converged`` holds when every execution converged, and
     ``max_infeasible`` is the worst unaccounted mass over the executions.
     Each maximization is ``optimize.maximize`` with ``max_evals`` and ``tol``
-    unless ``optimizer(objective, x0)`` is given.  ``sets`` is the graph's
-    ``IndependentSets``, built once here unless given.
+    unless ``optimizer(objective, x0)`` is given.
     """
     if repetitions < 1:
         raise DriverError("repetitions must be >= 1")
     if optimizer is None:
         optimizer = lambda f, x0: opt.maximize(f, x0, max_evals=max_evals, tol=tol)
-    if sets is None:
-        sets = IndependentSets(graph)
     best = None
     converged = True
     worst_inf = 0.0
     for sub in _execution_seeds(seed, repetitions):
         if spec.variant == DQVA:
             res = dqva_outer_loop(graph, spec.nu, seed=sub, p=spec.p, mixer_rounds=mixer_rounds,
-                                  optimizer=optimizer, sets=sets)
+                                  optimizer=optimizer)
         else:
-            res = optimize_single_round(graph, spec.variant, spec.p, seed=sub,
-                                        optimizer=optimizer, sets=sets)
+            res = optimize_single_round(graph, spec.variant, spec.p, seed=sub, optimizer=optimizer)
         converged = converged and res.converged
         worst_inf = max(worst_inf, res.max_infeasible)
         if not graph.is_independent(res.best_bits):
@@ -310,9 +306,9 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1):
     ``LOCKSTEP_MAX_DIM`` amplitudes are first run together (``_lockstep``),
     DQVA's inner rounds included; then every trial runs through
     ``run_trial`` in order, and those executions replay their maximizations
-    there, so the records equal those of serial ``run_trial`` calls.  Such a
-    graph's ``IndependentSets`` is built once and serves the lockstep and
-    its trials.  Trials run in one thread: ``jobs`` accepts only 1.
+    there, so the records equal those of serial ``run_trial`` calls.  Every
+    engine walks its own subspace from its graph.  Trials run in one
+    thread: ``jobs`` accepts only 1.
     """
     if jobs != 1:
         raise DriverError(f"jobs must be 1 (trials run serially), got {jobs}")
@@ -322,37 +318,32 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1):
         optimum, _ = brute_force_mis(graph)
         if optimum:
             graphs.append((gi, graph, optimum))
-    shared = {gi: IndependentSets(graph) for gi, graph, _ in graphs
-              if len(independent_set_indices(graph)) <= LOCKSTEP_MAX_DIM}
-    replays = _lockstep_trials(cfg, shared)
+    replays = _lockstep_trials(cfg, [(gi, graph) for gi, graph, _ in graphs
+                                     if len(independent_set_indices(graph)) <= LOCKSTEP_MAX_DIM])
     for gi, graph, optimum in graphs:
         graph_id = f"{cfg.ensemble}-{cfg.nodes}-{gi}"
-        # the lockstep's sets; a larger graph's trials build their own, so
-        # that only one of those is alive at a time
-        sets = shared.pop(gi, None)
         for vi, spec in enumerate(cfg.variants):
             yield run_trial(
                 graph, spec, _trial_seed(cfg, gi, vi), optimum, graph_id=graph_id,
                 repetitions=cfg.repetitions, mixer_rounds=cfg.mixer_rounds,
                 max_evals=cfg.max_evals, tol=cfg.tol, optimizer=replays.pop((gi, vi), None),
-                sets=sets,
             )
 
 
-def _lockstep_trials(cfg: BenchmarkConfig, shared) -> dict:
-    """Run every execution on the graphs of ``shared`` (graph index to its
-    ``IndependentSets``) through ``_lockstep``.
+def _lockstep_trials(cfg: BenchmarkConfig, graphs) -> dict:
+    """Run every execution on ``graphs`` (pairs of graph index and graph)
+    through ``_lockstep``.
 
     Returns a replaying optimizer for ``run_trial`` per (graph index,
     variant index).
     """
-    jobs = [((gi, vi), sets, spec, sub) for gi, sets in shared.items()
+    jobs = [((gi, vi), graph, spec, sub) for gi, graph in graphs
             for vi, spec in enumerate(cfg.variants)
             for sub in _execution_seeds(_trial_seed(cfg, gi, vi), cfg.repetitions)]
     executions = (
-        dqva_execution(sets, spec.nu, sub, spec.p, cfg.mixer_rounds) if spec.variant == DQVA
-        else single_round_execution(sets, spec.variant, spec.p, sub)
-        for _, sets, spec, sub in jobs)
+        dqva_execution(graph, spec.nu, sub, spec.p, cfg.mixer_rounds) if spec.variant == DQVA
+        else single_round_execution(graph, spec.variant, spec.p, sub)
+        for _, graph, spec, sub in jobs)
     runs: dict = {}
     for (key, *_), recorded in zip(jobs, _lockstep(executions, cfg.max_evals, cfg.tol)):
         runs.setdefault(key, []).extend(recorded)

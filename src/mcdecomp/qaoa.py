@@ -13,10 +13,10 @@ neighbors onto |0...0>.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .graphs import neighbor_masks
 from .ir import Circuit, Gate, Graph, NEG0, rx, rz, x
 from .sim import Statevector, bits_to_index
 from . import optimize as opt
@@ -30,6 +30,7 @@ MEASURED_FLOOR = 1e-4  # ``best_measured_set`` counts no outcome below it as mea
 # average-degree-3 Erdős–Rényi graph of up to 28 nodes has fewer (at most
 # 3.0M), and an edgeless graph, with 2^n, passes up to 22 nodes.
 MAX_INDEPENDENT_SETS = 1 << 22
+_BYTE_SIZES = np.array([bin(b).count("1") for b in range(256)], dtype=np.int8)
 
 
 class AnsatzError(ValueError):
@@ -199,38 +200,27 @@ def objective_expectation(state: Statevector, graph: Graph) -> float:
     """Expected Hamming weight sum_i P(b_i = 1) of the measured bitstring."""
     if state.width != graph.n:
         raise AnsatzError("state width does not match the graph")
-    return float(state.probabilities() @ _popcount(np.arange(2**graph.n), graph.n))
+    return float(state.probabilities() @ _set_sizes(np.arange(2**graph.n), graph.n))
 
 
-def _popcount(values: np.ndarray, n: int) -> np.ndarray:
-    w = np.zeros(len(values), dtype=float)
-    for b in range(n):
-        w += (values >> b) & 1
-    return w
+def _set_sizes(values: np.ndarray, n: int) -> np.ndarray:
+    """The set size of each basis index over ``n`` nodes, one table lookup per byte."""
+    sizes = _BYTE_SIZES[values & 255]
+    for shift in range(8, n, 8):
+        sizes += _BYTE_SIZES[(values >> shift) & 255]
+    return sizes
 
 
 def independent_set_indices(graph: Graph) -> np.ndarray:
     """Sorted basis indices of every independent set (node i is bit n-1-i).
 
-    Grows the sets one node at a time from the lowest bit up: node v joins
-    every set so far that holds none of its neighbors.  Its bit is above all
-    of theirs, so each step appends a sorted block above a sorted one.
-    Raises ``AnsatzError`` before the sets pass ``MAX_INDEPENDENT_SETS``.
+    The walk of one mixer per node from the empty set, lowest bit first:
+    node v joins every set so far that holds none of its neighbors, and its
+    bit is above all of theirs, so each step appends a sorted block above a
+    sorted one.  Raises ``AnsatzError`` before the sets pass
+    ``MAX_INDEPENDENT_SETS``.
     """
-    n = graph.n
-    sets = np.zeros(1, dtype=np.int64)
-    for v, nbr in reversed(list(enumerate(_basis_neighbor_masks(graph)))):
-        grown = sets[(sets & nbr) == 0] | (1 << (n - 1 - v))
-        if len(sets) + len(grown) > MAX_INDEPENDENT_SETS:
-            raise AnsatzError(f"the graph has more than {MAX_INDEPENDENT_SETS} independent sets, "
-                              "too many for the subspace engine")
-        sets = np.concatenate((sets, grown))
-    return sets
-
-
-def _basis_neighbor_masks(graph: Graph) -> list[int]:
-    """Per-node neighbor mask in basis-index bit order (node v on bit n-1-v)."""
-    return [int(format(m, f"0{graph.n}b")[::-1], 2) for m in neighbor_masks(graph)]
+    return _walk(graph, reversed(range(graph.n)), 0)[0]
 
 
 def infeasible_probability(amps: np.ndarray, graph: Graph) -> float:
@@ -245,38 +235,62 @@ def _unaccounted_mass(amps: np.ndarray) -> float:
     return max(0.0, 1.0 - float(np.vdot(amps, amps).real))
 
 
-class IndependentSets:
-    """The per-graph part of an engine: the independent-set subspace.
+def _walk(graph: Graph, nodes, start: int):
+    """The independent sets that partial mixers on ``nodes``, applied in
+    order, reach from the set ``start`` (a basis index), in the order reached.
 
-    ``basis`` lists the sorted 2^n-register indices of the independent sets,
-    ``pairs[node]`` the subspace positions ``(idx, swp)`` that the node's
-    rotation couples, and ``weights`` the set sizes.  ``idx`` stacks ``sel0``
-    (the node and all of its neighbors |0>) on ``sel1`` (the node flipped to
-    |1>), and ``swp`` is ``sel1`` on ``sel0``, so ``amps[swp]`` lines each
-    amplitude up with its rotation partner.  The set-size table ``levels``
-    holds the distinct sizes and ``level_of`` each set's entry in it, so
-    that ``levels[level_of]`` equals ``weights`` and a phase layer takes
-    one exp per size.  It does not depend on the ansatz, so one instance
-    serves every engine on a graph.
+    A mixer on node v couples each reached set that holds no neighbor of v
+    to its partner, the set with v flipped; a pair's two sides are the set
+    without v and with v, and those not reached yet are appended.  While no
+    reached set holds v, every upper side is new; only a node met again
+    looks its partners up, and a node with a neighbor in every reached set
+    couples nothing.  Returns the sets and per mixer its pairs' positions
+    ``(lower, upper)``.  Raises ``AnsatzError`` before the sets pass
+    ``MAX_INDEPENDENT_SETS``.
     """
+    n = graph.n
+    sets = np.array([start], dtype=np.int64)
+    held = common = np.int64(start)  # the nodes some / every reached set holds
+    order = None  # argsort of ``sets`` while no set is appended
+    pairs, none = [], np.zeros(0, dtype=np.intp)
+    for v in nodes:
+        bit = np.int64(1 << (n - 1 - v))
+        nbrs = sum(1 << (n - 1 - u) for u in graph.adjacency[v])
+        if nbrs & common:
+            pairs.append((none, none))
+            continue
+        lower = ((sets & (nbrs | bit)) == 0).nonzero()[0]
+        at = len(sets)
+        if held & bit:
+            if order is None:
+                order = sets.argsort()
+            upper = _find(sets, order, sets[lower] | bit)
+            holds = (sets & bit).nonzero()[0]
+            orphans = holds[_find(sets, order, sets[holds] ^ bit) < 0]
+            grow = lower[upper < 0]
+            upper[upper < 0] = np.arange(at, at + len(grow))
+            lower = np.concatenate((lower, at + len(grow) + np.arange(len(orphans))))
+            upper = np.concatenate((upper, orphans))
+            new = np.concatenate((sets[grow] | bit, sets[orphans] ^ bit))
+            common &= ~bit
+        else:
+            upper = np.arange(at, at + len(lower))
+            new = sets[lower] | bit
+        if at + len(new) > MAX_INDEPENDENT_SETS:
+            raise AnsatzError(f"the graph has more than {MAX_INDEPENDENT_SETS} independent sets, "
+                              "too many for the subspace engine")
+        pairs.append((lower, upper))
+        if len(new):
+            sets = np.concatenate((sets, new))
+            held |= bit
+            order = None
+    return sets, pairs
 
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self.n = n = graph.n
-        self.basis = basis = independent_set_indices(graph)
-        tbits = 1 << (n - 1 - np.arange(n, dtype=np.int64))
-        blocks = np.array(_basis_neighbor_masks(graph), dtype=np.int64) | tbits
-        # node i rotates only where it and all of its neighbors are |0>
-        nodes, sel0 = np.nonzero((basis & blocks[:, None]) == 0)
-        partner = basis[sel0] | tbits[nodes]
-        sel1 = np.searchsorted(basis, partner)
-        if not np.array_equal(basis[np.minimum(sel1, len(basis) - 1)], partner):
-            raise AnsatzError("a rotation partner is not an independent set")
-        cuts = np.cumsum(np.bincount(nodes, minlength=n))[:-1]
-        self.pairs = [(np.concatenate((s0, s1)), np.concatenate((s1, s0)))
-                      for s0, s1 in zip(np.split(sel0, cuts), np.split(sel1, cuts))]
-        self.weights = _popcount(basis, n)
-        self.levels, self.level_of = np.unique(self.weights, return_inverse=True)
+
+def _find(sets: np.ndarray, order: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each of ``values`` in ``sets`` (sorted by ``order``), or -1."""
+    at = order[np.minimum(sets.searchsorted(values, sorter=order), len(sets) - 1)]
+    return np.where(sets[at] == values, at, -1)
 
 
 def _evolve(dim, starts, rounds, params, c, js, levels, level_of) -> np.ndarray:
@@ -303,69 +317,69 @@ def _evolve(dim, starts, rounds, params, c, js, levels, level_of) -> np.ndarray:
 
 
 class AnsatzEngine:
-    """Statevector evaluation of one ansatz configuration on the independent sets.
+    """Statevector evaluation of one ansatz configuration on the sets it reaches.
 
-    The partial mixers never leave the independent-set subspace, so the state
-    holds one amplitude per independent set of ``sets`` (an
-    ``IndependentSets``), and ``statevector`` returns amplitudes in the order
-    of ``basis``.  Per round the live (idx, swp, parameter slot) list is
-    precomputed in permutation order, and a call runs ``_evolve`` with cos
-    and i*sin of all parameters taken once, as Python scalars.  A zero angle
-    is applied, not skipped: cos 0 = 1 and sin 0 = 0 can change only the
-    sign of a zero amplitude.
-
-    The mixers are restricted to the sets the ansatz can reach.  Walking the
-    live mixers in order from the start state, each keeps only the pairs
-    with a reached side, and both sides of a kept pair count as reached; a
-    mixer left with no pair is dropped, and once every set is reached the
-    rest keep all of theirs.  A skipped pair holds two amplitudes that are
-    exactly zero on every call, whatever the angles, so skipping it can
-    change only the sign of a zero, which |amps|^2 never sees; the state
-    keeps its full length.  Cross-checked against the unrestricted update
-    and against the circuit path in the tests.
+    The partial mixers never leave the independent-set subspace, and from
+    its start state the ansatz reaches only the sets that ``_walk`` finds
+    along its live mixers: all of them after a first full layer (add a set's
+    nodes in order), at most 2^k after k live mixers.  The state holds one
+    amplitude per reached set, ``basis`` lists their 2^n-register indices
+    sorted, and ``statevector`` returns amplitudes in that order.  Each live
+    mixer that couples a pair keeps ``(idx, swp, slot)`` in sigma order per
+    round: ``idx`` stacks the pairs' lower sides on their upper sides and
+    ``swp`` the upper on the lower, so ``amps[swp]`` lines each amplitude up
+    with its rotation partner.  The set-size table ``_levels`` holds the
+    distinct sizes and ``_level_of`` each set's entry in it, so a phase
+    layer takes one exp per size.  A call runs ``_evolve`` with cos and
+    i*sin of all parameters taken once, as Python scalars.  A zero angle is
+    applied, not skipped: cos 0 = 1 and sin 0 = 0 can change only the sign
+    of a zero amplitude.  Cross-checked against the full-subspace update and
+    against the circuit path in the tests.
     """
 
-    def __init__(self, sets: IndependentSets, variant: str, p: int = 1,
+    def __init__(self, graph: Graph, variant: str, p: int = 1,
                  permutation=None, mask=None, warm_start=None):
         check_variant(variant, p)
-        self.graph = sets.graph
+        self.graph = graph
         self.variant = variant
         self.p = p
-        self.n = n = sets.n
+        self.n = n = graph.n
         check_layout(variant, p, n, permutation, mask, warm_start)
         self.sigma = tuple(permutation) if permutation is not None else tuple(range(n))
         self.mask = tuple(mask) if mask is not None else None
         self.warm_start = tuple(warm_start) if warm_start is not None else (0,) * n
-        self.basis = basis = sets.basis
-        start = bits_to_index(self.warm_start)
-        self._start = int(np.searchsorted(basis, start))
-        if self._start == len(basis) or basis[self._start] != start:
+        if not graph.is_independent(self.warm_start):
             raise AnsatzError("warm start is not an independent set")
-        self._w = sets.weights
         self._size = param_count(variant, p, n)
-        self._levels, self._level_of = sets.levels, sets.level_of
         self._live = [i for i in range(self._size) if self.mask is None or self.mask[i]]
         live = set(self._live)
-        reached = np.zeros(len(basis), dtype=bool)
-        reached[self._start] = True
-        everything = reached.all()
-        # per round: the live mixers' kept pairs as (idx, swp, slot) in sigma
-        # order, and the live phase slot or None
-        self._rounds = []
-        for mixers, phase in round_slots(variant, p, n):
-            kept = []
-            for node in self.sigma:
-                if mixers[node] not in live:
-                    continue
-                idx, swp = sets.pairs[node]
-                if not everything:
-                    near = reached[idx] | reached[swp]
-                    idx, swp = idx[near], swp[near]
-                    reached[idx] = True
-                    everything = reached.all()
-                if len(idx):
-                    kept.append((idx, swp, mixers[node]))
-            self._rounds.append((kept, phase if phase in live else None))
+        rounds = round_slots(variant, p, n)
+        mixers = [(r, node, slots[node]) for r, (slots, _) in enumerate(rounds)
+                  for node in self.sigma if slots[node] in live]
+        sets, pairs = _walk(graph, [node for _, node, _ in mixers], bits_to_index(self.warm_start))
+        order = sets.argsort()
+        self.basis = sets[order]
+        sizes = _set_sizes(self.basis, n)
+        self._w = sizes.astype(float)
+        # the set-size table: the distinct sizes, and each set's entry in it
+        levels = np.bincount(sizes).nonzero()[0]
+        self._levels, self._level_of = levels.astype(float), levels.searchsorted(sizes)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self._start = int(rank[0])
+        # every pair position through the sort at once: each mixer's
+        # (lower, upper) in the first half of ``flat``, (upper, lower) in the second
+        halves = [h for lo, hi in pairs for h in (lo, hi)]
+        halves += [h for lo, hi in pairs for h in (hi, lo)]
+        flat = rank[np.concatenate((rank[:0], *halves))]
+        spans = list(accumulate((2 * len(lo) for lo, _ in pairs), initial=0))
+        cut = spans[-1]
+        # per round: the kept mixers as (idx, swp, slot) in sigma order, and
+        # the live phase slot or None
+        self._rounds = [([], phase if phase in live else None) for _, phase in rounds]
+        for (r, _, slot), a, b in zip(mixers, spans, spans[1:]):
+            if b > a:
+                self._rounds[r][0].append((flat[a:b], flat[cut + a:cut + b], slot))
 
     @property
     def live_param_count(self) -> int:
@@ -397,18 +411,18 @@ class EngineBatch:
     """``expectation_live`` of many engines in one call, over a ragged batch.
 
     The engines' subspace states are joined end to end and evolved by the
-    engines' kernel, ``_evolve``.  The k-th kept mixer of a round (after
-    each engine's reach restriction) is one mixer position: its
-    gather-update-scatter runs once for every engine that has it, over the
-    engines' ``idx``/``swp`` arrays offset to their place in the joined
-    state, and reads cos and i*sin per amplitude through flat (engine, slot)
-    indices.  A phase layer takes exp(i gamma w) once per entry of each
-    engine's set-size table (``IndependentSets.levels``), with the engine's
-    gamma read the same way, and gathers it per amplitude; an engine
-    without a phase in that round reads an extra slot that holds 0.  Every
-    amplitude thus sees the arithmetic of ``AnsatzEngine.statevector``, and
-    |amps|^2 @ w stays one dot product per engine, so each value is bitwise
-    equal to the engine's own call.
+    engines' kernel, ``_evolve``.  The k-th kept mixer of a round is one
+    mixer position: its gather-update-scatter runs once for every engine
+    that has it, over the engines' ``idx``/``swp`` arrays offset to their
+    place in the joined state, and reads cos and i*sin per amplitude
+    through flat (engine, slot) indices.  A phase layer takes exp(i gamma w)
+    once per entry of each engine's set-size table
+    (``AnsatzEngine._levels``), with the engine's gamma read the same way,
+    and gathers it per amplitude; an engine without a phase in that round
+    reads an extra slot that holds 0.  Every amplitude thus sees the
+    arithmetic of ``AnsatzEngine.statevector``, and |amps|^2 @ w stays one
+    dot product per engine, so each value is bitwise equal to the engine's
+    own call.
     """
 
     def __init__(self, engines):
@@ -467,7 +481,7 @@ def best_measured_set(amps: np.ndarray, basis: np.ndarray, n: int):
     cand = np.flatnonzero(probs >= MEASURED_FLOOR)
     if len(cand) == 0:
         cand = np.array([int(np.argmax(probs))])
-    sizes = _popcount(basis[cand], n)
+    sizes = _set_sizes(basis[cand], n)
     cand = cand[sizes == sizes.max()]
     index = int(basis[cand[np.argmax(probs[cand])]])
     return tuple((index >> (n - 1 - j)) & 1 for j in range(n))
@@ -516,8 +530,8 @@ class ExecutionResult:
         return sum(self.best_bits)
 
 
-def dqva_execution(sets: IndependentSets, nu: int, seed=None, p: int = 1, mixer_rounds: int = 5):
-    """One dynamic-ansatz execution on ``sets`` as a generator.
+def dqva_execution(graph: Graph, nu: int, seed=None, p: int = 1, mixer_rounds: int = 5):
+    """One dynamic-ansatz execution on ``graph`` as a generator.
 
     Each inner round yields ``(engine, x0)`` and must be sent the
     ``optimize.OptResult`` of maximizing ``engine.expectation_live`` from
@@ -530,14 +544,14 @@ def dqva_execution(sets: IndependentSets, nu: int, seed=None, p: int = 1, mixer_
     if mixer_rounds < 1:
         raise AnsatzError("mixer_rounds must be >= 1")
     check_variant(DQVA, p)
-    slots = param_count(DQVA, p, sets.n)
+    slots = param_count(DQVA, p, graph.n)
     if nu > slots:
-        raise AnsatzError(f"nu={nu} exceeds the {slots} parameters of dqva with p={p} on {sets.n} nodes")
-    return _dqva_rounds(sets, nu, seed, p, mixer_rounds)
+        raise AnsatzError(f"nu={nu} exceeds the {slots} parameters of dqva with p={p} on {graph.n} nodes")
+    return _dqva_rounds(graph, nu, seed, p, mixer_rounds)
 
 
-def _dqva_rounds(sets: IndependentSets, nu: int, seed, p: int, mixer_rounds: int):
-    n = sets.n
+def _dqva_rounds(graph: Graph, nu: int, seed, p: int, mixer_rounds: int):
+    n = graph.n
     rng = np.random.default_rng(seed)
     best = (0,) * n
     rounds = 0
@@ -549,7 +563,7 @@ def _dqva_rounds(sets: IndependentSets, nu: int, seed, p: int, mixer_rounds: int
         cur = best
         for _ in range(n):
             mask = dqva_default_mask(p, n, nu, sigma, in_set=cur)
-            engine = AnsatzEngine(sets, DQVA, p, sigma, mask, cur)
+            engine = AnsatzEngine(graph, DQVA, p, sigma, mask, cur)
             res = yield engine, start_point(engine, rng)
             cand, inf = _readout(engine, res.x)
             rounds += 1
@@ -562,16 +576,8 @@ def _dqva_rounds(sets: IndependentSets, nu: int, seed, p: int, mixer_rounds: int
     return ExecutionResult(best, rounds, evals, worst_inf, converged)
 
 
-def _sets_of(graph: Graph, sets: IndependentSets | None) -> IndependentSets:
-    if sets is None:
-        return IndependentSets(graph)
-    if sets.graph != graph:
-        raise AnsatzError("sets belong to another graph")
-    return sets
-
-
 def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
-                    mixer_rounds: int = 5, optimizer=None, sets=None) -> ExecutionResult:
+                    mixer_rounds: int = 5, optimizer=None) -> ExecutionResult:
     """Dynamic-ansatz driver: random mixer permutations outside, warm-started
     re-optimization inside, growing the independent set from the empty set
     until it stalls.
@@ -579,32 +585,30 @@ def dqva_outer_loop(graph: Graph, nu: int, seed=None, p: int = 1,
     Returns the best feasible set found and the number of optimizer
     invocations (the rounds-of-variational-optimization count);
     ``converged`` holds only when every inner optimization converged.
-    ``sets`` is the graph's ``IndependentSets``, built here unless given.
     Runs ``dqva_execution`` serially.
     """
-    execution = dqva_execution(_sets_of(graph, sets), nu, seed, p, mixer_rounds)
-    return _drive(execution, optimizer)
+    return _drive(dqva_execution(graph, nu, seed, p, mixer_rounds), optimizer)
 
 
-def single_round_execution(sets: IndependentSets, variant: str, p: int = 1, seed=None):
-    """One single-/multi-angle execution on ``sets``: ``dqva_execution``'s
+def single_round_execution(graph: Graph, variant: str, p: int = 1, seed=None):
+    """One single-/multi-angle execution on ``graph``: ``dqva_execution``'s
     protocol with one round, returning an ``ExecutionResult`` with
     ``rounds`` 1 and the round's optimum ``value`` and angles ``params``."""
     if variant not in (SA, MA):
         raise AnsatzError("use dqva_outer_loop for the dynamic variant")
     check_variant(variant, p)
-    return _single_round(sets, variant, p, seed)
+    return _single_round(graph, variant, p, seed)
 
 
-def _single_round(sets: IndependentSets, variant: str, p: int, seed):
-    engine = AnsatzEngine(sets, variant, p)
+def _single_round(graph: Graph, variant: str, p: int, seed):
+    engine = AnsatzEngine(graph, variant, p)
     res = yield engine, start_point(engine, np.random.default_rng(seed))
     bits, inf = _readout(engine, res.x)
     return ExecutionResult(bits, 1, res.evals, inf, res.converged, res.value, np.asarray(res.x))
 
 
 def optimize_single_round(graph: Graph, variant: str, p: int = 1, seed=None,
-                          optimizer=None, sets=None) -> ExecutionResult:
+                          optimizer=None) -> ExecutionResult:
     """One variational round of the single-/multi-angle ansatz from |0...0>;
-    runs ``single_round_execution`` serially (``sets`` as for ``dqva_outer_loop``)."""
-    return _drive(single_round_execution(_sets_of(graph, sets), variant, p, seed), optimizer)
+    runs ``single_round_execution`` serially."""
+    return _drive(single_round_execution(graph, variant, p, seed), optimizer)

@@ -20,7 +20,7 @@ from mcdecomp.ir import Graph
 from mcdecomp.metrics import exact_count_zeroed
 from mcdecomp.optimize import _SHRINK, OptResult, SearchGroup, maximize
 from mcdecomp.qaoa import (
-    AnsatzEngine, AnsatzError, IndependentSets, dqva_execution, dqva_outer_loop, param_count,
+    AnsatzEngine, AnsatzError, dqva_execution, dqva_outer_loop, param_count,
     single_round_execution,
 )
 
@@ -83,7 +83,7 @@ def test_maximize_follows_scipy_nelder_mead(variant, step):
     pytest.importorskip("scipy", minversion="1.17")
     budgets = [None, *range(1, 140 if variant == "sa" else 60, 3)]
     for gi in range(3):
-        engine = AnsatzEngine(IndependentSets(erdos_renyi(10, 4.5, seed=gi)), variant, 1)
+        engine = AnsatzEngine(erdos_renyi(10, 4.5, seed=gi), variant, 1)
         objective = engine.expectation_live
         if step is not None:
             objective = lambda v, e=engine.expectation_live: round(e(v) / step) * step
@@ -452,7 +452,7 @@ def test_replay_rejects_a_start_point_that_differs_in_one_bit():
     optimum, _ = brute_force_mis(graph)
     spec = VariantSpec("ma", 1)
     sub = driver._execution_seeds(11, 1)[0]
-    engine, x0 = next(single_round_execution(IndependentSets(graph), "ma", 1, sub))
+    engine, x0 = next(single_round_execution(graph, "ma", 1, sub))
     result = maximize(engine.expectation_live, x0)
 
     def trial(recorded):
@@ -473,8 +473,7 @@ def test_replay_rejects_a_dqva_inner_start_that_differs_in_one_bit():
     optimum, _ = brute_force_mis(graph)
     spec = VariantSpec("dqva", 2, 4)
     sub = driver._execution_seeds(11, 1)[0]
-    [recorded] = driver._lockstep([dqva_execution(IndependentSets(graph), 4, sub, 2, 2)],
-                                  None, 1e-4)
+    [recorded] = driver._lockstep([dqva_execution(graph, 4, sub, 2, 2)], None, 1e-4)
     assert len(recorded) >= 3
 
     def trial(recorded, optimizer=None):
@@ -509,7 +508,7 @@ def test_dqva_outer_loop_rejects_empty_rounds(monkeypatch):
         with pytest.raises(AnsatzError, match=next(iter(over))):
             dqva_outer_loop(graph, **args)
         with pytest.raises(AnsatzError, match=next(iter(over))):
-            dqva_execution(IndependentSets(graph), **args)
+            dqva_execution(graph, **args)
 
 
 def test_empty_edge_ensemble_all_optimal():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mcdecomp.graphs import brute_force_mis, erdos_renyi
 from mcdecomp.ir import NEG0, Graph
+from mcdecomp.optimize import maximize
 from mcdecomp.qaoa import (
     DQVA,
     MA,
@@ -14,10 +15,10 @@ from mcdecomp.qaoa import (
     AnsatzError,
     AnsatzSpec,
     EngineBatch,
-    IndependentSets,
     best_measured_set,
     build_ansatz,
     dqva_default_mask,
+    dqva_execution,
     dqva_outer_loop,
     independent_set_indices,
     infeasible_probability,
@@ -219,7 +220,7 @@ def test_engine_matches_circuit_path():
         params = tuple(rng.uniform(-np.pi, np.pi, param_count(variant, p, PATH5.n)))
         spec = AnsatzSpec(variant, p=p, params=params)
         circ_state = apply_circuit(Statevector.zero(5), build_ansatz(PATH5, spec)).amplitudes
-        eng = AnsatzEngine(IndependentSets(PATH5), variant, p)
+        eng = AnsatzEngine(PATH5, variant, p)
         fast = scatter(eng, eng.statevector(np.asarray(params)))
         assert phase_aligned_deviation(fast, circ_state) < 1e-11
 
@@ -235,7 +236,7 @@ def test_engine_matches_circuit_dqva():
                       warm_start=warm, nu=4)
     validate_spec(PATH5, spec)
     circ_state = apply_circuit(Statevector.zero(n), build_ansatz(PATH5, spec)).amplitudes
-    eng = AnsatzEngine(IndependentSets(PATH5), DQVA, 1, sigma, mask, warm)
+    eng = AnsatzEngine(PATH5, DQVA, 1, sigma, mask, warm)
     masked_params = [v if mask[i] else 0.0 for i, v in enumerate(params)]
     fast = scatter(eng, eng.statevector(np.asarray(masked_params)))
     assert phase_aligned_deviation(fast, circ_state) < 1e-11
@@ -245,7 +246,7 @@ def test_engine_matches_circuit_dqva():
     (PATH5, 13), (K4, 5), (Graph.from_edges(6, []), 64),
 ])
 def test_engine_basis_small_graphs(graph, count):
-    basis = AnsatzEngine(IndependentSets(graph), SA).basis
+    basis = AnsatzEngine(graph, SA).basis
     assert len(basis) == count
     assert basis.tolist() == independent_bitstrings(graph)
 
@@ -257,7 +258,7 @@ def test_engine_basis_is_the_independent_bitstrings():
     graphs += [Graph.from_edges(0, []), Graph.from_edges(15, []),
                Graph.from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])]
     for graph in graphs:
-        assert AnsatzEngine(IndependentSets(graph), MA).basis.tolist() == independent_bitstrings(graph)
+        assert AnsatzEngine(graph, MA).basis.tolist() == independent_bitstrings(graph)
         assert independent_set_indices(graph).tolist() == independent_bitstrings(graph)
 
 
@@ -268,11 +269,33 @@ def test_independent_sets_are_capped(monkeypatch):
     assert len(independent_set_indices(erdos_renyi(28, 3.0, seed=202))) == 3013056
     with pytest.raises(AnsatzError, match="independent sets"):
         independent_set_indices(Graph.from_edges(28, []))
-    # raised before the sets pass the cap: 2^5 sets pass a cap of 32, 2^6 do not
+    # raised before the sets pass the cap: 2^5 sets pass a cap of 32, 2^6 do
+    # not, for the enumeration and for an engine that reaches every set
     monkeypatch.setattr(qaoa, "MAX_INDEPENDENT_SETS", 32)
     assert len(independent_set_indices(Graph.from_edges(5, []))) == 32
-    with pytest.raises(AnsatzError, match="more than 32 independent sets"):
-        IndependentSets(Graph.from_edges(6, []))
+    assert len(AnsatzEngine(Graph.from_edges(5, []), SA).basis) == 32
+    for build in (independent_set_indices, lambda g: AnsatzEngine(g, MA)):
+        with pytest.raises(AnsatzError, match="more than 32 independent sets"):
+            build(Graph.from_edges(6, []))
+    # a dynamic engine with five live mixers reaches 2^5 of the 2^6 sets
+    mask = (True,) * 5 + (False, False)
+    assert len(AnsatzEngine(Graph.from_edges(6, []), DQVA, 1, mask=mask).basis) == 32
+
+
+def test_engine_memory_per_set():
+    # an SA engine on 189 392 sets: the state's arrays, not the walk's
+    # temporaries, must set the peak
+    import tracemalloc
+
+    graph = erdos_renyi(24, 3.0, seed=202)
+    tracemalloc.start()
+    try:
+        engine = AnsatzEngine(graph, SA)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(engine.basis) == 189392
+    assert peak / len(engine.basis) < 250
 
 
 def seeded_engine_cases():
@@ -297,7 +320,7 @@ def test_engine_matches_circuit_on_seeded_graphs():
     for graph, spec in seeded_engine_cases():
         n = graph.n
         circ = apply_circuit(Statevector.zero(n), build_ansatz(graph, spec)).amplitudes
-        eng = AnsatzEngine(IndependentSets(graph), spec.variant, spec.p, spec.permutation,
+        eng = AnsatzEngine(graph, spec.variant, spec.p, spec.permutation,
                            spec.mask, spec.warm_start)
         amps = eng.statevector(np.asarray(spec.params))
         assert phase_aligned_deviation(scatter(eng, amps), circ) < 1e-11
@@ -339,7 +362,7 @@ def test_engine_matches_circuit_path_on_random_graphs(case):
     graph, spec = case
     validate_spec(graph, spec)
     circ = apply_circuit(Statevector.zero(graph.n), build_ansatz(graph, spec)).amplitudes
-    eng = AnsatzEngine(IndependentSets(graph), spec.variant, spec.p, spec.permutation,
+    eng = AnsatzEngine(graph, spec.variant, spec.p, spec.permutation,
                        spec.mask, spec.warm_start)
     fast = scatter(eng, eng.statevector(np.asarray(spec.params)))
     assert phase_aligned_deviation(fast, circ) < 1e-11
@@ -351,7 +374,7 @@ def _batch_engines():
     graphs = [erdos_renyi(10, 4.5, seed=s) for s in range(8)]
     graphs += [erdos_renyi(9, 1.0, seed=3), Graph.from_edges(6, []), Graph.from_edges(1, [])]
     assert any(not graphs[-3].neighbors(v) for v in range(9))
-    return [AnsatzEngine(IndependentSets(g), variant, p)
+    return [AnsatzEngine(g, variant, p)
             for g in graphs for variant in (SA, MA) for p in (1, 2)]
 
 
@@ -404,7 +427,7 @@ def test_engine_past_numpy_temporary_reuse_size(variant, p):
     # must round as a one-engine batch does.  From p=2 on the amplitudes are
     # general complex numbers, and the operator form changed the last bit of
     # some of these values.
-    engine = AnsatzEngine(IndependentSets(Graph.from_edges(15, [])), variant, p)
+    engine = AnsatzEngine(Graph.from_edges(15, []), variant, p)
     assert len(engine.basis) == 2**15
     batch = EngineBatch([engine])
     rng = np.random.default_rng(11)
@@ -419,28 +442,37 @@ def test_engine_batch_handles_masks_and_warm_starts():
     engines = []
     for seed in range(6):
         graph = erdos_renyi(9, 3.0, seed=seed)
-        sets = IndependentSets(graph)
         _, witness = brute_force_mis(graph)
         sigma = tuple(int(v) for v in rng.permutation(9))
         for p, nu, warm in ((1, 1, (0,) * 9), (2, 3, witness), (2, 6, (0,) * 9)):
-            engines.append(AnsatzEngine(sets, DQVA, p, sigma,
+            engines.append(AnsatzEngine(graph, DQVA, p, sigma,
                                         dqva_default_mask(p, 9, nu, sigma, warm), warm))
-        engines.append(AnsatzEngine(sets, MA, 2))
+        engines.append(AnsatzEngine(graph, MA, 2))
     _assert_batch_matches(engines, _batch_points(engines, rng))
 
 
 def test_engine_pairs_stack_each_rotation_with_its_partner():
-    sets = IndependentSets(PATH5)
-    for node, (idx, swp) in enumerate(sets.pairs):
-        half = len(idx) // 2
-        assert np.array_equal(swp, np.concatenate((idx[half:], idx[:half])))
-        flipped = sets.basis[idx[:half]] | (1 << (PATH5.n - 1 - node))
-        assert np.array_equal(sets.basis[idx[half:]], flipped)
+    # every kept pair of MA p=2, and of DQVA from a warm start that holds a
+    # live node, couples a set without the node to the set with it, both reached
+    warm = (1, 0, 0, 1, 0)
+    for engine in (AnsatzEngine(PATH5, MA, 2),
+                   AnsatzEngine(PATH5, DQVA, 2, (3, 0, 4, 1, 2), (True,) * 12, warm)):
+        slots = round_slots(engine.variant, engine.p, PATH5.n)
+        for (kept, _), (mixers, _) in zip(engine._rounds, slots):
+            for idx, swp, slot in kept:
+                [node] = [v for v in engine.sigma if mixers[v] == slot]
+                bit = 1 << (PATH5.n - 1 - node)
+                half = len(idx) // 2
+                assert np.array_equal(swp, np.concatenate((idx[half:], idx[:half])))
+                assert not np.any(engine.basis[idx[:half]] & bit)
+                assert np.array_equal(engine.basis[idx[half:]], engine.basis[idx[:half]] | bit)
+                assert len(np.unique(idx)) == len(idx)
+    assert engine.basis[engine._start] == bits_to_index(warm)
 
 
 def test_engine_rejects_dependent_warm_start():
     with pytest.raises(AnsatzError):
-        AnsatzEngine(IndependentSets(PATH5), DQVA, 1, warm_start=(1, 1, 0, 0, 0))
+        AnsatzEngine(PATH5, DQVA, 1, warm_start=(1, 1, 0, 0, 0))
 
 
 @pytest.mark.parametrize("variant, layout", [
@@ -457,80 +489,96 @@ def test_engine_rejects_dependent_warm_start():
 def test_engine_rejects_a_bad_layout(variant, layout):
     # the 4-node path: 5 parameter slots at p=1 for the dynamic variant
     with pytest.raises(AnsatzError):
-        AnsatzEngine(IndependentSets(PATH4), variant, 1, **layout)
+        AnsatzEngine(PATH4, variant, 1, **layout)
 
 
-def unrestricted_statevector(sets, variant, p, sigma, mask, warm_start, full_params):
-    """The reference for ``AnsatzEngine.statevector``: every pair of every
-    live mixer with a nonzero angle, and exp(i gamma w) taken per amplitude."""
-    amps = np.zeros(len(sets.basis), dtype=complex)
-    amps[np.searchsorted(sets.basis, bits_to_index(warm_start))] = 1.0
+def full_subspace_statevector(graph, variant, p, sigma, mask, warm_start, full_params):
+    """The reference for ``AnsatzEngine.statevector``, over every independent
+    set: every pair of every live mixer with a nonzero angle, and
+    exp(i gamma w) taken per amplitude.  Returns the state and the weights."""
+    n = graph.n
+    basis = independent_set_indices(graph)
+    weights = np.array([bin(int(b)).count("1") for b in basis], dtype=float)
+    amps = np.zeros(len(basis), dtype=complex)
+    amps[np.searchsorted(basis, bits_to_index(warm_start))] = 1.0
     params = np.asarray(full_params)
     c = np.cos(params).tolist()
     js = (1j * np.sin(params)).tolist()
     mul, sub = np.multiply, np.subtract
-    for mixers, phase in round_slots(variant, p, sets.n):
+    for mixers, phase in round_slots(variant, p, n):
         for node in sigma:
             slot = mixers[node]
             if (mask is None or mask[slot]) and params[slot] != 0.0:
-                idx, swp = sets.pairs[node]
+                bit = 1 << (n - 1 - node)
+                block = bit | sum(1 << (n - 1 - u) for u in graph.neighbors(node))
+                sel0 = np.flatnonzero((basis & block) == 0)
+                sel1 = np.searchsorted(basis, basis[sel0] | bit)
+                idx, swp = np.concatenate((sel0, sel1)), np.concatenate((sel1, sel0))
                 amps[idx] = sub(mul(c[slot], amps[idx]), mul(js[slot], amps[swp]))
         if (mask is None or mask[phase]) and params[phase] != 0.0:
-            amps = mul(amps, np.exp(mul(1j * params[phase], sets.weights)))
-    return amps
+            amps = mul(amps, np.exp(mul(1j * params[phase], weights)))
+    return amps, weights
 
 
 def reach_cases():
     """SA/MA at p = 1..3 from |0...0> and DQVA masks from warm starts, under
     the identity and a random order, on a path, a star and seeded ER graphs
-    (one with isolated nodes)."""
+    (one with isolated nodes).  Every node live at p = 1 and 2 from a warm
+    start meets a node that a reached set already holds."""
     rng = np.random.default_rng(21)
     graphs = [PATH5, STAR, erdos_renyi(9, 1.0, seed=3), erdos_renyi(10, 4.5, seed=0),
               erdos_renyi(12, 3.0, seed=1)]
     for graph in graphs:
         n = graph.n
-        sets = IndependentSets(graph)
         sigmas = [tuple(range(n)), tuple(int(v) for v in rng.permutation(n))]
         for sigma in sigmas:
             for variant in (SA, MA):
                 for p in (1, 2, 3):
-                    yield sets, variant, p, sigma, None, (0,) * n
+                    yield graph, variant, p, sigma, None, (0,) * n
         _, witness = brute_force_mis(graph)
         for warm in ((0,) * n, tuple(witness[:n // 2]) + (0,) * (n - n // 2), witness):
             for p, nu in ((1, 1), (1, 3), (2, 4), (2, 2 * n + 2)):
                 mask = dqva_default_mask(p, n, nu, sigmas[1], in_set=warm)
-                yield sets, DQVA, p, sigmas[1], mask, warm
+                yield graph, DQVA, p, sigmas[1], mask, warm
             mask = tuple(bool(b) for b in rng.integers(0, 2, param_count(DQVA, 2, n)))
-            yield sets, DQVA, 2, sigmas[0], mask, warm
+            yield graph, DQVA, 2, sigmas[0], mask, warm
+            for p in (1, 2):
+                yield graph, DQVA, p, sigmas[1], (True,) * param_count(DQVA, p, n), warm
 
 
 def test_reach_restricted_engine_is_bitwise_the_unrestricted_update():
     rng = np.random.default_rng(5)
-    for sets, variant, p, sigma, mask, warm in reach_cases():
-        engine = AnsatzEngine(sets, variant, p, sigma, mask, warm)
-        size = param_count(variant, p, sets.n)
+    for graph, variant, p, sigma, mask, warm in reach_cases():
+        engine = AnsatzEngine(graph, variant, p, sigma, mask, warm)
+        size = param_count(variant, p, graph.n)
         points = [rng.uniform(0.0, np.pi, size) for _ in range(3)] + [np.zeros(size)]
         points[1][::2] = 0.0
         points[2][1::3] = np.pi
+        full = independent_set_indices(graph)
+        at = np.searchsorted(full, engine.basis)
+        assert np.array_equal(full[at], engine.basis)
+        rest = np.ones(len(full), dtype=bool)
+        rest[at] = False
         for x in points:
-            want = unrestricted_statevector(sets, variant, p, sigma, mask, warm, x)
-            probs = np.abs(want) ** 2
+            want, weights = full_subspace_statevector(graph, variant, p, sigma, mask, warm, x)
+            probs = np.abs(want[at]) ** 2
             assert (np.abs(engine.statevector(x)) ** 2).tobytes() == probs.tobytes()
+            assert not np.any(want[rest])
             assert np.float64(engine.expectation(x)).tobytes() == \
-                np.float64(float(probs @ sets.weights)).tobytes()
-    # not vacuous: a first layer from |0...0> skips pairs, and a second
-    # layer, with every set reached, keeps each node's pairs whole
-    sets = IndependentSets(PATH5)
-    first, _ = AnsatzEngine(sets, SA, 1)._rounds[0]
-    assert sum(len(idx) for idx, _, _ in first) < sum(len(idx) for idx, _ in sets.pairs)
-    second, _ = AnsatzEngine(sets, MA, 2)._rounds[1]
-    assert len(second) == len(sets.pairs)
-    for (idx, swp, _), (all_idx, all_swp) in zip(second, sets.pairs):
-        assert np.array_equal(idx, all_idx) and np.array_equal(swp, all_swp)
+                np.float64(float(probs @ weights[at])).tobytes()
+    # not vacuous: from |0...0> each first-layer pair reaches one new set,
+    # and a second layer reaches none
+    first = AnsatzEngine(PATH5, SA, 1)
+    [(kept, _)] = first._rounds
+    assert sum(len(idx) for idx, _, _ in kept) == 2 * (len(first.basis) - 1)
+    assert np.array_equal(AnsatzEngine(PATH5, MA, 2).basis, first.basis)
+    # a warm start that holds a live node reaches the set without it
+    engine = AnsatzEngine(PATH5, DQVA, 1, mask=(True,) + (False,) * 5, warm_start=(1, 0, 0, 0, 1))
+    assert engine.basis.tolist() == [0b00001, 0b10001]
 
 
 def test_best_measured_set_prefers_size_then_probability():
-    eng = AnsatzEngine(IndependentSets(PATH5), SA)
+    eng = AnsatzEngine(PATH5, SA)
     amps = np.zeros(len(eng.basis), dtype=complex)
     pos = {b: i for i, b in enumerate(eng.basis.tolist())}
     amps[pos[0b10000]] = np.sqrt(0.9)
@@ -544,7 +592,7 @@ def test_best_measured_set_prefers_size_then_probability():
 @pytest.mark.parametrize("variant, p", [("foo", 1), (SA, 0), (MA, 0), (DQVA, -1)])
 def test_engine_rejects_unknown_variant_and_empty_depth(variant, p):
     with pytest.raises(AnsatzError):
-        AnsatzEngine(IndependentSets(PATH5), variant, p)
+        AnsatzEngine(PATH5, variant, p)
 
 
 def test_dqva_mask_allocation_order():
@@ -596,20 +644,23 @@ def test_dqva_path5_reaches_optimum():
     assert best == 3
 
 
-def test_dqva_builds_the_independent_sets_once(monkeypatch):
-    import mcdecomp.qaoa as qaoa
-
-    built = []
-
-    class Counting(IndependentSets):
-        def __init__(self, graph):
-            built.append(graph)
-            super().__init__(graph)
-
-    monkeypatch.setattr(qaoa, "IndependentSets", Counting)
-    res = dqva_outer_loop(Graph.from_edges(6, []), nu=2, seed=4, mixer_rounds=2)
-    assert res.rounds > 1
-    assert len(built) == 1
+def test_dqva_engines_hold_at_most_two_to_the_live_mixers():
+    # each inner round's engine reaches at most 2^k sets from its warm start
+    # with k live mixers, however many sets the graph has
+    graph = erdos_renyi(24, 3.0, seed=1)
+    execution = dqva_execution(graph, 5, seed=0)
+    engine, x0 = next(execution)
+    rounds = 0
+    try:
+        while True:
+            rounds += 1
+            slots = round_slots(DQVA, engine.p, graph.n)
+            live = sum(engine.mask[mixers[v]] for mixers, _ in slots for v in range(graph.n))
+            assert 1 <= len(engine.basis) <= 2**live
+            engine, x0 = execution.send(maximize(engine.expectation_live, x0))
+    except StopIteration:
+        pass
+    assert rounds > 1
 
 
 def test_dqva_converged_needs_every_inner_round():

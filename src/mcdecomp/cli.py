@@ -30,6 +30,7 @@ from .ir import (
 )
 from .decompose import DecomposeError, decompose
 from .driver import (
+    COLUMN_KEYS,
     COUNT_COLUMNS,
     BenchmarkConfig,
     VariantSpec,
@@ -147,7 +148,7 @@ def sweep_counts(sizes, density, variant, p, nu_rule, seed, graphs_per_size: int
     """
     rows = []
     for m in sizes:
-        totals = dict.fromkeys((f"{family}/{budget}" for family, budget in SWEEP_COLUMNS), 0)
+        totals = dict.fromkeys(COLUMN_KEYS, 0)
         for gi in range(graphs_per_size):
             graph = erdos_renyi(m, density, seed=seed + 1000 * m + gi)
             if variant == DQVA:
@@ -179,7 +180,7 @@ def cmd_count(args) -> int:
     check_variant(args.variant, args.p)
     sizes = _doubling_range(args.sweep)
     rows = sweep_counts(sizes, args.density, args.variant, args.p, args.nu, args.seed)
-    header = ["m"] + [f"{f}/{b}" for f, b in SWEEP_COLUMNS]
+    header = ["m", *COLUMN_KEYS]
     _write_csv(_out_path(args.out, "sweep.csv"), header,
                [[r["m"]] + [r[h] for h in header[1:]] for r in rows])
     return EXIT_OK

@@ -8,6 +8,8 @@ supported; that gate set is counts-only.
 """
 from __future__ import annotations
 
+from functools import partial
+
 from .ir import (
     AncillaBudget,
     BURNABLE,
@@ -29,8 +31,8 @@ from .ir import (
 from .gadgets import (
     compact_c2rx_gates,
     crx_gates,
+    lrrccx_gates,
     margolus_gates,
-    mcx_cx_gates,
     su2_split_gates,
     toffoli_cx_gates,
 )
@@ -76,11 +78,6 @@ def ladder_gates(controls, borrowed, target: int, m: int = 3) -> list[Gate]:
     return [rungs[0]] + inner + [rungs[0]] + inner
 
 
-# C^k(X) builder of each gate set, called as build(controls, target, dirty).
-_MCX = {S2_2: mcx_cx_gates,
-        S2_3: lambda controls, target, dirty: ladder_gates(controls, dirty, target)}
-
-
 def _lower_ccx(ccxs, gadget) -> list[Gate]:
     """Expand each Toffoli of a chain with a CX-level gadget(a, b, target)."""
     out: list[Gate] = []
@@ -88,6 +85,29 @@ def _lower_ccx(ccxs, gadget) -> list[Gate]:
         (a, _), (b, _) = g.controls
         out += gadget(a, b, g.targets[0])
     return out
+
+
+def ladder_cx_gates(controls, borrowed, target: int) -> list[Gate]:
+    """The m=3 ladder over {1q, CX}: exact for any borrowed state, 8k-6 CX for k >= 3.
+
+    The rung onto the target becomes the exact 6-CX Toffoli, the others
+    relative-phase Toffolis (Maslov, arXiv:1508.03273).  An inner rung drops
+    its right wing on the way down and its left wing on the way back up,
+    where the two would cancel.  The lowered first sweep is returned twice.
+    """
+    ladder = ladder_gates(controls, borrowed, target)
+    if len(ladder) == 1:  # k <= 2: a CX or a Toffoli
+        return ladder if len(ladder[0].controls) == 1 else _lower_ccx(ladder, toffoli_cx_gates)
+    bottom = len(ladder) // 4  # the bottom rung's place in the first sweep
+    lowerings = ([toffoli_cx_gates] + [partial(lrrccx_gates, cancel="right")] * (bottom - 1)
+                 + [lrrccx_gates] + [partial(lrrccx_gates, cancel="left")] * (bottom - 1))
+    sweep = [g for rung, lowering in zip(ladder, lowerings) for g in _lower_ccx([rung], lowering)]
+    return sweep + sweep
+
+
+# C^k(X) builder of each gate set, called as build(controls, target, dirty).
+_MCX = {S2_2: lambda controls, target, dirty: ladder_cx_gates(controls, dirty, target),
+        S2_3: lambda controls, target, dirty: ladder_gates(controls, dirty, target)}
 
 
 def _split_halves(controls: list[int]) -> tuple[list[int], list[int]]:

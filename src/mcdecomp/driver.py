@@ -47,7 +47,7 @@ COUNT_COLUMNS = (
     (S3_2, "none"),
 )
 # The records' entangling keys, one string per column for every record.
-_COLUMN_KEYS = tuple(f"{family}/{budget}" for family, budget in COUNT_COLUMNS)
+COLUMN_KEYS = tuple(f"{family}/{budget}" for family, budget in COUNT_COLUMNS)
 
 
 @dataclass(slots=True)
@@ -212,7 +212,7 @@ def entangling_totals(hist: dict[int, int], regime: str = ZEROED) -> dict[str, i
     return {
         key: sum(count * mixer_entangling_count(ell, family, budget, regime)
                  for ell, count in hist.items())
-        for key, (family, budget) in zip(_COLUMN_KEYS, COUNT_COLUMNS)
+        for key, (family, budget) in zip(COLUMN_KEYS, COUNT_COLUMNS)
     }
 
 
@@ -302,13 +302,13 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1):
     """Yield TrialRecords for every (graph, variant); reproducible from the seed.
 
     Each trial's seed derives from (master seed, graph index, variant index).
-    The executions of every variant on subspaces of at most
-    ``LOCKSTEP_MAX_DIM`` amplitudes are first run together (``_lockstep``),
-    DQVA's inner rounds included; then every trial runs through
-    ``run_trial`` in order, and those executions replay their maximizations
-    there, so the records equal those of serial ``run_trial`` calls.  Every
-    engine walks its own subspace from its graph.  Trials run in one
-    thread: ``jobs`` accepts only 1.
+    The executions of every variant on graphs of at most ``LOCKSTEP_MAX_DIM``
+    independent sets (on every graph when each variant is DQVA with 2**nu
+    within it) are first run together (``_lockstep``), DQVA's inner rounds
+    included; then every trial runs through ``run_trial`` in order, and
+    those executions replay their maximizations there, so the records equal
+    those of serial ``run_trial`` calls.  Every engine walks its own subspace
+    from its graph.  Trials run in one thread: ``jobs`` accepts only 1.
     """
     if jobs != 1:
         raise DriverError(f"jobs must be 1 (trials run serially), got {jobs}")
@@ -318,8 +318,10 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1):
         optimum, _ = brute_force_mis(graph)
         if optimum:
             graphs.append((gi, graph, optimum))
-    replays = _lockstep_trials(cfg, [(gi, graph) for gi, graph, _ in graphs
-                                     if len(independent_set_indices(graph)) <= LOCKSTEP_MAX_DIM])
+    # a DQVA engine reaches at most 2**nu sets; the count raises on too many
+    small = all(spec.variant == DQVA and 2**spec.nu <= LOCKSTEP_MAX_DIM for spec in cfg.variants)
+    replays = _lockstep_trials(cfg, [(gi, graph) for gi, graph, _ in graphs if small
+                                     or len(independent_set_indices(graph)) <= LOCKSTEP_MAX_DIM])
     for gi, graph, optimum in graphs:
         graph_id = f"{cfg.ensemble}-{cfg.nodes}-{gi}"
         for vi, spec in enumerate(cfg.variants):

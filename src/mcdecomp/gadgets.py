@@ -1,9 +1,10 @@
 """CNOT-level building blocks used by the decomposition routes.
 
 Everything here returns plain gate lists over {single-qubit, CX}; the routes
-in ``decompose`` assemble them into circuits.  The relative-phase Toffoli
-machinery follows the left/right-cancellation scheme, which is what makes the
-dirty-ancilla chains land on 8k-6 CNOTs per multi-controlled NOT.
+in ``decompose`` assemble them into circuits.  ``lrrccx_gates`` is the
+relative-phase Toffoli with a droppable wing; ``decompose.ladder_cx_gates``
+lowers the borrowed-line ladder's rungs to it, which lands that ladder on
+8k-6 CNOTs per multi-controlled NOT.
 """
 from __future__ import annotations
 
@@ -84,48 +85,6 @@ def lrrccx_gates(a: int, b: int, t: int, cancel: str | None = None) -> list[Gate
     if cancel != "right":
         gates += [ry(t, QUARTER), cx(a, t), ry(t, QUARTER)]
     return gates
-
-
-def vchain_dirty_cx_gates(controls, ancillas, target: int) -> list[Gate]:
-    """Exact C^k(X) over {1q, CX} using k-2 ancillas in any initial state.
-
-    The chain is traversed twice; inner rungs keep only one wing of the
-    relative-phase Toffoli because the dropped wings cancel pairwise between
-    the action and reset sweeps.  Total: 8k-6 CX for k >= 3.
-    """
-    controls = list(controls)
-    ancillas = list(ancillas)
-    k = len(controls)
-    if k < 3:
-        raise ValueError("dirty chain needs at least 3 controls")
-    if len(ancillas) < k - 2:
-        raise ValueError(f"need {k - 2} ancilla lines, got {len(ancillas)}")
-    ancillas = ancillas[: k - 2]
-    rung_targets = [target] + list(reversed(ancillas))
-    sweep: list[Gate] = []
-    for i in range(k - 1):
-        if i < k - 2:
-            a = controls[k - 1 - i]
-            b = ancillas[k - 3 - i]
-            if rung_targets[i] == target:
-                sweep += toffoli_cx_gates(a, b, rung_targets[i])
-            else:
-                sweep += lrrccx_gates(a, b, rung_targets[i], cancel="right")
-        else:
-            sweep += lrrccx_gates(controls[0], controls[1], rung_targets[i])
-    for i in range(k - 3):
-        sweep += lrrccx_gates(controls[2 + i], ancillas[i], ancillas[i + 1], cancel="left")
-    return sweep + sweep
-
-
-def mcx_cx_gates(controls, target: int, dirty) -> list[Gate]:
-    """C^k(X) over {1q, CX}: plain CX/Toffoli for k <= 2, dirty chain beyond."""
-    controls = list(controls)
-    if len(controls) == 1:
-        return [cx(controls[0], target)]
-    if len(controls) == 2:
-        return toffoli_cx_gates(controls[0], controls[1], target)
-    return vchain_dirty_cx_gates(controls, dirty, target)
 
 
 def su2_split_gates(controls, target: int, theta: float, mcx_gates=None) -> list[Gate]:

@@ -119,9 +119,11 @@ def verify_schemes(max_controls: int = 5, angles: int = 20, seed: int = 11,
                    tol: float = 1e-8) -> list[CheckResult]:
     """Check the borrowed-line ladder and every ``decompose`` route up to max_controls.
 
-    The ladder is checked exactly for m=3 and m=4; each route is checked for
-    n=1..max_controls under the contract of its regime, rotations at
-    max(4, angles // 4) random angles.
+    The ladder is checked exactly for m=3 and m=4; the s2_2 C^k(X) is the
+    m=3 ladder lowered to CX (``decompose.ladder_cx_gates``), so that check
+    also covers its rung order.  Each route is checked for n=1..max_controls
+    under the contract of its regime, rotations at max(4, angles // 4)
+    random angles.
     """
     if not 1 <= max_controls <= 6:
         raise VerifyError("matrix oracle needs 1 <= max_controls <= 6 (width 2n-1)")

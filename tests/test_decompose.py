@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from mcdecomp.decompose import DecomposeError, decompose
+from mcdecomp.decompose import DecomposeError, decompose, ladder_cx_gates
 from mcdecomp.gadgets import (
     compact_c2rx_gates,
     crx_gates,
     margolus_gates,
     toffoli_cx_gates,
-    vchain_dirty_cx_gates,
 )
 from mcdecomp.ir import (
     AncillaBudget,
@@ -156,13 +155,35 @@ def test_crx_gadget():
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_vchain_dirty_count_and_exactness(k):
+    """The borrowed-line V-chain over {1q, CX}: 8k-6 CX, exact for any borrowed state."""
     controls = list(range(k))
-    ancillas = list(range(k + 1, k + 1 + k - 2))
-    gates = vchain_dirty_cx_gates(controls, ancillas, k)
+    borrowed = list(range(k + 1, k + 1 + k - 2))
+    gates = ladder_cx_gates(controls, borrowed, k)
+    assert all(g.kind != "mcx" or len(g.controls) == 1 for g in gates)
     n_cx = sum(1 for g in gates if g.kind == "mcx")
     assert n_cx == 8 * k - 6
     c = Circuit(2, 2 * k - 1, tuple(gates))
     assert borrowed_deviation(c, mcx(controls, k), k + 1) < 1e-12
+
+
+def test_ladder_cx_repeats_one_sweep():
+    gates = ladder_cx_gates(range(5), range(6, 9), 5)
+    half = len(gates) // 2
+    assert all(a is b for a, b in zip(gates[:half], gates[half:]))
+
+
+def test_ladder_cx_small_cases():
+    # k=1 is one CX; k=2 is the exact Toffoli gadget (test_exact_toffoli_gadget), 6 CX
+    assert ladder_cx_gates([0], [], 1) == [mcx([0], 1)]
+    gates = ladder_cx_gates([0, 1], [], 2)
+    assert gates == toffoli_cx_gates(0, 1, 2)
+    assert sum(1 for g in gates if g.kind == "mcx") == 6
+
+
+@pytest.mark.parametrize("k, borrowed", [(3, []), (5, [6, 7])])
+def test_ladder_cx_requires_enough_borrowed(k, borrowed):
+    with pytest.raises(DecomposeError):
+        ladder_cx_gates(range(k), borrowed, k)
 
 
 @pytest.mark.parametrize("gate", [

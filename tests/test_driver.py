@@ -518,6 +518,19 @@ def test_empty_edge_ensemble_all_optimal():
         assert r.ratio == 1.0
 
 
+def test_dqva_only_bench_runs_on_an_oversized_subspace():
+    # an edgeless 23-node graph has 2^23 independent sets, more than any engine
+    # may hold; DQVA rounds reach at most 2^nu of them, so that config runs
+    cfg = _tiny_config(nodes=23, edge_prob=None, density=0.0, graph_count=1, repetitions=1,
+                       variants=[VariantSpec("dqva", 1, 2)])
+    assert qaoa.MAX_INDEPENDENT_SETS < 2**23
+    [record] = run_benchmark(cfg)
+    assert record.ratio == 1.0 and record.optimum == 23
+    cfg.variants.append(VariantSpec("sa", 1))
+    with pytest.raises(AnsatzError, match="independent sets"):
+        list(run_benchmark(cfg))
+
+
 def test_aggregate_shape():
     records = list(run_benchmark(_tiny_config()))
     agg = aggregate(records)

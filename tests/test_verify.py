@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from mcdecomp import sim
-from mcdecomp.decompose import DecomposeError, decompose, ladder_gates
-from mcdecomp.gadgets import vchain_dirty_cx_gates
+from mcdecomp.decompose import DecomposeError, decompose, ladder_cx_gates, ladder_gates
 from mcdecomp.ir import AncillaBudget, Circuit, GateSetSpec, h, mcrx, mcx, rz, x
 from mcdecomp.sim import (
     _apply_gate_inplace,
@@ -87,8 +86,8 @@ def test_exact_deviation_matches_the_dense_ideal(circuit, k):
     assert borrowed_deviation(circuit, ideal, k + 1) == dense
 
 
-def vchain(k):
-    return Circuit(2, 2 * k - 1, tuple(vchain_dirty_cx_gates(range(k), range(k + 1, 2 * k - 1), k)))
+def ladder_cx(k):
+    return Circuit(2, 2 * k - 1, tuple(ladder_cx_gates(range(k), range(k + 1, 2 * k - 1), k)))
 
 
 def _dense_exact_deviation(circuit, ideal):
@@ -105,7 +104,7 @@ def _columns_per_block(circuit, columns):
 
 @pytest.mark.parametrize("columns", [3, 2**12])  # ragged chunks, and one chunk
 @pytest.mark.parametrize("circuit, k", [
-    (ladder(4), 4), (ladder(5), 5), (ladder(5, m=4), 5), (vchain(4), 4), (vchain(5), 5),
+    (ladder(4), 4), (ladder(5), 5), (ladder(5, m=4), 5), (ladder_cx(4), 4), (ladder_cx(5), 5),
 ])
 def test_blocked_exact_deviation_matches_the_dense_unitary(circuit, k, columns):
     ideal = mcx(list(range(k)), k)
@@ -119,7 +118,7 @@ def test_blocked_exact_deviation_matches_the_dense_unitary(circuit, k, columns):
 
 
 def test_blocked_exact_deviation_sees_every_missing_gate():
-    circuit, ideal = vchain(4), mcx(list(range(4)), 4)
+    circuit, ideal = ladder_cx(4), mcx(list(range(4)), 4)
     with _columns_per_block(circuit, 24):  # fused runs in chunks of 24 columns, the last ragged
         for i in range(len(circuit.gates)):
             dropped = Circuit(2, circuit.width, circuit.gates[:i] + circuit.gates[i + 1:])

@@ -1,14 +1,18 @@
 """Dispatcher: rewrite a multi-controlled X/Rx into a chosen gate set and budget.
 
-Zeroed budgets reproduce the exact entangling counts of the gate-count table
-(one ancilla: 16n-8 CNOTs / 8n-24 Toffolis for n >= 5; n ancillae: 6n / 2n-2
-for n >= 3, plus the hand base cases).  Burnable budgets use compute-only
-constructions matching the asymptotic count tuples.  Qutrit synthesis is not
-supported; that gate set is counts-only.
+A gate set is one row of ``_GATESETS``: its Toffoli (exact, or the Margolus
+form onto a |0> line the route uncomputes), its C^2(Rx) and its borrowed-line
+C^k(X).  One route per ancilla regime, in a one-ancilla and an n-2 form, is
+written over those blocks for both gate kinds; n <= 2 takes no ancilla and is
+the same under every budget.  Zeroed Rx routes give the gate-count table's
+exact entangling counts (one ancilla: 16n-8 CNOTs / 8n-24 Toffolis for n >= 5;
+n ancillae: 6n / 2n-2 for n >= 3, plus the hand base cases), burnable ones the
+asymptotic count tuples.  The qutrit gate set is counts-only.
 """
 from __future__ import annotations
 
 from functools import partial
+from typing import Callable, NamedTuple
 
 from .ir import (
     AncillaBudget,
@@ -42,14 +46,6 @@ class DecomposeError(ValueError):
     pass
 
 
-def _chain_toffolis(controls, ancillas) -> list[Gate]:
-    """Compute chain: ancilla j accumulates the AND of controls 0..j+1."""
-    gates = [ccx(controls[0], controls[1], ancillas[0])]
-    for i in range(1, len(ancillas)):
-        gates.append(ccx(controls[i + 1], ancillas[i - 1], ancillas[i]))
-    return gates
-
-
 def ladder_gates(controls, borrowed, target: int, m: int = 3) -> list[Gate]:
     """C^k(X) from (m-1)-controlled NOTs through borrowed carry lines (any state).
 
@@ -78,13 +74,10 @@ def ladder_gates(controls, borrowed, target: int, m: int = 3) -> list[Gate]:
     return [rungs[0]] + inner + [rungs[0]] + inner
 
 
-def _lower_ccx(ccxs, gadget) -> list[Gate]:
-    """Expand each Toffoli of a chain with a CX-level gadget(a, b, target)."""
-    out: list[Gate] = []
-    for g in ccxs:
-        (a, _), (b, _) = g.controls
-        out += gadget(a, b, g.targets[0])
-    return out
+def _lower(rung: Gate, gadget) -> list[Gate]:
+    """A Toffoli rung expanded by a CX-level gadget(a, b, target)."""
+    (a, _), (b, _) = rung.controls
+    return gadget(a, b, rung.targets[0])
 
 
 def ladder_cx_gates(controls, borrowed, target: int) -> list[Gate]:
@@ -97,17 +90,32 @@ def ladder_cx_gates(controls, borrowed, target: int) -> list[Gate]:
     """
     ladder = ladder_gates(controls, borrowed, target)
     if len(ladder) == 1:  # k <= 2: a CX or a Toffoli
-        return ladder if len(ladder[0].controls) == 1 else _lower_ccx(ladder, toffoli_cx_gates)
+        return ladder if len(ladder[0].controls) == 1 else _lower(ladder[0], toffoli_cx_gates)
     bottom = len(ladder) // 4  # the bottom rung's place in the first sweep
     lowerings = ([toffoli_cx_gates] + [partial(lrrccx_gates, cancel="right")] * (bottom - 1)
                  + [lrrccx_gates] + [partial(lrrccx_gates, cancel="left")] * (bottom - 1))
-    sweep = [g for rung, lowering in zip(ladder, lowerings) for g in _lower_ccx([rung], lowering)]
+    sweep = [g for rung, lowering in zip(ladder, lowerings) for g in _lower(rung, lowering)]
     return sweep + sweep
 
 
-# C^k(X) builder of each gate set, called as build(controls, target, dirty).
-_MCX = {S2_2: lambda controls, target, dirty: ladder_cx_gates(controls, dirty, target),
-        S2_3: lambda controls, target, dirty: ladder_gates(controls, dirty, target)}
+class _GateSet(NamedTuple):
+    """The blocks a route takes from a gate set, each a gate list on given lines."""
+
+    toffoli: Callable[[int, int, int], list[Gate]]  # exact C^2(X)
+    zero_toffoli: Callable[[int, int, int], list[Gate]]  # onto a |0> line, uncomputed later
+    c2rx: Callable[[int, int, int, float], list[Gate]]  # C^2(Rx)
+    mcx: Callable[..., list[Gate]]  # borrowed-line C^k(X)(controls, borrowed, target)
+
+
+def _ccx(a: int, b: int, t: int) -> list[Gate]:
+    return [ccx(a, b, t)]
+
+
+_GATESETS = {
+    S2_2: _GateSet(toffoli_cx_gates, margolus_gates, compact_c2rx_gates, ladder_cx_gates),
+    S2_3: _GateSet(_ccx, _ccx, lambda a, b, t, theta: su2_split_gates([a, b], t, theta),
+                   ladder_gates),
+}
 
 
 def _split_halves(controls: list[int]) -> tuple[list[int], list[int]]:
@@ -115,118 +123,58 @@ def _split_halves(controls: list[int]) -> tuple[list[int], list[int]]:
     return controls[:half], controls[half:]
 
 
-def _small_rx(controls: list[int], target: int, theta: float, family: str) -> list[Gate]:
-    """Base cases n <= 2, identical across budgets."""
-    if len(controls) == 1:
-        return crx_gates(controls[0], target, theta)
-    if family == S2_3:
-        return su2_split_gates(controls, target, theta)
-    return compact_c2rx_gates(controls[0], controls[1], target, theta)
+def _chain(controls, ancillas, toffoli) -> list[Gate]:
+    """Compute chain: ancilla j accumulates the AND of controls 0..j+1."""
+    gates = list(toffoli(controls[0], controls[1], ancillas[0]))
+    for i in range(1, len(ancillas)):
+        gates += toffoli(controls[i + 1], ancillas[i - 1], ancillas[i])
+    return gates
 
 
-def _zeroed_one_rx(controls, target, ancillas, theta, family) -> list[Gate]:
-    """C^n(Rx) with one zeroed ancilla (half split through the ancilla)."""
-    if len(controls) <= 2:
-        return _small_rx(controls, target, theta, family)
-    anc = ancillas[0]
-    top, bottom = _split_halves(controls)
-    build = _MCX[family]
-    if family == S2_2 and len(top) == 2:
-        outer = margolus_gates(top[0], top[1], anc)
-    else:
-        outer = build(top, anc, bottom)
-    mid_c = bottom + [anc]
-    middle = su2_split_gates(mid_c, target, theta, build(mid_c, target, top))
-    return outer + middle + outer
+def _zeroed(count, gs, controls, target, ancillas, theta) -> list[Gate]:
+    """Zeroed ancillas: compute, the middle C^k(X) (Rx: in the rotation split), uncompute.
 
-
-def _zeroed_chain(controls, ancillas, family, middle) -> list[Gate]:
-    """n-2 zeroed ancillas: compute chain, ``middle(controls)``, uncompute.
-
-    The chain's Toffolis are lowered to Margolus gates on s2_2, whose relative
-    phases cancel between the compute and the uncompute.
+    One ancilla takes the top half's AND (of a 2-line top half by the
+    relative-phase Toffoli), and the middle borrows the top half's lines;
+    n-2 ancillas take the compute chain.
     """
-    chain = _chain_toffolis(controls, ancillas)
-    if family == S2_2:
-        chain = _lower_ccx(chain, margolus_gates)
-    uncompute = [g.inverse() for g in reversed(chain)]
-    return chain + middle([controls[-1], ancillas[-1]]) + uncompute
-
-
-def _zeroed_n_rx(controls, target, ancillas, theta, family) -> list[Gate]:
-    """C^n(Rx) with n-2 zeroed ancillas (compute chain around a C^2(Rx))."""
-    if len(controls) <= 2:
-        return _small_rx(controls, target, theta, family)
-    build = _MCX[family]
-    return _zeroed_chain(
-        controls, ancillas, family,
-        lambda mid: su2_split_gates(mid, target, theta, build(mid, target, [])))
-
-
-def _zeroed_mcx(controls, target, ancillas, family, budget_count) -> list[Gate]:
-    """C^n(X) under a zeroed budget (outer compute pair plus middle MCX)."""
-    build = _MCX[family]
-    if len(controls) <= 2:
-        return build(controls, target, [])
-    if budget_count == ONE:
-        anc = ancillas[0]
+    if count == ONE:
         top, bottom = _split_halves(controls)
-        outer = build(top, anc, bottom)
-        middle = build(bottom + [anc], target, top)
-        return outer + middle + outer
-    return _zeroed_chain(controls, ancillas, family, lambda mid: build(mid, target, []))
+        anc = ancillas[0]
+        compute = gs.zero_toffoli(*top, anc) if len(top) == 2 else gs.mcx(top, bottom, anc)
+        uncompute, mid, borrowed = compute, bottom + [anc], top
+    else:
+        compute = _chain(controls, ancillas, gs.zero_toffoli)
+        uncompute = [g.inverse() for g in reversed(compute)]
+        mid, borrowed = [controls[-1], ancillas[-1]], []
+    middle = gs.mcx(mid, borrowed, target)
+    if theta is not None:
+        middle = su2_split_gates(mid, target, theta, middle)
+    return compute + middle + uncompute
 
 
-def _burnable_rx_one(controls, target, ancillas, theta, family) -> list[Gate]:
-    """C^n(Rx), one burnable ancilla: AND all controls into it, then C(Rx).
+def _burnable(count, gs, controls, target, ancillas, theta) -> list[Gate]:
+    """Burnable ancillas, computed and never restored.
 
-    The C^n(X) onto the ancilla is split in half through the idle rotation
-    target (restored by the four-gate borrowed split); the ancilla keeps the
-    AND afterwards.
+    One ancilla: X ANDs the top half into it, then borrows the top for the
+    rest; Rx ANDs every control into it, split through the idle target
+    (restored by the four-gate borrowed split), then applies C(Rx) from it.
+    n-2 ancillas: the compute chain, then the last pair's C^2(X) or C^2(Rx).
     """
-    if len(controls) <= 2:
-        return _small_rx(controls, target, theta, family)
-    anc = ancillas[0]
+    if count != ONE:
+        c, a = controls[-1], ancillas[-1]
+        last = gs.toffoli(c, a, target) if theta is None else gs.c2rx(c, a, target, theta)
+        return _chain(controls, ancillas, gs.toffoli) + last
     top, bottom = _split_halves(controls)
-    build = _MCX[family]
-    first = build(top, target, bottom)  # target line doubles as the borrowed carry
-    second = build(bottom + [target], anc, top)
+    anc = ancillas[0]
+    if theta is None:
+        return gs.mcx(top, bottom, anc) + gs.mcx(bottom + [anc], top, target)
+    first = gs.mcx(top, bottom, target)  # target line doubles as the borrowed carry
+    second = gs.mcx(bottom + [target], top, anc)
     return first + second + first + second + crx_gates(anc, target, theta)
 
 
-def _burnable_x_one(controls, target, ancillas, family) -> list[Gate]:
-    """C^n(X), one burnable ancilla: compute-only half split (no restore)."""
-    build = _MCX[family]
-    if len(controls) <= 2:
-        return build(controls, target, [])
-    anc = ancillas[0]
-    top, bottom = _split_halves(controls)
-    first = build(top, anc, bottom)
-    second = build(bottom + [anc], target, top)
-    return first + second
-
-
-def _burnable_rx_n(controls, target, ancillas, theta, family) -> list[Gate]:
-    """C^n(Rx), n-2 burnable ancillas: compute chain plus C^2(Rx), no uncompute."""
-    if len(controls) <= 2:
-        return _small_rx(controls, target, theta, family)
-    chain = _chain_toffolis(controls[:-1], ancillas)
-    mid_c = [controls[-1], ancillas[-1]]
-    if family == S2_3:
-        return chain + su2_split_gates(mid_c, target, theta, [ccx(*mid_c, target)])
-    return (_lower_ccx(chain, toffoli_cx_gates)
-            + compact_c2rx_gates(mid_c[0], mid_c[1], target, theta))
-
-
-def _burnable_x_n(controls, target, ancillas, family) -> list[Gate]:
-    """C^n(X), n-2 burnable ancillas: the n-1 Toffoli compute ladder."""
-    build = _MCX[family]
-    if len(controls) <= 2:
-        return build(controls, target, [])
-    ladder = _chain_toffolis(controls, ancillas) + [ccx(controls[-1], ancillas[-1], target)]
-    if family == S2_2:
-        return _lower_ccx(ladder, toffoli_cx_gates)
-    return ladder
+_ROUTES = {ZEROED: _zeroed, BURNABLE: _burnable}
 
 
 def decompose(gate: Gate, gateset: GateSetSpec, budget: AncillaBudget) -> Circuit:
@@ -242,7 +190,7 @@ def decompose(gate: Gate, gateset: GateSetSpec, budget: AncillaBudget) -> Circui
         raise DecomposeError("decompose expects a multi-controlled X or Rx gate")
     if gateset.family == S3_2:
         raise DecomposeError("qutrit gate set is counts-only; use the count tables")
-    if gateset.family not in (S2_2, S2_3):
+    if gateset.family not in _GATESETS:
         raise DecomposeError(f"unsupported gate set {gateset.family!r} for synthesis")
     if any(pol == POS2 for _, pol in gate.controls):
         raise DecomposeError("|2>-controls cannot be synthesized on a qubit register")
@@ -254,28 +202,20 @@ def decompose(gate: Gate, gateset: GateSetSpec, budget: AncillaBudget) -> Circui
         raise DecomposeError(f"gate lines must be distinct and non-negative, got {lines}")
 
     controls = [line for line, _ in gate.controls]
-    target, family, theta = gate.targets[0], gateset.family, gate.angle
+    target, gs = gate.targets[0], _GATESETS[gateset.family]
+    theta = gate.angle if gate.kind == "mcrx" else None
     width = max(lines) + 1
-    # the base cases (n <= 2) take no ancilla line, the others one or n-2
+    route = _ROUTES.get(budget.regime)
+    if route is None:
+        raise DecomposeError(f"unsupported (gate set, budget) combination: {gateset.family}, "
+                             f"{budget.count} {budget.regime}, {gate.kind}")
     n_anc = 0 if n <= 2 else 1 if budget.count == ONE else n - 2
-    layout = (controls, target, range(width, width + n_anc))
-    routes = {
-        (ONE, ZEROED, "mcrx"): lambda: _zeroed_one_rx(*layout, theta, family),
-        (N_PER_CONTROLS, ZEROED, "mcrx"): lambda: _zeroed_n_rx(*layout, theta, family),
-        (ONE, ZEROED, "mcx"): lambda: _zeroed_mcx(*layout, family, ONE),
-        (N_PER_CONTROLS, ZEROED, "mcx"): lambda: _zeroed_mcx(*layout, family, N_PER_CONTROLS),
-        (ONE, BURNABLE, "mcrx"): lambda: _burnable_rx_one(*layout, theta, family),
-        (N_PER_CONTROLS, BURNABLE, "mcrx"): lambda: _burnable_rx_n(*layout, theta, family),
-        (ONE, BURNABLE, "mcx"): lambda: _burnable_x_one(*layout, family),
-        (N_PER_CONTROLS, BURNABLE, "mcx"): lambda: _burnable_x_n(*layout, family),
-    }
-    key = (budget.count, budget.regime, gate.kind)
-    if key not in routes:
-        raise DecomposeError(
-            f"unsupported (gate set, budget) combination: {gateset.family}, "
-            f"{budget.count} {budget.regime}, {gate.kind}"
-        )
-    gates = routes[key]()
+    if n > 2:
+        gates = route(budget.count, gs, controls, target, range(width, width + n_anc), theta)
+    elif theta is None:
+        gates = gs.mcx(controls, [], target)
+    else:
+        gates = (crx_gates if n == 1 else gs.c2rx)(*controls, target, theta)
     flips = [x(line) for line, pol in gate.controls if pol == NEG0]
     return Circuit(2, width + n_anc, flips + gates + flips,
                    ancilla=tuple((width + j, budget.regime) for j in range(n_anc)))

@@ -302,13 +302,14 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1):
     """Yield TrialRecords for every (graph, variant); reproducible from the seed.
 
     Each trial's seed derives from (master seed, graph index, variant index).
-    The executions of every variant on graphs of at most ``LOCKSTEP_MAX_DIM``
-    independent sets (on every graph when each variant is DQVA with 2**nu
-    within it) are first run together (``_lockstep``), DQVA's inner rounds
-    included; then every trial runs through ``run_trial`` in order, and
-    those executions replay their maximizations there, so the records equal
-    those of serial ``run_trial`` calls.  Every engine walks its own subspace
-    from its graph.  Trials run in one thread: ``jobs`` accepts only 1.
+    The executions of every trial whose engines hold at most
+    ``LOCKSTEP_MAX_DIM`` amplitudes (DQVA with 2**nu within it, or any variant
+    on a graph of at most that many independent sets) are first run together
+    (``_lockstep``), DQVA's inner rounds included; then every trial runs
+    through ``run_trial`` in order, and those executions replay their
+    maximizations there, so the records equal those of serial ``run_trial``
+    calls.  Every engine walks its own subspace from its graph.  Trials run
+    in one thread: ``jobs`` accepts only 1.
     """
     if jobs != 1:
         raise DriverError(f"jobs must be 1 (trials run serially), got {jobs}")
@@ -318,10 +319,19 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1):
         optimum, _ = brute_force_mis(graph)
         if optimum:
             graphs.append((gi, graph, optimum))
-    # a DQVA engine reaches at most 2**nu sets; the count raises on too many
-    small = all(spec.variant == DQVA and 2**spec.nu <= LOCKSTEP_MAX_DIM for spec in cfg.variants)
-    replays = _lockstep_trials(cfg, [(gi, graph) for gi, graph, _ in graphs if small
-                                     or len(independent_set_indices(graph)) <= LOCKSTEP_MAX_DIM])
+    set_counts: dict[int, int] = {}  # by graph index, counted only when a trial needs it
+
+    def joins(gi: int, graph: Graph, spec: VariantSpec) -> bool:
+        # a DQVA engine reaches at most 2**nu sets; the count raises on too many
+        if spec.variant == DQVA and 2**spec.nu <= LOCKSTEP_MAX_DIM:
+            return True
+        if gi not in set_counts:
+            set_counts[gi] = len(independent_set_indices(graph))
+        return set_counts[gi] <= LOCKSTEP_MAX_DIM
+
+    replays = _lockstep_trials(cfg, [(gi, vi, graph, spec) for gi, graph, _ in graphs
+                                     for vi, spec in enumerate(cfg.variants)
+                                     if joins(gi, graph, spec)])
     for gi, graph, optimum in graphs:
         graph_id = f"{cfg.ensemble}-{cfg.nodes}-{gi}"
         for vi, spec in enumerate(cfg.variants):
@@ -332,15 +342,14 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1):
             )
 
 
-def _lockstep_trials(cfg: BenchmarkConfig, graphs) -> dict:
-    """Run every execution on ``graphs`` (pairs of graph index and graph)
-    through ``_lockstep``.
+def _lockstep_trials(cfg: BenchmarkConfig, trials) -> dict:
+    """Run every execution of ``trials`` (graph index, variant index, graph,
+    variant) through ``_lockstep``.
 
     Returns a replaying optimizer for ``run_trial`` per (graph index,
     variant index).
     """
-    jobs = [((gi, vi), graph, spec, sub) for gi, graph in graphs
-            for vi, spec in enumerate(cfg.variants)
+    jobs = [((gi, vi), graph, spec, sub) for gi, vi, graph, spec in trials
             for sub in _execution_seeds(_trial_seed(cfg, gi, vi), cfg.repetitions)]
     executions = (
         dqva_execution(graph, spec.nu, sub, spec.p, cfg.mixer_rounds) if spec.variant == DQVA

@@ -106,8 +106,6 @@ def asymptotic_count_burnable(
     n: int, gate: str, family: str, budget: str, m: int | None = None
 ) -> CountTuple | LeadingTerm:
     """Asymptotic burnable-ancilla counts; empty X cells fall back to the Rx row."""
-    if gate not in ("rx", "x"):
-        raise MetricsError(f"unknown workload {gate!r}")
     if family == S2_M:
         if m is None or m < 3:
             raise MetricsError("s2_m asymptotics need m >= 3")
@@ -115,13 +113,18 @@ def asymptotic_count_burnable(
         if key not in _S2M_COEFF:
             raise MetricsError(f"unsupported s2_m cell: {budget}/{gate}")
         return LeadingTerm(Fraction(_S2M_COEFF[key], m - 2), m)
-    key = (family, budget, gate)
-    if key not in _BURNABLE_TABLE:
-        key = (family, budget, "rx")  # no better decomposition than the Rx one
-    if key not in _BURNABLE_TABLE:
-        raise MetricsError(f"unsupported table cell: {family}/{budget}/{gate}")
-    rows = _BURNABLE_TABLE[key]
-    return CountTuple(tuple(a * n + b for a, b in rows))
+    return CountTuple(tuple(a * n + b for a, b in _burnable_rows(family, budget, gate)))
+
+
+def _burnable_rows(family: str, budget: str, gate: str) -> tuple[tuple[int, int], ...]:
+    """A cell's rows of the burnable table.  An X cell with no row takes the Rx
+    row: it has no better decomposition than the Rx one."""
+    if gate not in ("rx", "x"):
+        raise MetricsError(f"unknown workload {gate!r}")
+    for key in ((family, budget, gate), (family, budget, "rx")):
+        if key in _BURNABLE_TABLE:
+            return _BURNABLE_TABLE[key]
+    raise MetricsError(f"unsupported table cell: {family}/{budget}/{gate}")
 
 
 @lru_cache(maxsize=4096)
@@ -254,14 +257,8 @@ def _asymptotic_slopes(family: str, budget: str, gate: str, m: int | None) -> di
     if family == S2_M:
         lead = asymptotic_count_burnable(1, gate, family, budget, m=m)
         return {lead.gate_arity: lead.coefficient}
-    slopes = {}
-    key = (family, budget, gate)
-    if key not in _BURNABLE_TABLE:
-        key = (family, budget, "rx")
-    for i, (a, _) in enumerate(_BURNABLE_TABLE[key]):
-        if a:
-            slopes[i + 1] = Fraction(a)
-    return slopes
+    rows = _burnable_rows(family, budget, gate)
+    return {i + 1: Fraction(a) for i, (a, _) in enumerate(rows) if a}
 
 
 def gateset_dominates(a: GateSetSpec, b: GateSetSpec, workload: str = "rx",

@@ -49,6 +49,29 @@ def test_named_base_cases():
     ) == 24
 
 
+@pytest.mark.parametrize("n, entangling", [(3, 12), (4, 24)])
+def test_s22_zeroed_one_mcx_uses_the_margolus_outer_pair(n, entangling):
+    # a 2-control top half is ANDed into the |0> ancilla by the relative-phase
+    # Toffoli, as in the Rx route, and its repeat uncomputes it
+    g = mcx(list(range(n)), n)
+    c = decompose(g, GateSetSpec("s2_2"), AncillaBudget("one"))
+    assert entangling_total(c) == entangling
+    assert restricted_deviation(c, g, n + 1) < 1e-8
+    outer = margolus_gates(0, 1, n + 1)
+    assert list(c.gates[:len(outer)]) == outer == list(c.gates[-len(outer):])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("family", ["s2_2", "s2_3"])
+@pytest.mark.parametrize("kind", ["mcrx", "mcx"])
+def test_base_cases_are_the_same_under_every_budget(n, family, kind):
+    g = mcx(list(range(n)), n) if kind == "mcx" else mcrx(list(range(n)), n, 0.9)
+    budgets = [AncillaBudget(count, regime) for count in ("one", "n")
+               for regime in ("zeroed", "burnable")]
+    circuits = [decompose(g, GateSetSpec(family), budget) for budget in budgets]
+    assert circuits[0].width == n + 1 and all(c == circuits[0] for c in circuits)
+
+
 def test_c2rx_s23_is_two_toffolis_and_exact():
     c = decompose(mcrx([0, 1], 2, 1.1), GateSetSpec("s2_3"), AncillaBudget("n"))
     assert entangling_total(c) == 2

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -444,6 +446,38 @@ def test_lockstep_records_equal_serial_trials(monkeypatch, max_dim, width, max_e
     monkeypatch.setattr(driver, "LOCKSTEP_WIDTH", width)
     got = [repr(r.to_dict()) for r in run_benchmark(cfg)]
     assert len(want) == 4 * 5
+    assert got == want
+
+
+def test_lockstep_is_chosen_per_trial(monkeypatch):
+    # Every graph holds more than LOCKSTEP_MAX_DIM sets, so the SA trials run
+    # serially, while each DQVA engine holds at most 2**5 and joins the lockstep.
+    cfg = BenchmarkConfig(
+        ensemble="erdos_renyi", nodes=16, density=3.0, graph_count=2,
+        variants=[VariantSpec("sa", 1), VariantSpec("dqva", 1, 5)],
+        repetitions=2, seed=4, mixer_rounds=2, max_evals=60,
+    )
+    graphs = [driver._make_graph(cfg, s) for s in np.random.SeedSequence(4).spawn(2)]
+    assert min(len(qaoa.independent_set_indices(g)) for g in graphs) > driver.LOCKSTEP_MAX_DIM
+    want = [repr(r.to_dict()) for r in _serial_records(cfg)]
+    made = Counter()
+    for name in ("dqva_execution", "single_round_execution"):
+        def counted(*args, make=getattr(driver, name), name=name):
+            made[name] += 1
+            return make(*args)
+        monkeypatch.setattr(driver, name, counted)
+    joined = []
+    lockstep = driver._lockstep
+
+    def spy(executions, max_evals, tol):
+        executions = list(executions)
+        joined.append(len(executions))
+        return lockstep(executions, max_evals, tol)
+
+    monkeypatch.setattr(driver, "_lockstep", spy)
+    got = [repr(r.to_dict()) for r in run_benchmark(cfg)]
+    assert made == {"dqva_execution": 2 * 2}
+    assert joined == [2 * 2]
     assert got == want
 
 

@@ -166,6 +166,19 @@ def test_dominates_asymmetric():
     assert gateset_dominates(a, b, "rx", "one") != gateset_dominates(b, a, "rx", "one")
 
 
+def test_dominates_rejects_an_unknown_budget():
+    a, b = _specs(0.99)
+    with pytest.raises(MetricsError, match="unsupported table cell"):
+        gateset_dominates(a, b, "rx", "bogus")
+
+
+def test_dominates_rejects_an_unknown_workload():
+    # the Rx-row fallback serves only X cells, not any unknown workload
+    a, b = _specs(0.99)
+    with pytest.raises(MetricsError, match="unknown workload"):
+        gateset_dominates(a, b, "z", "one")
+
+
 def test_qutrit_mixer_counts_follow_the_burnable_table():
     for ell in range(1, 9):
         row = asymptotic_count_burnable(ell, "rx", S3_2, "none")

@@ -30,7 +30,10 @@ MEASURED_FLOOR = 1e-4  # ``best_measured_set`` counts no outcome below it as mea
 # average-degree-3 Erdős–Rényi graph of up to 28 nodes has fewer (at most
 # 3.0M), and an edgeless graph, with 2^n, passes up to 22 nodes.
 MAX_INDEPENDENT_SETS = 1 << 22
+# The most nodes a subspace may hold: a set is an int64 basis index, node i bit n-1-i.
+MAX_NODES = 63
 _BYTE_SIZES = np.array([bin(b).count("1") for b in range(256)], dtype=np.int8)
+_UNIT = np.array([1, -1j, -1, 1j])  # (-i)^d, indexed by d mod 4
 
 
 class AnsatzError(ValueError):
@@ -217,8 +220,8 @@ def independent_set_indices(graph: Graph) -> np.ndarray:
     The walk of one mixer per node from the empty set, lowest bit first:
     node v joins every set so far that holds none of its neighbors, and its
     bit is above all of theirs, so each step appends a sorted block above a
-    sorted one.  Raises ``AnsatzError`` before the sets pass
-    ``MAX_INDEPENDENT_SETS``.
+    sorted one.  Raises ``AnsatzError`` on more than ``MAX_NODES`` nodes and
+    before the sets pass ``MAX_INDEPENDENT_SETS``.
     """
     return _walk(graph, reversed(range(graph.n)), 0)[0]
 
@@ -245,10 +248,13 @@ def _walk(graph: Graph, nodes, start: int):
     reached set holds v, every upper side is new; only a node met again
     looks its partners up, and a node with a neighbor in every reached set
     couples nothing.  Returns the sets and per mixer its pairs' positions
-    ``(lower, upper)``.  Raises ``AnsatzError`` before the sets pass
-    ``MAX_INDEPENDENT_SETS``.
+    ``(lower, upper)``.  Raises ``AnsatzError`` on a graph of more than
+    ``MAX_NODES`` nodes and before the sets pass ``MAX_INDEPENDENT_SETS``.
     """
     n = graph.n
+    if n > MAX_NODES:
+        raise AnsatzError(f"the subspace engine holds at most {MAX_NODES} nodes, "
+                          f"the graph has {n}")
     sets = np.array([start], dtype=np.int64)
     held = common = np.int64(start)  # the nodes some / every reached set holds
     order = None  # argsort of ``sets`` while no set is appended
@@ -293,24 +299,40 @@ def _find(sets: np.ndarray, order: np.ndarray, values: np.ndarray) -> np.ndarray
     return np.where(sets[at] == values, at, -1)
 
 
-def _evolve(dim, starts, rounds, params, c, js, levels, level_of) -> np.ndarray:
+def _evolve(dim, starts, quarter, rounds, params, c, s, js, levels, level_of) -> np.ndarray:
     """The ansatz state over ``dim`` amplitudes, from 1 at ``starts``.
 
-    Per round, each mixer ``(idx, swp, slot)`` is one gather-update-scatter
-    over its stacked pair, and a phase (unless None) takes exp(i gamma) once
-    per entry of ``levels`` and gathers it through ``level_of``; ``c`` and
-    ``js`` are cos and i*sin of ``params``.  A slot or phase is one index
-    for an engine and one per amplitude or level for a batch.
+    The first round's mixers ``(reached, new, slot)`` run on real
+    magnitudes: each writes s*t to its new sides and c*t to its reached
+    sides t.  Before node v's mixer every reached set holds v as the start
+    does, so each pair has one reached side and a new side at exactly 0;
+    the complex update c*t - i*s*0 and c*0 - i*s*t rounds each product
+    once, as the real one does up to sign, and rounding is sign-symmetric.
+    So the state is then these magnitudes times (-i)^d, d the sets'
+    distances from the start, and one product with ``_UNIT[quarter]``
+    (``quarter`` = d mod 4) makes it the complex state.  Every later round's
+    mixer ``(idx, swp, slot)`` is one complex gather-update-scatter over its
+    stacked pair, and a phase (unless None) takes exp(i gamma) once per
+    entry of ``levels`` and gathers it through ``level_of``; ``c``, ``s``
+    and ``js`` are cos, sin and i*sin of ``params``.  A slot or phase is one
+    index for an engine and one per amplitude or level for a batch.
     """
-    amps = np.zeros(dim, dtype=complex)
-    amps[starts] = 1.0
     # Ufunc calls, not operators: on a temporary of 256 KiB or more an
     # operator may compute in place with the operands swapped, and a swapped
     # complex product rounds differently, so engine and batch would part.
     mul, sub = np.multiply, np.subtract
-    for mixers, phase in rounds:
-        for idx, swp, slot in mixers:
-            amps[idx] = sub(mul(c[slot], amps[idx]), mul(js[slot], amps[swp]))
+    for r, (mixers, phase) in enumerate(rounds):
+        if r == 0:
+            mags = np.zeros(dim)
+            mags[starts] = 1.0
+            for reached, new, slot in mixers:
+                t = mags[reached]
+                mags[new] = mul(s[slot], t)
+                mags[reached] = mul(c[slot], t)
+            amps = mul(mags, _UNIT[quarter])
+        else:
+            for idx, swp, slot in mixers:
+                amps[idx] = sub(mul(c[slot], amps[idx]), mul(js[slot], amps[swp]))
         if phase is not None:
             amps = mul(amps, np.exp(mul(1j * params[phase], levels))[level_of])
     return amps
@@ -325,12 +347,18 @@ class AnsatzEngine:
     nodes in order), at most 2^k after k live mixers.  The state holds one
     amplitude per reached set, ``basis`` lists their 2^n-register indices
     sorted, and ``statevector`` returns amplitudes in that order.  Each live
-    mixer that couples a pair keeps ``(idx, swp, slot)`` in sigma order per
-    round: ``idx`` stacks the pairs' lower sides on their upper sides and
-    ``swp`` the upper on the lower, so ``amps[swp]`` lines each amplitude up
-    with its rotation partner.  The set-size table ``_levels`` holds the
+    mixer that couples a pair keeps two position arrays and its slot, in
+    sigma order per round.  In the first round only node v's mixer flips v,
+    so every set reached before it holds v as the start does: the mixer
+    keeps ``(reached, new, slot)``, those sets and their partners, which it
+    reaches first.  Its update is then a real scale (see ``_evolve``), and
+    ``_quarter`` holds each set's distance from the start mod 4, the power
+    of -i that round leaves on it.  A later mixer keeps ``(idx, swp, slot)``:
+    ``idx`` stacks the pairs' lower sides on their upper sides and ``swp``
+    the upper on the lower, so ``amps[swp]`` lines each amplitude up with
+    its rotation partner.  The set-size table ``_levels`` holds the
     distinct sizes and ``_level_of`` each set's entry in it, so a phase
-    layer takes one exp per size.  A call runs ``_evolve`` with cos and
+    layer takes one exp per size.  A call runs ``_evolve`` with cos, sin and
     i*sin of all parameters taken once, as Python scalars.  A zero angle is
     applied, not skipped: cos 0 = 1 and sin 0 = 0 can change only the sign
     of a zero amplitude.  Cross-checked against the full-subspace update and
@@ -356,7 +384,8 @@ class AnsatzEngine:
         rounds = round_slots(variant, p, n)
         mixers = [(r, node, slots[node]) for r, (slots, _) in enumerate(rounds)
                   for node in self.sigma if slots[node] in live]
-        sets, pairs = _walk(graph, [node for _, node, _ in mixers], bits_to_index(self.warm_start))
+        start = bits_to_index(self.warm_start)
+        sets, pairs = _walk(graph, [node for _, node, _ in mixers], start)
         order = sets.argsort()
         self.basis = sets[order]
         sizes = _set_sizes(self.basis, n)
@@ -367,19 +396,28 @@ class AnsatzEngine:
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         self._start = int(rank[0])
-        # every pair position through the sort at once: each mixer's
-        # (lower, upper) in the first half of ``flat``, (upper, lower) in the second
-        halves = [h for lo, hi in pairs for h in (lo, hi)]
-        halves += [h for lo, hi in pairs for h in (hi, lo)]
-        flat = rank[np.concatenate((rank[:0], *halves))]
-        spans = list(accumulate((2 * len(lo) for lo, _ in pairs), initial=0))
-        cut = spans[-1]
-        # per round: the kept mixers as (idx, swp, slot) in sigma order, and
-        # the live phase slot or None
+        # each set's distance from the start, mod 4: its first-round phase (-i)^d
+        self._quarter = _set_sizes(self.basis ^ start, n) & 3
+        # every pair position through the sort at once, one span per mixer: a
+        # first-round mixer's (reached, new), its sides that hold the node as
+        # the start does and their partners, and a later mixer's (idx, swp),
+        # its (lower, upper) and (upper, lower)
+        sides = []
+        for (r, node, _), (lo, hi) in zip(mixers, pairs):
+            if r > 0:
+                sides.append((lo, hi, hi, lo))
+            elif (start >> (n - 1 - node)) & 1:
+                sides.append((hi, lo))
+            else:
+                sides.append((lo, hi))
+        flat = rank[np.concatenate((rank[:0], *(h for side in sides for h in side)))]
+        spans = list(accumulate((sum(map(len, side)) for side in sides), initial=0))
+        # per round: the kept mixers in sigma order, each as the two halves of
+        # its span and its slot, and the live phase slot or None
         self._rounds = [([], phase if phase in live else None) for _, phase in rounds]
         for (r, _, slot), a, b in zip(mixers, spans, spans[1:]):
             if b > a:
-                self._rounds[r][0].append((flat[a:b], flat[cut + a:cut + b], slot))
+                self._rounds[r][0].append((flat[a:(a + b) // 2], flat[(a + b) // 2:b], slot))
 
     @property
     def live_param_count(self) -> int:
@@ -392,8 +430,9 @@ class AnsatzEngine:
 
     def statevector(self, full_params) -> np.ndarray:
         params = np.asarray(full_params)
-        return _evolve(len(self.basis), self._start, self._rounds, params,
-                       np.cos(params).tolist(), (1j * np.sin(params)).tolist(),
+        s = np.sin(params)
+        return _evolve(len(self.basis), self._start, self._quarter, self._rounds, params,
+                       np.cos(params).tolist(), s.tolist(), (1j * s).tolist(),
                        self._levels, self._level_of)
 
     def statevector_live(self, live_values) -> np.ndarray:
@@ -412,17 +451,18 @@ class EngineBatch:
 
     The engines' subspace states are joined end to end and evolved by the
     engines' kernel, ``_evolve``.  The k-th kept mixer of a round is one
-    mixer position: its gather-update-scatter runs once for every engine
-    that has it, over the engines' ``idx``/``swp`` arrays offset to their
-    place in the joined state, and reads cos and i*sin per amplitude
-    through flat (engine, slot) indices.  A phase layer takes exp(i gamma w)
-    once per entry of each engine's set-size table
-    (``AnsatzEngine._levels``), with the engine's gamma read the same way,
-    and gathers it per amplitude; an engine without a phase in that round
-    reads an extra slot that holds 0.  Every amplitude thus sees the
-    arithmetic of ``AnsatzEngine.statevector``, and |amps|^2 @ w stays one
-    dot product per engine, so each value is bitwise equal to the engine's
-    own call.
+    mixer position: its update runs once for every engine that has it, over
+    the engines' position arrays offset to their place in the joined state
+    (``reached``/``new`` in the first round, ``idx``/``swp`` later), and
+    reads cos, sin and i*sin per updated amplitude through flat (engine,
+    slot) indices; each engine's ``_quarter`` is joined the same way.  A
+    phase layer takes exp(i gamma w) once per entry of each engine's
+    set-size table (``AnsatzEngine._levels``), with the engine's gamma read
+    the same way, and gathers it per amplitude; an engine without a phase in
+    that round reads an extra slot that holds 0.  Every amplitude thus sees
+    the arithmetic of ``AnsatzEngine.statevector``, and |amps|^2 @ w stays
+    one dot product per engine, so each value is bitwise equal to the
+    engine's own call.
     """
 
     def __init__(self, engines):
@@ -434,6 +474,7 @@ class EngineBatch:
         self._live = np.concatenate(
             [at + np.array(e._live, dtype=np.int64) for at, e in zip(slot_at, engines)])
         self._starts = np.array([at + e._start for at, e in zip(amp_at, engines)])
+        self._quarter = np.concatenate([e._quarter for e in engines])
         self._cuts = [(slice(a, b), e._w) for a, b, e in zip(amp_at, amp_at[1:], engines)]
         level_at = np.cumsum([0] + [len(e._levels) for e in engines])
         self._levels = np.concatenate([e._levels for e in engines])
@@ -462,8 +503,9 @@ class EngineBatch:
         joined end to end in one flat array."""
         params = np.zeros(self._zero + 1)
         params[self._live] = live_points
-        amps = _evolve(self._dim, self._starts, self._rounds, params, np.cos(params),
-                       1j * np.sin(params), self._levels, self._level_of)
+        s = np.sin(params)
+        amps = _evolve(self._dim, self._starts, self._quarter, self._rounds, params,
+                       np.cos(params), s, 1j * s, self._levels, self._level_of)
         probs = np.abs(amps) ** 2
         # ``.dot`` is the BLAS dot product that ``@`` calls, with less overhead
         return [float(probs[cut].dot(w)) for cut, w in self._cuts]

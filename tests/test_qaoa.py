@@ -453,12 +453,24 @@ def test_engine_batch_handles_masks_and_warm_starts():
 
 def test_engine_pairs_stack_each_rotation_with_its_partner():
     # every kept pair of MA p=2, and of DQVA from a warm start that holds a
-    # live node, couples a set without the node to the set with it, both reached
+    # live node, couples a set without the node to the set with it.  A
+    # first-round pair is (reached, new): the reached side holds the node as
+    # the start does and the new side is it with the node flipped, and each
+    # set is new at most once.  A later pair is stacked in idx, both reached.
     warm = (1, 0, 0, 1, 0)
     for engine in (AnsatzEngine(PATH5, MA, 2),
                    AnsatzEngine(PATH5, DQVA, 2, (3, 0, 4, 1, 2), (True,) * 12, warm)):
         slots = round_slots(engine.variant, engine.p, PATH5.n)
-        for (kept, _), (mixers, _) in zip(engine._rounds, slots):
+        start = int(engine.basis[engine._start])
+        (first, _), *later = engine._rounds
+        for reached, new, slot in first:
+            [node] = [v for v in engine.sigma if slots[0][0][v] == slot]
+            bit = 1 << (PATH5.n - 1 - node)
+            assert np.all(engine.basis[reached] & bit == start & bit)
+            assert np.array_equal(engine.basis[new], engine.basis[reached] ^ bit)
+        news = np.concatenate([new for _, new, _ in first] + [[engine._start]])
+        assert len(np.unique(news)) == len(news)
+        for (kept, _), (mixers, _) in zip(later, slots[1:]):
             for idx, swp, slot in kept:
                 [node] = [v for v in engine.sigma if mixers[v] == slot]
                 bit = 1 << (PATH5.n - 1 - node)
@@ -570,11 +582,70 @@ def test_reach_restricted_engine_is_bitwise_the_unrestricted_update():
     # and a second layer reaches none
     first = AnsatzEngine(PATH5, SA, 1)
     [(kept, _)] = first._rounds
-    assert sum(len(idx) for idx, _, _ in kept) == 2 * (len(first.basis) - 1)
+    assert sum(len(new) for _, new, _ in kept) == len(first.basis) - 1
     assert np.array_equal(AnsatzEngine(PATH5, MA, 2).basis, first.basis)
     # a warm start that holds a live node reaches the set without it
     engine = AnsatzEngine(PATH5, DQVA, 1, mask=(True,) + (False,) * 5, warm_start=(1, 0, 0, 0, 1))
     assert engine.basis.tolist() == [0b00001, 0b10001]
+
+
+EXACT_BETAS = (0.0, np.pi / 2, -np.pi / 2, np.pi)
+
+
+def exact_angle_cases():
+    """SA, MA and DQVA at p = 1 and 2 with every slot live, on a path, a star
+    and two seeded graphs; DQVA starts from a maximum independent set, so its
+    first round meets live nodes the start holds."""
+    rng = np.random.default_rng(8)
+    for graph in (PATH5, STAR, erdos_renyi(8, 3.0, seed=4), erdos_renyi(10, 4.5, seed=2)):
+        n = graph.n
+        _, witness = brute_force_mis(graph)
+        sigma = tuple(int(v) for v in rng.permutation(n))
+        for p in (1, 2):
+            yield graph, SA, p, tuple(range(n)), None, (0,) * n
+            yield graph, MA, p, sigma, None, (0,) * n
+            yield graph, DQVA, p, sigma, (True,) * param_count(DQVA, p, n), witness
+
+
+def test_engine_is_bitwise_the_unrestricted_update_at_exact_angles():
+    # At beta in {0, pi/2, -pi/2, pi} and gamma = 0, cos or sin is 0 or +-1
+    # (to the last bit) and amplitudes of either sign of zero appear; the
+    # first round's real update must still give the reference's bytes.
+    rng = np.random.default_rng(9)
+    engines, points = [], []
+    for graph, variant, p, sigma, mask, warm in exact_angle_cases():
+        engine = AnsatzEngine(graph, variant, p, sigma, mask, warm)
+        size = param_count(variant, p, graph.n)
+        assert engine.live_param_count == size
+        phases = [phase for _, phase in round_slots(variant, p, graph.n)]
+        xs = [np.full(size, beta) for beta in EXACT_BETAS]
+        xs += [rng.choice(EXACT_BETAS, size) for _ in range(4)]
+        full = independent_set_indices(graph)
+        at = np.searchsorted(full, engine.basis)
+        for x in xs:
+            x[phases] = 0.0
+            want, _ = full_subspace_statevector(graph, variant, p, sigma, mask, warm, x)
+            assert (np.abs(engine.statevector(x)) ** 2).tobytes() == (np.abs(want[at]) ** 2).tobytes()
+            engines.append(engine)
+            points.append(x)
+    _assert_batch_matches(engines, points)
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: AnsatzEngine(g, SA),
+    independent_set_indices,
+    lambda g: dqva_outer_loop(g, nu=5, seed=0),
+], ids=["engine", "independent-sets", "dqva-outer-loop"])
+def test_subspace_past_63_nodes_raises_ansatz_error(build):
+    # a set is an int64 basis index with node i at bit n-1-i
+    with pytest.raises(AnsatzError, match="at most 63 nodes"):
+        build(erdos_renyi(64, 3.0, seed=1))
+
+
+def test_dqva_runs_at_63_nodes():
+    res = dqva_outer_loop(erdos_renyi(63, 3.0, seed=1), nu=5, seed=0, mixer_rounds=1)
+    assert res.best_size >= 1
+    assert erdos_renyi(63, 3.0, seed=1).is_independent(res.best_bits)
 
 
 def test_best_measured_set_prefers_size_then_probability():

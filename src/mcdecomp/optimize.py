@@ -3,15 +3,18 @@
 ``maximize`` runs a port of scipy's non-adaptive Nelder–Mead
 (``scipy.optimize._minimize_neldermead``, scipy 1.17): the same
 coefficients (reflection 1, expansion 2, contraction 1/2, shrink 1/2), the
-same centroid sum, the same unstable ``argsort`` ordering, the same
-convergence test and the same budget cut-off. Every step computes the same
-floating-point values in the same order, so the paths equal those of
-``scipy.optimize.minimize(method="Nelder-Mead")`` started from the plateau
-probe's simplex.  The search takes the probe's values for that simplex
-rather than evaluating its vertices again, so each start vertex costs one
-evaluation.  The package owns the port because that call was scipy's only
-use here, and importing ``scipy.optimize`` cost most of a fresh process's
-start-up.
+same centroid sum, the same convergence test and the same budget cut-off.
+It orders the simplex with a stable ``argsort``, where scipy's is unstable:
+numpy's default sort picks its kernel by CPU, and on tied values (common on
+an objective that is flat along one axis) the kernels order the vertices,
+and so the paths, differently.  Every step computes the same floating-point
+values in the same order, so the paths equal those of
+``scipy.optimize.minimize(method="Nelder-Mead")`` under a stable sort,
+started from the plateau probe's simplex.  The search takes the probe's
+values for that simplex rather than evaluating its vertices again, so each
+start vertex costs one evaluation.  The package owns the port because that
+call was scipy's only use here, and importing ``scipy.optimize`` cost most
+of a fresh process's start-up.
 
 ``SearchGroup`` runs many searches of one dimension together, each row on
 the path of ``maximize`` bit for bit, with each step's arithmetic done once
@@ -136,13 +139,11 @@ def maximize(objective, x0, max_evals: int | None = None, tol: float = 1e-4) -> 
         calls += 1
         return -objective(x.copy())
 
-    # scipy sorts the initial simplex twice; the sort is not stable, so on
-    # tied values the second pass may reorder rows, and the path with it.
-    # The first sort copies ``sim``, so the points the probe passed to the
-    # objective are never written.
-    for _ in range(2):
-        ind = fsim.argsort()
-        sim, fsim = sim[ind], fsim[ind]
+    # scipy sorts the initial simplex twice; a second stable sort changes
+    # nothing.  The sort copies ``sim``, so the points the probe passed to
+    # the objective are never written.
+    ind = fsim.argsort(kind="stable")
+    sim, fsim = sim[ind], fsim[ind]
 
     while calls < maxfev:
         try:
@@ -172,7 +173,7 @@ def maximize(objective, x0, max_evals: int | None = None, tol: float = 1e-4) -> 
                         fsim[j] = ask(sim[j])
         except _BudgetSpent:
             pass
-        ind = fsim.argsort()
+        ind = fsim.argsort(kind="stable")
         sim, fsim = sim[ind], fsim[ind]
 
     return OptResult(sim[0].copy(), -np.min(fsim), calls + n + 1, calls < maxfev)
@@ -260,7 +261,7 @@ class SearchGroup:
         moves = []  # vertices that a shrink moves
         asks, asked = [], []  # rows whose next point is a vertex, and that vertex
         trials, kinds = [], []  # rows asking for an expansion or contraction, and which
-        firsts, ends = [], []  # rows ending the probe / any step
+        ends = []  # rows ending a step, the probe included
 
         def shrink(r, row):
             moves.append(r * m + row.k)
@@ -289,7 +290,6 @@ class SearchGroup:
                     row.calls, row.maxfev = 0, max(1, self._budget - m)
                     cells += range(r * m, r * m + m)
                     cell_values += [-f for f in row.values]
-                    firsts.append(r)
                     ends.append(r)
                 continue
             f = -v
@@ -352,7 +352,7 @@ class SearchGroup:
             first = vertices.take(moves - moves % m, 0)
             vertices[moves] = first + 0.5 * (vertices.take(moves, 0) - first)
         if ends:
-            finished += self._end_steps(firsts, ends, trials, kinds)
+            finished += self._end_steps(ends, trials, kinds)
         if asks:
             points[asks] = vertices.take(asked, 0)
         if trials:
@@ -362,20 +362,17 @@ class SearchGroup:
 
     def _sort(self, rows: np.ndarray):
         """Sort the simplices of ``rows`` by value; returns them and their values."""
-        order = self._fsim.take(rows, 0).argsort(axis=1)
+        order = self._fsim.take(rows, 0).argsort(axis=1, kind="stable")
         cells = order + (rows * (self.n + 1))[:, None]
         sim, fsim = self._sim.reshape(-1, self.n).take(cells, 0), self._fsim.take(cells)
         self._sim[rows], self._fsim[rows] = sim, fsim
         return sim, fsim
 
-    def _end_steps(self, firsts, ends, trials, kinds) -> list[tuple[object, OptResult]]:
-        """Sort the simplices of ``ends`` (those of ``firsts`` twice, as scipy
-        sorts the initial simplex), then finish each row that is out of budget
-        or converged; the others take their centroid and join ``trials`` for
-        their next reflection."""
+    def _end_steps(self, ends, trials, kinds) -> list[tuple[object, OptResult]]:
+        """Sort the simplices of ``ends``, then finish each row that is out of
+        budget or converged; the others take their centroid and join
+        ``trials`` for their next reflection."""
         n = self.n
-        if firsts:
-            self._sort(np.array(firsts))
         sim, fsim = self._sort(np.array(ends))
         finished, go, reflect = [], [], []
         for i, (r, f) in enumerate(zip(ends, fsim.tolist())):

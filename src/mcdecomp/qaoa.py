@@ -34,6 +34,7 @@ MAX_INDEPENDENT_SETS = 1 << 22
 MAX_NODES = 63
 _BYTE_SIZES = np.array([bin(b).count("1") for b in range(256)], dtype=np.int8)
 _UNIT = np.array([1, -1j, -1, 1j])  # (-i)^d, indexed by d mod 4
+_WHOLE = np.zeros(1, dtype=np.intp)  # one span over a whole array, for ``_span_sums``
 
 
 class AnsatzError(ValueError):
@@ -233,9 +234,19 @@ def infeasible_probability(amps: np.ndarray, graph: Graph) -> float:
     return float(np.sum(np.abs(amps[bad]) ** 2))
 
 
-def _unaccounted_mass(amps: np.ndarray) -> float:
-    """Norm a subspace state fails to account for: max(0, 1 - |psi|^2)."""
-    return max(0.0, 1.0 - float(np.vdot(amps, amps).real))
+def _unaccounted_mass(probs: np.ndarray) -> float:
+    """Norm a subspace state fails to account for: max(0, 1 - sum of its probabilities)."""
+    return max(0.0, 1.0 - float(_span_sums(probs, _WHOLE)[0]))
+
+
+def _span_sums(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The sum of ``values`` over each span from one of ``cuts`` to the next.
+
+    ``np.add.reduceat`` sums each span in an order set by its length alone,
+    not by BLAS or by the CPU's SIMD kernels; ``np.add.reduce`` sums in
+    another order, so the engine, the batch and the readout all sum here.
+    """
+    return np.add.reduceat(values, cuts)
 
 
 def _walk(graph: Graph, nodes, start: int):
@@ -300,7 +311,7 @@ def _find(sets: np.ndarray, order: np.ndarray, values: np.ndarray) -> np.ndarray
 
 
 def _evolve(dim, starts, quarter, rounds, params, c, s, js, levels, level_of) -> np.ndarray:
-    """The ansatz state over ``dim`` amplitudes, from 1 at ``starts``.
+    """The ansatz's measurement probabilities over ``dim`` sets, from 1 at ``starts``.
 
     The first round's mixers ``(reached, new, slot)`` run on real
     magnitudes: each writes s*t to its new sides and c*t to its reached
@@ -309,33 +320,39 @@ def _evolve(dim, starts, quarter, rounds, params, c, s, js, levels, level_of) ->
     the complex update c*t - i*s*0 and c*0 - i*s*t rounds each product
     once, as the real one does up to sign, and rounding is sign-symmetric.
     So the state is then these magnitudes times (-i)^d, d the sets'
-    distances from the start, and one product with ``_UNIT[quarter]``
-    (``quarter`` = d mod 4) makes it the complex state.  Every later round's
-    mixer ``(idx, swp, slot)`` is one complex gather-update-scatter over its
-    stacked pair, and a phase (unless None) takes exp(i gamma) once per
-    entry of ``levels`` and gathers it through ``level_of``; ``c``, ``s``
-    and ``js`` are cos, sin and i*sin of ``params``.  A slot or phase is one
-    index for an engine and one per amplitude or level for a batch.
+    distances from the start.  With no later round the probabilities are
+    the magnitudes squared, and no complex number is made.  Otherwise one
+    product with ``_UNIT[quarter]`` (``quarter`` = d mod 4) makes the
+    complex state, every later round's mixer ``(idx, swp, slot)`` is one
+    complex gather-update-scatter over its stacked pair, a phase (unless
+    None) takes exp(i gamma) once per entry of ``levels`` and gathers it
+    through ``level_of``, and the probabilities are re*re + im*im.  The
+    rounds carry no last phase: it multiplies each amplitude by a number of
+    modulus 1, which no probability sees (see ``AnsatzEngine``).  ``c``,
+    ``s`` and ``js`` are cos, sin and i*sin of ``params``.  A slot or phase
+    is one index for an engine and one per amplitude or level for a batch.
     """
     # Ufunc calls, not operators: on a temporary of 256 KiB or more an
     # operator may compute in place with the operands swapped, and a swapped
     # complex product rounds differently, so engine and batch would part.
     mul, sub = np.multiply, np.subtract
+    mags = np.zeros(dim)
+    mags[starts] = 1.0
+    for reached, new, slot in rounds[0][0]:
+        t = mags[reached]
+        mags[new] = mul(s[slot], t)
+        mags[reached] = mul(c[slot], t)
+    if len(rounds) == 1:
+        return mul(mags, mags)
+    amps = mul(mags, _UNIT[quarter])
     for r, (mixers, phase) in enumerate(rounds):
-        if r == 0:
-            mags = np.zeros(dim)
-            mags[starts] = 1.0
-            for reached, new, slot in mixers:
-                t = mags[reached]
-                mags[new] = mul(s[slot], t)
-                mags[reached] = mul(c[slot], t)
-            amps = mul(mags, _UNIT[quarter])
-        else:
+        if r > 0:
             for idx, swp, slot in mixers:
                 amps[idx] = sub(mul(c[slot], amps[idx]), mul(js[slot], amps[swp]))
         if phase is not None:
             amps = mul(amps, np.exp(mul(1j * params[phase], levels))[level_of])
-    return amps
+    re, im = amps.real, amps.imag
+    return np.add(mul(re, re), mul(im, im))
 
 
 class AnsatzEngine:
@@ -346,23 +363,28 @@ class AnsatzEngine:
     along its live mixers: all of them after a first full layer (add a set's
     nodes in order), at most 2^k after k live mixers.  The state holds one
     amplitude per reached set, ``basis`` lists their 2^n-register indices
-    sorted, and ``statevector`` returns amplitudes in that order.  Each live
-    mixer that couples a pair keeps two position arrays and its slot, in
-    sigma order per round.  In the first round only node v's mixer flips v,
-    so every set reached before it holds v as the start does: the mixer
-    keeps ``(reached, new, slot)``, those sets and their partners, which it
-    reaches first.  Its update is then a real scale (see ``_evolve``), and
-    ``_quarter`` holds each set's distance from the start mod 4, the power
-    of -i that round leaves on it.  A later mixer keeps ``(idx, swp, slot)``:
-    ``idx`` stacks the pairs' lower sides on their upper sides and ``swp``
-    the upper on the lower, so ``amps[swp]`` lines each amplitude up with
-    its rotation partner.  The set-size table ``_levels`` holds the
-    distinct sizes and ``_level_of`` each set's entry in it, so a phase
-    layer takes one exp per size.  A call runs ``_evolve`` with cos, sin and
-    i*sin of all parameters taken once, as Python scalars.  A zero angle is
-    applied, not skipped: cos 0 = 1 and sin 0 = 0 can change only the sign
-    of a zero amplitude.  Cross-checked against the full-subspace update and
-    against the circuit path in the tests.
+    sorted, and ``probabilities`` returns the measurement probabilities in
+    that order.  Only probabilities leave the engine, so it runs no last
+    phase layer: that layer multiplies each amplitude by a number of modulus
+    1, so neither the expectation nor the readout depends on the last
+    round's gamma, and at p=1 the evolution is real throughout (see
+    ``_evolve``).  Each live mixer that couples a pair keeps two position
+    arrays and its slot, in sigma order per round.  In the first round only
+    node v's mixer flips v, so every set reached before it holds v as the
+    start does: the mixer keeps ``(reached, new, slot)``, those sets and
+    their partners, which it reaches first.  Its update is then a real
+    scale, and ``_quarter`` holds each set's distance from the start mod 4,
+    the power of -i that round leaves on it.  A later mixer keeps ``(idx,
+    swp, slot)``: ``idx`` stacks the pairs' lower sides on their upper sides
+    and ``swp`` the upper on the lower, so ``amps[swp]`` lines each
+    amplitude up with its rotation partner.  The set-size table ``_levels``
+    holds the distinct sizes and ``_level_of`` each set's entry in it, so a
+    phase layer takes one exp per size.  A call runs ``_evolve`` with cos,
+    sin and i*sin of all parameters taken once, as Python scalars, and
+    ``expectation`` sums probability times set size with ``_span_sums``.  A
+    zero angle is applied, not skipped: cos 0 = 1 and sin 0 = 0 can change
+    only the sign of a zero amplitude.  Cross-checked against the
+    full-subspace update and against the circuit path in the tests.
     """
 
     def __init__(self, graph: Graph, variant: str, p: int = 1,
@@ -413,8 +435,10 @@ class AnsatzEngine:
         flat = rank[np.concatenate((rank[:0], *(h for side in sides for h in side)))]
         spans = list(accumulate((sum(map(len, side)) for side in sides), initial=0))
         # per round: the kept mixers in sigma order, each as the two halves of
-        # its span and its slot, and the live phase slot or None
-        self._rounds = [([], phase if phase in live else None) for _, phase in rounds]
+        # its span and its slot, and the live phase slot or None; the last
+        # round's phase is None, since no probability depends on it
+        self._rounds = [([], phase if phase in live and r < p - 1 else None)
+                        for r, (_, phase) in enumerate(rounds)]
         for (r, _, slot), a, b in zip(mixers, spans, spans[1:]):
             if b > a:
                 self._rounds[r][0].append((flat[a:(a + b) // 2], flat[(a + b) // 2:b], slot))
@@ -428,19 +452,18 @@ class AnsatzEngine:
         full[self._live] = live_values
         return full
 
-    def statevector(self, full_params) -> np.ndarray:
+    def probabilities(self, full_params) -> np.ndarray:
         params = np.asarray(full_params)
         s = np.sin(params)
         return _evolve(len(self.basis), self._start, self._quarter, self._rounds, params,
                        np.cos(params).tolist(), s.tolist(), (1j * s).tolist(),
                        self._levels, self._level_of)
 
-    def statevector_live(self, live_values) -> np.ndarray:
-        return self.statevector(self.full_params(live_values))
+    def probabilities_live(self, live_values) -> np.ndarray:
+        return self.probabilities(self.full_params(live_values))
 
     def expectation(self, full_params) -> float:
-        amps = self.statevector(full_params)
-        return float((np.abs(amps) ** 2) @ self._w)
+        return float(_span_sums(np.multiply(self.probabilities(full_params), self._w), _WHOLE)[0])
 
     def expectation_live(self, live_values) -> float:
         return self.expectation(self.full_params(live_values))
@@ -459,9 +482,14 @@ class EngineBatch:
     phase layer takes exp(i gamma w) once per entry of each engine's
     set-size table (``AnsatzEngine._levels``), with the engine's gamma read
     the same way, and gathers it per amplitude; an engine without a phase in
-    that round reads an extra slot that holds 0.  Every amplitude thus sees
-    the arithmetic of ``AnsatzEngine.statevector``, and |amps|^2 @ w stays
-    one dot product per engine, so each value is bitwise equal to the
+    that round reads an extra slot that holds 0.  Like the engines' rounds,
+    the batch's carry no last phase, so a batch of p=1 engines runs real
+    throughout.  In a batch with deeper engines a p=1 engine's amplitudes
+    are its real magnitudes m times the units (-i)^d, multiplied by phases
+    of exactly 1, so re*re + im*im = m*m, the bytes of its own call.  Every
+    probability thus has the bytes of ``AnsatzEngine.probabilities``, and
+    one ``_span_sums`` over the engines' cuts sums probability times set
+    size in the engine's order, so each value is bitwise equal to the
     engine's own call.
     """
 
@@ -475,7 +503,8 @@ class EngineBatch:
             [at + np.array(e._live, dtype=np.int64) for at, e in zip(slot_at, engines)])
         self._starts = np.array([at + e._start for at, e in zip(amp_at, engines)])
         self._quarter = np.concatenate([e._quarter for e in engines])
-        self._cuts = [(slice(a, b), e._w) for a, b, e in zip(amp_at, amp_at[1:], engines)]
+        self._cuts = amp_at[:-1]
+        self._w = np.concatenate([e._w for e in engines])
         level_at = np.cumsum([0] + [len(e._levels) for e in engines])
         self._levels = np.concatenate([e._levels for e in engines])
         self._level_of = np.concatenate([at + e._level_of for at, e in zip(level_at, engines)])
@@ -504,22 +533,19 @@ class EngineBatch:
         params = np.zeros(self._zero + 1)
         params[self._live] = live_points
         s = np.sin(params)
-        amps = _evolve(self._dim, self._starts, self._quarter, self._rounds, params,
-                       np.cos(params), s, 1j * s, self._levels, self._level_of)
-        probs = np.abs(amps) ** 2
-        # ``.dot`` is the BLAS dot product that ``@`` calls, with less overhead
-        return [float(probs[cut].dot(w)) for cut, w in self._cuts]
+        probs = _evolve(self._dim, self._starts, self._quarter, self._rounds, params,
+                        np.cos(params), s, 1j * s, self._levels, self._level_of)
+        return _span_sums(np.multiply(probs, self._w), self._cuts).tolist()
 
 
-def best_measured_set(amps: np.ndarray, basis: np.ndarray, n: int):
+def best_measured_set(probs: np.ndarray, basis: np.ndarray, n: int):
     """Largest set among subspace outcomes at or above ``MEASURED_FLOOR``.
 
-    ``amps`` are amplitudes over ``basis`` (see ``AnsatzEngine``), so every
-    outcome is an independent set.  Mirrors taking the best sample from a
-    finite-shot measurement; ties break toward higher probability, then
-    toward the lower basis index.
+    ``probs`` are measurement probabilities over ``basis`` (see
+    ``AnsatzEngine.probabilities``), so every outcome is an independent set.
+    Mirrors taking the best sample from a finite-shot measurement; ties
+    break toward higher probability, then toward the lower basis index.
     """
-    probs = np.abs(amps) ** 2
     cand = np.flatnonzero(probs >= MEASURED_FLOOR)
     if len(cand) == 0:
         cand = np.array([int(np.argmax(probs))])
@@ -536,8 +562,8 @@ def start_point(engine: AnsatzEngine, rng) -> np.ndarray:
 
 def _readout(engine: AnsatzEngine, x):
     """The best measured set at ``x`` and the state's unaccounted mass."""
-    amps = engine.statevector_live(x)
-    return best_measured_set(amps, engine.basis, engine.n), _unaccounted_mass(amps)
+    probs = engine.probabilities_live(x)
+    return best_measured_set(probs, engine.basis, engine.n), _unaccounted_mass(probs)
 
 
 def _drive(execution, optimizer):

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,14 +80,18 @@ def _scipy_maximize(objective, x0, max_evals):
 
 
 @pytest.mark.parametrize("variant,step", [("sa", None), ("ma", None), ("ma", 0.02)])
-def test_maximize_follows_scipy_nelder_mead(variant, step):
+def test_maximize_follows_scipy_nelder_mead(variant, step, monkeypatch):
     # Desk objectives (n=10, density 4.5), and one rounded to multiples of
-    # ``step`` so that vertices tie and the unstable sort picks the path.
+    # ``step`` so that vertices tie and the sort picks the path.  The last
+    # gamma leaves these objectives exactly flat, so ties are common, and
+    # scipy runs under a stable ``np.argsort`` as ``maximize`` sorts.
     # Budgets up to N+2 allow one call after the probe; SA budgets between
     # about 60 and 140 stop some runs part-way through a shrink. Everything
     # must match bit for bit. The port follows scipy 1.17 and was checked
     # against 1.17.1; older releases are not checked.
     pytest.importorskip("scipy", minversion="1.17")
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kwargs: argsort(a, kind="stable"))
     budgets = [None, *range(1, 140 if variant == "sa" else 60, 3)]
     for gi in range(3):
         engine = AnsatzEngine(erdos_renyi(10, 4.5, seed=gi), variant, 1)
@@ -348,62 +357,106 @@ def test_record_flags_an_unconverged_execution():
 # (graph_id, variant, evals, best_size, rounds) of the desk recipe, 4 graphs, seed 0.
 # Any change to the engine's arithmetic or to the optimizer's path moves these.
 PINNED_DESK_RECORDS = [
-    ("erdos_renyi-10-0", "sa(p=1)", 112, 5, 1),
-    ("erdos_renyi-10-0", "ma(p=1)", 1089, 5, 1),
-    ("erdos_renyi-10-0", "dqva(p=1,nu=5)", 570, 5, 8),
-    ("erdos_renyi-10-1", "sa(p=1)", 106, 4, 1),
+    ("erdos_renyi-10-0", "sa(p=1)", 123, 5, 1),
+    ("erdos_renyi-10-0", "ma(p=1)", 1066, 5, 1),
+    ("erdos_renyi-10-0", "dqva(p=1,nu=5)", 572, 5, 8),
+    ("erdos_renyi-10-1", "sa(p=1)", 114, 4, 1),
     ("erdos_renyi-10-1", "ma(p=1)", 443, 4, 1),
-    ("erdos_renyi-10-1", "dqva(p=1,nu=5)", 565, 4, 7),
-    ("erdos_renyi-10-2", "sa(p=1)", 59, 3, 1),
+    ("erdos_renyi-10-1", "dqva(p=1,nu=5)", 536, 4, 7),
+    ("erdos_renyi-10-2", "sa(p=1)", 62, 3, 1),
     ("erdos_renyi-10-2", "ma(p=1)", 366, 3, 1),
-    ("erdos_renyi-10-2", "dqva(p=1,nu=5)", 611, 4, 7),
-    ("erdos_renyi-10-3", "sa(p=1)", 99, 4, 1),
+    ("erdos_renyi-10-2", "dqva(p=1,nu=5)", 617, 4, 7),
+    ("erdos_renyi-10-3", "sa(p=1)", 105, 4, 1),
     ("erdos_renyi-10-3", "ma(p=1)", 702, 4, 1),
     ("erdos_renyi-10-3", "dqva(p=1,nu=5)", 182, 2, 6),
 ]
 
 
+DESK_RECIPE = BenchmarkConfig(
+    ensemble="erdos_renyi", nodes=10, edge_prob=0.5, graph_count=4,
+    variants=[VariantSpec("sa", 1), VariantSpec("ma", 1), VariantSpec("dqva", 1, 5)],
+    repetitions=1, seed=0,
+)
+
+
+def recipe_records(cfg):
+    """The (graph_id, variant, evals, best_size, rounds) of ``cfg``'s records,
+    and their ``params`` as ``float.hex`` (None for DQVA)."""
+    records = list(run_benchmark(cfg))
+    got = [(r.graph_id, r.variant, r.evals, r.best_size, r.rounds) for r in records]
+    params = [None if r.params is None else [float(v).hex() for v in r.params] for r in records]
+    return got, params
+
+
 def test_desk_recipe_records_are_pinned():
-    cfg = BenchmarkConfig(
-        ensemble="erdos_renyi", nodes=10, edge_prob=0.5, graph_count=4,
-        variants=[VariantSpec("sa", 1), VariantSpec("ma", 1), VariantSpec("dqva", 1, 5)],
-        repetitions=1, seed=0,
-    )
-    got = [(r.graph_id, r.variant, r.evals, r.best_size, r.rounds) for r in run_benchmark(cfg)]
+    got, _ = recipe_records(DESK_RECIPE)
     assert got == PINNED_DESK_RECORDS
 
 
 # The same for sparse n=16 graphs, 3 graphs, seed 0; each holds more than
 # ``LOCKSTEP_MAX_DIM`` independent sets, so these trials take the serial path.
 PINNED_SPARSE_RECORDS = [
-    ("erdos_renyi-16-0", "sa(p=1)", 98, 8, 1),
-    ("erdos_renyi-16-0", "dqva(p=1,nu=5)", 767, 6, 9),
-    ("erdos_renyi-16-1", "sa(p=1)", 125, 7, 1),
-    ("erdos_renyi-16-1", "dqva(p=1,nu=5)", 943, 7, 9),
-    ("erdos_renyi-16-2", "sa(p=1)", 101, 9, 1),
+    ("erdos_renyi-16-0", "sa(p=1)", 124, 8, 1),
+    ("erdos_renyi-16-0", "dqva(p=1,nu=5)", 773, 6, 9),
+    ("erdos_renyi-16-1", "sa(p=1)", 123, 7, 1),
+    ("erdos_renyi-16-1", "dqva(p=1,nu=5)", 949, 7, 9),
+    ("erdos_renyi-16-2", "sa(p=1)", 92, 9, 1),
     ("erdos_renyi-16-2", "dqva(p=1,nu=5)", 742, 7, 10),
 ]
 # The records' ``params`` as ``float.hex``; None for DQVA.
 PINNED_SPARSE_PARAMS = [
-    ["0x1.921fb5926716cp+0", "0x1.1e9bf2b7dc932p+1"], None,
-    ["0x1.921fb570f66e2p+0", "0x1.8047a513d45bbp+1"], None,
-    ["0x1.921fb56ed9fdap+0", "0x1.c570b6e8ad5d9p-2"], None,
+    ["0x1.921fb4beee5b6p+0", "0x1.30ac95104f11bp+1"], None,
+    ["0x1.921fb592686dap+0", "0x1.7d992c5314375p+1"], None,
+    ["0x1.921fb56451e30p+0", "0x1.c56e96b1ec5a8p-2"], None,
 ]
+SPARSE_RECIPE = BenchmarkConfig(
+    ensemble="erdos_renyi", nodes=16, density=3.0, graph_count=3,
+    variants=[VariantSpec("sa", 1), VariantSpec("dqva", 1, 5)],
+    repetitions=1, seed=0,
+)
 
 
 def test_sparse_recipe_records_are_pinned():
-    cfg = BenchmarkConfig(
-        ensemble="erdos_renyi", nodes=16, density=3.0, graph_count=3,
-        variants=[VariantSpec("sa", 1), VariantSpec("dqva", 1, 5)],
-        repetitions=1, seed=0,
-    )
-    graphs = [driver._make_graph(cfg, s) for s in np.random.SeedSequence(0).spawn(3)]
+    graphs = [driver._make_graph(SPARSE_RECIPE, s) for s in np.random.SeedSequence(0).spawn(3)]
     assert min(len(qaoa.independent_set_indices(g)) for g in graphs) > driver.LOCKSTEP_MAX_DIM
-    records = list(run_benchmark(cfg))
-    got = [(r.graph_id, r.variant, r.evals, r.best_size, r.rounds) for r in records]
+    got, params = recipe_records(SPARSE_RECIPE)
     assert got == PINNED_SPARSE_RECORDS
-    params = [None if r.params is None else [float(v).hex() for v in r.params] for r in records]
     assert params == PINNED_SPARSE_PARAMS
+
+
+# numpy's baseline x86-64-v2 kernels (numpy ignores a name it does not
+# know), and OpenBLAS's Haswell and Prescott kernels
+KERNEL_SETTINGS = {
+    "numpy-baseline": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+}
+
+
+def test_pinned_records_do_not_depend_on_the_kernels():
+    # Each record is the same under every kernel setting: the engine sums in
+    # one fixed order without BLAS and both Nelder-Mead forms sort stably.
+    # The settings take effect only in a fresh process, so each runs the two
+    # pinned recipes in its own.
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    code = ("import json, test_driver as t; print(json.dumps("
+            "[t.recipe_records(t.DESK_RECIPE)[0], *t.recipe_records(t.SPARSE_RECIPE)]))")
+    runs = {name: subprocess.Popen(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path, **setting})
+        for name, setting in KERNEL_SETTINGS.items()}
+    pinned = [PINNED_DESK_RECORDS, PINNED_SPARSE_RECORDS, PINNED_SPARSE_PARAMS]
+    want = json.loads(json.dumps(pinned))
+    try:
+        for name, run in runs.items():
+            out, err = run.communicate(timeout=300)
+            assert run.returncode == 0, (name, err)
+            assert json.loads(out) == want, name
+    finally:
+        for run in runs.values():
+            run.kill()
 
 
 def _serial_records(cfg):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from mcdecomp.qaoa import (
     AnsatzError,
     AnsatzSpec,
     EngineBatch,
+    _readout,
     best_measured_set,
     build_ansatz,
     dqva_default_mask,
@@ -61,11 +64,25 @@ def mixer_projector_unitary(graph, node, beta):
     return u
 
 
-def scatter(engine, amps):
-    """Subspace amplitudes placed into the full 2^n register."""
-    full = np.zeros(2**engine.n, dtype=complex)
-    full[engine.basis] = amps
+def scatter(engine, probs):
+    """Subspace probabilities placed into the full 2^n register."""
+    full = np.zeros(2**engine.n)
+    full[engine.basis] = probs
     return full
+
+
+def last_gamma_zero(spec, n):
+    """``spec`` with the last round's gamma at 0.  The engine runs no last
+    phase layer, so its probabilities are those of this circuit's state."""
+    params = list(spec.params)
+    params[round_slots(spec.variant, spec.p, n)[-1][1]] = 0.0
+    return replace(spec, params=tuple(params))
+
+
+def circuit_probabilities(graph, spec):
+    """|amplitude|^2 of the circuit path's state at the last gamma = 0."""
+    circuit = build_ansatz(graph, last_gamma_zero(spec, graph.n))
+    return np.abs(apply_circuit(Statevector.zero(graph.n), circuit).amplitudes) ** 2
 
 
 def independent_bitstrings(graph):
@@ -219,10 +236,9 @@ def test_engine_matches_circuit_path():
     for variant, p in ((SA, 2), (MA, 1)):
         params = tuple(rng.uniform(-np.pi, np.pi, param_count(variant, p, PATH5.n)))
         spec = AnsatzSpec(variant, p=p, params=params)
-        circ_state = apply_circuit(Statevector.zero(5), build_ansatz(PATH5, spec)).amplitudes
         eng = AnsatzEngine(PATH5, variant, p)
-        fast = scatter(eng, eng.statevector(np.asarray(params)))
-        assert phase_aligned_deviation(fast, circ_state) < 1e-11
+        fast = scatter(eng, eng.probabilities(np.asarray(params)))
+        assert np.max(np.abs(fast - circuit_probabilities(PATH5, spec))) < 1e-11
 
 
 def test_engine_matches_circuit_dqva():
@@ -235,11 +251,10 @@ def test_engine_matches_circuit_dqva():
     spec = AnsatzSpec(DQVA, p=1, params=params, permutation=sigma, mask=mask,
                       warm_start=warm, nu=4)
     validate_spec(PATH5, spec)
-    circ_state = apply_circuit(Statevector.zero(n), build_ansatz(PATH5, spec)).amplitudes
     eng = AnsatzEngine(PATH5, DQVA, 1, sigma, mask, warm)
     masked_params = [v if mask[i] else 0.0 for i, v in enumerate(params)]
-    fast = scatter(eng, eng.statevector(np.asarray(masked_params)))
-    assert phase_aligned_deviation(fast, circ_state) < 1e-11
+    fast = scatter(eng, eng.probabilities(np.asarray(masked_params)))
+    assert np.max(np.abs(fast - circuit_probabilities(PATH5, spec))) < 1e-11
 
 
 @pytest.mark.parametrize("graph, count", [
@@ -322,9 +337,10 @@ def test_engine_matches_circuit_on_seeded_graphs():
         circ = apply_circuit(Statevector.zero(n), build_ansatz(graph, spec)).amplitudes
         eng = AnsatzEngine(graph, spec.variant, spec.p, spec.permutation,
                            spec.mask, spec.warm_start)
-        amps = eng.statevector(np.asarray(spec.params))
-        assert phase_aligned_deviation(scatter(eng, amps), circ) < 1e-11
-        assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
+        probs = eng.probabilities(np.asarray(spec.params))
+        assert np.max(np.abs(scatter(eng, probs) - circuit_probabilities(graph, spec))) < 1e-11
+        assert abs(np.sqrt(probs.sum()) - 1.0) < 1e-12
+        # the circuit's state at the full parameters, last gamma included
         want = objective_expectation(Statevector(circ, n), graph)
         assert abs(eng.expectation(np.asarray(spec.params)) - want) < 1e-11
 
@@ -361,11 +377,10 @@ def engine_cases(draw):
 def test_engine_matches_circuit_path_on_random_graphs(case):
     graph, spec = case
     validate_spec(graph, spec)
-    circ = apply_circuit(Statevector.zero(graph.n), build_ansatz(graph, spec)).amplitudes
     eng = AnsatzEngine(graph, spec.variant, spec.p, spec.permutation,
                        spec.mask, spec.warm_start)
-    fast = scatter(eng, eng.statevector(np.asarray(spec.params)))
-    assert phase_aligned_deviation(fast, circ) < 1e-11
+    fast = scatter(eng, eng.probabilities(np.asarray(spec.params)))
+    assert np.max(np.abs(fast - circuit_probabilities(graph, spec))) < 1e-11
 
 
 def _batch_engines():
@@ -504,10 +519,11 @@ def test_engine_rejects_a_bad_layout(variant, layout):
         AnsatzEngine(PATH4, variant, 1, **layout)
 
 
-def full_subspace_statevector(graph, variant, p, sigma, mask, warm_start, full_params):
-    """The reference for ``AnsatzEngine.statevector``, over every independent
-    set: every pair of every live mixer with a nonzero angle, and
-    exp(i gamma w) taken per amplitude.  Returns the state and the weights."""
+def full_subspace_probabilities(graph, variant, p, sigma, mask, warm_start, full_params):
+    """The reference for ``AnsatzEngine.probabilities``, over every
+    independent set: every pair of every live mixer with a nonzero angle,
+    exp(i gamma w) taken per amplitude in every round but the last, and
+    re*re + im*im.  Returns the probabilities and the weights."""
     n = graph.n
     basis = independent_set_indices(graph)
     weights = np.array([bin(int(b)).count("1") for b in basis], dtype=float)
@@ -517,7 +533,7 @@ def full_subspace_statevector(graph, variant, p, sigma, mask, warm_start, full_p
     c = np.cos(params).tolist()
     js = (1j * np.sin(params)).tolist()
     mul, sub = np.multiply, np.subtract
-    for mixers, phase in round_slots(variant, p, n):
+    for r, (mixers, phase) in enumerate(round_slots(variant, p, n)):
         for node in sigma:
             slot = mixers[node]
             if (mask is None or mask[slot]) and params[slot] != 0.0:
@@ -527,9 +543,9 @@ def full_subspace_statevector(graph, variant, p, sigma, mask, warm_start, full_p
                 sel1 = np.searchsorted(basis, basis[sel0] | bit)
                 idx, swp = np.concatenate((sel0, sel1)), np.concatenate((sel1, sel0))
                 amps[idx] = sub(mul(c[slot], amps[idx]), mul(js[slot], amps[swp]))
-        if (mask is None or mask[phase]) and params[phase] != 0.0:
+        if (mask is None or mask[phase]) and params[phase] != 0.0 and r < p - 1:
             amps = mul(amps, np.exp(mul(1j * params[phase], weights)))
-    return amps, weights
+    return np.add(mul(amps.real, amps.real), mul(amps.imag, amps.imag)), weights
 
 
 def reach_cases():
@@ -572,12 +588,12 @@ def test_reach_restricted_engine_is_bitwise_the_unrestricted_update():
         rest = np.ones(len(full), dtype=bool)
         rest[at] = False
         for x in points:
-            want, weights = full_subspace_statevector(graph, variant, p, sigma, mask, warm, x)
-            probs = np.abs(want[at]) ** 2
-            assert (np.abs(engine.statevector(x)) ** 2).tobytes() == probs.tobytes()
+            want, weights = full_subspace_probabilities(graph, variant, p, sigma, mask, warm, x)
+            probs = want[at]
+            assert engine.probabilities(x).tobytes() == probs.tobytes()
             assert not np.any(want[rest])
             assert np.float64(engine.expectation(x)).tobytes() == \
-                np.float64(float(probs @ weights[at])).tobytes()
+                np.add.reduceat(probs * weights[at], [0])[0].tobytes()
     # not vacuous: from |0...0> each first-layer pair reaches one new set,
     # and a second layer reaches none
     first = AnsatzEngine(PATH5, SA, 1)
@@ -624,11 +640,48 @@ def test_engine_is_bitwise_the_unrestricted_update_at_exact_angles():
         at = np.searchsorted(full, engine.basis)
         for x in xs:
             x[phases] = 0.0
-            want, _ = full_subspace_statevector(graph, variant, p, sigma, mask, warm, x)
-            assert (np.abs(engine.statevector(x)) ** 2).tobytes() == (np.abs(want[at]) ** 2).tobytes()
+            want, _ = full_subspace_probabilities(graph, variant, p, sigma, mask, warm, x)
+            assert engine.probabilities(x).tobytes() == want[at].tobytes()
             engines.append(engine)
             points.append(x)
     _assert_batch_matches(engines, points)
+
+
+def test_last_gamma_moves_no_measured_value():
+    # The last phase layer multiplies each amplitude by a number of modulus
+    # 1, so the engine runs none: moving the last round's gamma must leave
+    # the probabilities, the expectation, the batch's values and the readout
+    # bitwise unchanged, while moving the other angles moves the expectation.
+    rng = np.random.default_rng(13)
+    graph = erdos_renyi(10, 4.5, seed=7000)
+    n = graph.n
+    _, witness = brute_force_mis(graph)
+    warm = tuple(witness[:n // 2]) + (0,) * (n - n // 2)
+    sigma = tuple(int(v) for v in rng.permutation(n))
+    engines = []
+    for p in (1, 2):
+        mask = dqva_default_mask(p, n, p + 3, sigma, in_set=warm)
+        engines += [AnsatzEngine(graph, SA, p), AnsatzEngine(graph, MA, p, sigma),
+                    AnsatzEngine(graph, DQVA, p, sigma, mask, warm)]
+    lasts = [engine._live.index(round_slots(engine.variant, engine.p, n)[-1][1])
+             for engine in engines]
+    xs = [rng.uniform(0.0, np.pi, engine.live_param_count) for engine in engines]
+    for engine, last, x in zip(engines, lasts, xs):
+        z = x + 0.7
+        z[last] = x[last]
+        assert abs(engine.expectation_live(z) - engine.expectation_live(x)) > 1e-6
+    batch = EngineBatch(engines)
+    for shift in (0.7, -2.0, np.pi):
+        ys = [x.copy() for x in xs]
+        for engine, last, x, y in zip(engines, lasts, xs, ys):
+            y[last] += shift
+            assert engine.probabilities_live(x).tobytes() == engine.probabilities_live(y).tobytes()
+            assert np.float64(engine.expectation_live(x)).tobytes() == \
+                np.float64(engine.expectation_live(y)).tobytes()
+            (bits_x, mass_x), (bits_y, mass_y) = _readout(engine, x), _readout(engine, y)
+            assert bits_x == bits_y and np.float64(mass_x).tobytes() == np.float64(mass_y).tobytes()
+        assert np.array(batch.expectations(np.concatenate(xs))).tobytes() == \
+            np.array(batch.expectations(np.concatenate(ys))).tobytes()
 
 
 @pytest.mark.parametrize("build", [
@@ -650,14 +703,14 @@ def test_dqva_runs_at_63_nodes():
 
 def test_best_measured_set_prefers_size_then_probability():
     eng = AnsatzEngine(PATH5, SA)
-    amps = np.zeros(len(eng.basis), dtype=complex)
+    probs = np.zeros(len(eng.basis))
     pos = {b: i for i, b in enumerate(eng.basis.tolist())}
-    amps[pos[0b10000]] = np.sqrt(0.9)
-    amps[pos[0b10100]] = np.sqrt(0.04)
-    amps[pos[0b01010]] = np.sqrt(0.06)
-    assert best_measured_set(amps, eng.basis, 5) == (0, 1, 0, 1, 0)
+    probs[pos[0b10000]] = 0.9
+    probs[pos[0b10100]] = 0.04
+    probs[pos[0b01010]] = 0.06
+    assert best_measured_set(probs, eng.basis, 5) == (0, 1, 0, 1, 0)
     # below the floor everywhere: the most probable outcome is reported
-    assert best_measured_set(amps * 1e-3, eng.basis, 5) == (1, 0, 0, 0, 0)
+    assert best_measured_set(probs * 1e-6, eng.basis, 5) == (1, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("variant, p", [("foo", 1), (SA, 0), (MA, 0), (DQVA, -1)])

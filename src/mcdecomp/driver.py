@@ -31,10 +31,9 @@ class DriverError(ValueError):
 # time, and one ragged batch is no faster than single calls.
 LOCKSTEP_MAX_DIM = 512
 # Engines in one lockstep batch, which bounds its joined state and index arrays.
-# The batch's searches run as one ``optimize.SearchGroup`` per dimension (desk:
-# three), whose step costs about as much for one row as for a few dozen, so
-# the width is set for groups of tens of rows: at 32 a desk group held about
-# five, too few to beat stepping each search on its own.
+# The batch's searches, of every dimension, run as one ``optimize.SearchGroup``,
+# whose step costs about as much for one row as for a few dozen, so the width
+# is set for a group of tens of rows; a wider batch holds more memory.
 LOCKSTEP_WIDTH = 128
 
 
@@ -366,21 +365,22 @@ def _lockstep(executions, max_evals, tol) -> list[list[tuple[np.ndarray, opt.Opt
     searches stepped together; returns each execution's ``(x0, result)`` per
     round, in order.
 
-    The searches of one dimension form one ``optimize.SearchGroup``, and
-    each step evaluates the pending points of every group with one
-    ``EngineBatch`` call.  Building a batch costs about as much per engine
-    as ten of its evals, so it is rebuilt only once half of its searches
-    have finished: finished rows are evaluated until then and their values
-    dropped.  A finished search's result goes to its execution at once, and
-    the round that execution yields next joins at the rebuild.  A rebuild
-    drops the finished rows, adds those rounds and tops the batch up to
-    ``LOCKSTEP_WIDTH`` with new executions, which start only then, so that
-    at most that many executions are alive at a time.
+    The searches, of every dimension, form one ``optimize.SearchGroup``,
+    and each step evaluates its pending points with one ``EngineBatch``
+    call and hands the values to one ``tell``.  Building a batch costs
+    about as much per engine as ten of its evals, so it is rebuilt only
+    once half of its searches have finished: finished rows are evaluated
+    until then and their values dropped.  A finished search's result goes
+    to its execution at once, and the round that execution yields next
+    joins at the rebuild.  A rebuild drops the finished rows, adds those
+    rounds and tops the batch up to ``LOCKSTEP_WIDTH`` with new executions,
+    which start only then, so that at most that many executions are alive
+    at a time.
     """
     executions = iter(executions)
     runs = []
     ready = []  # the (run index, execution, (engine, x0)) of the rounds to join
-    groups: dict[int, opt.SearchGroup] = {}  # by search dimension
+    group = opt.SearchGroup(max_evals=max_evals, tol=tol)
     live = 0
     while True:
         while live + len(ready) < LOCKSTEP_WIDTH:
@@ -389,31 +389,20 @@ def _lockstep(executions, max_evals, tol) -> list[list[tuple[np.ndarray, opt.Opt
                 break
             runs.append([])
             _advance(ready, len(runs) - 1, execution, None)
-        for group in groups.values():
-            group.drop_finished()
-        joining: dict[int, list] = {}
-        for run, execution, (engine, x0) in ready:
-            joining.setdefault(len(x0), []).append((run, execution, engine, x0))
-        for n, tags in joining.items():
-            if n not in groups:
-                groups[n] = opt.SearchGroup(n, max_evals, tol)
-            groups[n].add([x0 for *_, x0 in tags], tags)
+        group.drop_finished()
+        group.add([x0 for *_, (_, x0) in ready],
+                  [(run, execution, engine, x0) for run, execution, (engine, x0) in ready])
         ready = []
-        active = [group for group in groups.values() if len(group)]
-        members = [tag for group in active for tag in group.tags]
-        if not members:
+        if not len(group):
             return runs
-        batch = EngineBatch(engine for _, _, engine, _ in members)
-        live = len(members)
-        while 2 * live > len(members):
-            values = batch.expectations(np.concatenate([group.points.ravel() for group in active]))
-            at = 0
-            for group in active:
-                for (run, execution, _, x0), result in group.tell(values[at:at + len(group)]):
-                    live -= 1
-                    runs[run].append((x0, result))
-                    _advance(ready, run, execution, result)
-                at += len(group)
+        batch = EngineBatch(engine for _, _, engine, _ in group.tags)
+        live = len(group)
+        while 2 * live > len(group):
+            for (run, execution, _, x0), result in group.tell(
+                    batch.expectations(group.joined_points())):
+                live -= 1
+                runs[run].append((x0, result))
+                _advance(ready, run, execution, result)
 
 
 def _advance(ready, run, execution, result) -> None:

@@ -11,6 +11,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -381,6 +382,8 @@ class Graph:
 
     ``adjacency`` holds each node's sorted neighbors; it is built once from
     the edges and takes no part in equality, hashing or repr.
+    ``basis_masks`` holds each node's neighbors as a mask in the basis-index
+    convention (node i is bit n-1-i); it is built on first use.
     """
 
     n: int
@@ -409,6 +412,11 @@ class Graph:
         if not 0 <= v < self.n:
             raise IRError(f"node {v} out of range for {self.n} nodes")
         return self.adjacency[v]
+
+    @cached_property
+    def basis_masks(self) -> tuple[int, ...]:
+        n = self.n
+        return tuple(sum(1 << (n - 1 - u) for u in nbrs) for nbrs in self.adjacency)
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))

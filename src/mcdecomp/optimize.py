@@ -16,10 +16,11 @@ start vertex costs one evaluation.  The package owns the port because that
 call was scipy's only use here, and importing ``scipy.optimize`` cost most
 of a fresh process's start-up.
 
-``SearchGroup`` runs many searches of one dimension together, each row on
+``SearchGroup`` runs many searches together, of any dimensions, each row on
 the path of ``maximize`` bit for bit, with each step's arithmetic done once
-for the whole group as array operations, so that a caller can evaluate
-their points in one batch (``driver.run_benchmark``).
+for the whole group as array operations over simplices padded to the widest
+row (its docstring states the padding rules), so that a caller can evaluate
+all their points in one batch (``driver.run_benchmark``).
 """
 from __future__ import annotations
 
@@ -62,24 +63,22 @@ def _start(x0) -> np.ndarray:
 
 
 def _probe_simplex(x0: np.ndarray) -> np.ndarray:
-    """The ``(rows, n+1, n)`` simplices around the ``(rows, n)`` starts
-    ``x0``, as scipy builds its default: vertex i+1 moves coordinate i by
-    5 %, or to 0.00025 from zero."""
-    n = x0.shape[1]
-    sim = np.repeat(x0[:, None], n + 1, 1)
+    """The ``(n+1, n)`` simplex around ``x0``, as scipy builds its default:
+    vertex i+1 moves coordinate i by 5 %, or to 0.00025 from zero."""
+    n = len(x0)
+    sim = np.repeat(x0[None], n + 1, 0)
     i = np.arange(n)
-    sim[:, i + 1, i] = np.where(x0 != 0, x0 * 1.05, 0.00025)
+    sim[i + 1, i] = np.where(x0 != 0, x0 * 1.05, 0.00025)
     return sim
 
 
-def _stalled(sims, i, fsim, tol) -> bool:
-    """scipy's stopping test on the sorted simplex ``sims[i]`` and its
-    values ``fsim``, its two tests in the other order, both pure.  The
-    values are sorted (NaN last), so max|fsim[0] - fsim[1:]| is
-    fsim[-1] - fsim[0]: rounding is monotone, so the same value decides the
-    same way.  The simplex is read only when the values pass, which keeps
-    the group's per-row test cheap."""
-    return fsim[-1] - fsim[0] <= tol and np.abs(sims[i, 1:] - sims[i, 0]).max() <= XATOL
+def _stalled(sim, fsim, tol) -> bool:
+    """scipy's stopping test on the sorted simplex ``sim`` and its values
+    ``fsim``, its two tests in the other order, both pure.  The values are
+    sorted (NaN last), so max|fsim[0] - fsim[1:]| is fsim[-1] - fsim[0]:
+    rounding is monotone, so the same value decides the same way.  The
+    simplex is read only when the values pass."""
+    return fsim[-1] - fsim[0] <= tol and np.abs(sim[1:] - sim[0]).max() <= XATOL
 
 
 # The trial points a*xbar + b*worst, one (a, b) row per kind: reflection,
@@ -120,7 +119,7 @@ def maximize(objective, x0, max_evals: int | None = None, tol: float = 1e-4) -> 
     budget = _budget(max_evals, tol, n)
     # Probe the start simplex first: a flat objective returns x0 after N+1
     # evaluations instead of bouncing around the plateau.
-    sim = _probe_simplex(x0[None])[0]
+    sim = _probe_simplex(x0)
     values = [objective(pt) for pt in sim]
     if max(values) - min(values) <= tol:
         return OptResult(x0, values[0], n + 1, True)
@@ -147,7 +146,7 @@ def maximize(objective, x0, max_evals: int | None = None, tol: float = 1e-4) -> 
 
     while calls < maxfev:
         try:
-            if _stalled(sim[None], 0, fsim, tol):
+            if _stalled(sim, fsim, tol):
                 break
             worst = sim[-1]
             xbar = np.add.reduce(sim[:-1], 0) / n
@@ -186,43 +185,56 @@ _PROBE, _REFLECT, _EXPAND, _CONTRACT, _SHRINK, _DONE = range(6)
 
 
 class _Row:
-    """One search's branch state, as Python scalars: the phase, the vertex
-    ``k`` it asks for, its calls and ``maxfev``, the probe's values, and
-    the reflection's value and the sorted simplex's best, second-worst and
-    worst values for the step in progress."""
+    """One search's branch state, as Python scalars: its dimension ``n``,
+    the phase, the vertex ``k`` it asks for, its calls and ``maxfev``, the
+    probe's values, and the reflection's value and the sorted simplex's
+    best, second-worst and worst values for the step in progress."""
 
-    __slots__ = ("tag", "x0", "phase", "k", "calls", "maxfev", "values", "fxr", "outside",
+    __slots__ = ("tag", "x0", "n", "phase", "k", "calls", "maxfev", "values", "fxr", "outside",
                  "best", "second", "worst")
 
     def __init__(self, tag, x0):
-        self.tag, self.x0 = tag, x0
+        self.tag, self.x0, self.n = tag, x0, len(x0)
         self.phase, self.k, self.values = _PROBE, 0, []
 
 
 class SearchGroup:
-    """``maximize`` for many starts of one dimension ``n``, stepped together.
+    """``maximize`` for many starts of any dimensions, stepped together.
 
-    Each row holds one search.  ``points`` is the ``(rows, n)`` array of
-    the rows' pending points; ``tell`` takes their values in row order and
-    returns ``(tag, OptResult)`` for each row that finished on that step.
-    A row asks for the points that ``maximize(objective, x0, max_evals,
-    tol)`` evaluates, in order, and its result is that call's bit for bit:
-    the group keeps the simplices in one ``(rows, n+1, n)`` array and their
-    values in one ``(rows, n+1)`` array, and each step computes the serial
-    values element for element (a row-wise ``argsort``, the centroid as
+    Each row holds one search.  ``joined_points()`` returns the rows'
+    pending points joined end to end (``points`` holds them padded, one
+    row each), and ``tell`` takes their values in row order and returns
+    ``(tag, OptResult)`` for each row that finished on that step.  A row asks for the points that ``maximize(objective, x0,
+    max_evals, tol)`` evaluates, in order, and its result is that call's
+    bit for bit: the group keeps the simplices in one ``(rows, w+1, w)``
+    array and their values in one ``(rows, w+1)`` array, w the widest
+    row's dimension, and each step computes the serial values element for
+    element (a row-wise stable ``argsort``, the centroid as
     ``np.add.reduce`` over the vertex axis, the trial points and shrink
-    moves), once for every row that needs it.  A finished row keeps its
-    last point, and its values are ignored until ``drop_finished``.
+    moves), once for every row that needs it.  A row of dimension n < w is
+    padded so that every step sees its own simplex:
+
+    - its coordinates past n are 0.0, and so are its vertices past n;
+      every step is coordinate-wise, so no real coordinate reads them;
+    - its values past vertex n are NaN, which the stable sort keeps after
+      every real value, real NaNs included, so the padded vertices stay put;
+    - the centroid sums the first n vertices in order from -0.0 (-0.0 + x
+      is x bit for bit, +0.0 included) and divides by n;
+    - the stopping test, the budget (``500 * n`` by default) and the
+      result's value read the real vertices only.
+
+    A finished row keeps its last point, and its values are ignored until
+    ``drop_finished``.
     """
 
-    def __init__(self, n: int, max_evals: int | None = None, tol: float = 1e-4):
-        self.n, self._tol = n, tol
-        self._budget = _budget(max_evals, tol, n)
+    def __init__(self, *, max_evals: int | None = None, tol: float = 1e-4):
+        _budget(max_evals, tol, 1)  # bad arguments raise here, not at a row's probe
+        self._max_evals, self._tol = max_evals, tol
         self._rows: list[_Row] = []
-        self._sim = np.empty((0, n + 1, n))
-        self._fsim = np.empty((0, n + 1))
-        self.points = np.empty((0, n))
-        self._xbar = np.empty((0, n))  # the centroid of the step in progress
+        self._sim, self._fsim = np.empty((0, 1, 0)), np.empty((0, 1))
+        # the pending points and the centroids of the steps in progress
+        self.points, self._xbar = np.empty((0, 0)), np.empty((0, 0))
+        self._reindex()
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -231,17 +243,28 @@ class SearchGroup:
     def tags(self) -> list:
         return [row.tag for row in self._rows]
 
+    def joined_points(self) -> np.ndarray:
+        """The rows' pending points without their padding, joined end to end."""
+        return self.points.take(self._coords)
+
     def add(self, starts, tags) -> None:
-        """Start a search from each of ``starts``, tagged with ``tags``."""
-        starts = [_start(x0) for x0 in starts]
-        if any(len(x0) != self.n for x0 in starts):
-            raise ValueError(f"every start must have {self.n} coordinates")
-        x0 = np.array(starts).reshape(-1, self.n)
-        self._sim = np.concatenate([self._sim, _probe_simplex(x0)])
-        self._fsim = np.concatenate([self._fsim, np.empty((len(x0), self.n + 1))])
-        self.points = np.concatenate([self.points, x0])
-        self._xbar = np.concatenate([self._xbar, x0])
-        self._rows += [_Row(tag, x) for tag, x in zip(tags, starts)]
+        """Start a search from each of ``starts``, tagged with ``tags``;
+        ``ValueError`` before any change unless every start is valid and
+        each has one tag."""
+        starts, tags = [_start(x0) for x0 in starts], list(tags)
+        if len(starts) != len(tags):
+            raise ValueError(f"{len(starts)} starts for {len(tags)} tags")
+        rows, old = self.points.shape
+        w, size = max([old, *map(len, starts)]), rows + len(starts)
+        sim, fsim = np.zeros((size, w + 1, w)), np.full((size, w + 1), np.nan)
+        points, xbar = np.zeros((size, w)), np.zeros((size, w))
+        sim[:rows, :old + 1, :old], fsim[:rows, :old + 1] = self._sim, self._fsim
+        points[:rows, :old], xbar[:rows, :old] = self.points, self._xbar
+        for r, x0 in enumerate(starts, rows):
+            sim[r, :len(x0) + 1, :len(x0)], points[r, :len(x0)] = _probe_simplex(x0), x0
+        self._sim, self._fsim, self.points, self._xbar = sim, fsim, points, xbar
+        self._rows += [_Row(tag, x0) for tag, x0 in zip(tags, starts)]
+        self._reindex()
 
     def drop_finished(self) -> None:
         keep = np.array([row.phase != _DONE for row in self._rows], dtype=bool)
@@ -250,12 +273,23 @@ class SearchGroup:
         self._rows = [row for row, kept in zip(self._rows, keep) if kept]
         self._sim, self._fsim = self._sim[keep], self._fsim[keep]
         self.points, self._xbar = self.points[keep], self._xbar[keep]
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Index the rows' dimensions n: ``_inner`` marks each row's first n
+        of w vertices or coordinates, and ``_last`` and ``_coords`` hold the
+        flat indices of its worst vertex and of its real coordinates."""
+        n = self._n = np.array([row.n for row in self._rows], dtype=np.intp)[:, None]
+        w = self.points.shape[1]
+        self._inner = (np.arange(w) < n)[:, :, None]
+        self._last = np.arange(len(n)) * (w + 1) + n[:, 0]
+        self._coords = np.flatnonzero(self._inner)
 
     def tell(self, values) -> list[tuple[object, OptResult]]:
         """Take each row's value of its point; return the rows that finished."""
-        n, m, tol = self.n, self.n + 1, self._tol
+        m, tol = self.points.shape[1] + 1, self._tol
         finished = []
-        # Vertices are addressed by their flat index row * (n+1) + vertex.
+        # Vertices are addressed by their flat index row * (w+1) + vertex.
         cells, cell_values = [], []  # the values that enter the simplex
         takes, takes_xr = [], []  # rows whose worst vertex becomes the point / the reflection
         moves = []  # vertices that a shrink moves
@@ -276,6 +310,7 @@ class SearchGroup:
             phase = row.phase
             if phase == _DONE:
                 continue
+            n = row.n
             if phase == _PROBE:
                 row.values.append(v)
                 if row.k < n:
@@ -284,11 +319,12 @@ class SearchGroup:
                     asked.append(r * m + row.k)
                 elif max(row.values) - min(row.values) <= tol:
                     row.phase = _DONE
-                    finished.append((row.tag, OptResult(row.x0, row.values[0], m, True)))
+                    finished.append((row.tag, OptResult(row.x0, row.values[0], n + 1, True)))
                 else:
                     # the simplex search starts from the probe's values
-                    row.calls, row.maxfev = 0, max(1, self._budget - m)
-                    cells += range(r * m, r * m + m)
+                    row.calls = 0
+                    row.maxfev = max(1, _budget(self._max_evals, tol, n) - (n + 1))
+                    cells += range(r * m, r * m + n + 1)
                     cell_values += [-f for f in row.values]
                     ends.append(r)
                 continue
@@ -336,16 +372,16 @@ class SearchGroup:
                 else:
                     shrink(r, row)
 
-        vertices, points = self._sim.reshape(-1, n), self.points
+        vertices, points = self._sim.reshape(len(self._sim) * m, m - 1), self.points
         if cells:
             self._fsim.reshape(-1)[cells] = cell_values
         if takes:
             takes = np.array(takes)
-            vertices[takes * m + n] = points.take(takes, 0)
+            vertices[self._last.take(takes)] = points.take(takes, 0)
         if takes_xr:
             # the reflection again, from the same centroid and worst vertex
             rows = np.array(takes_xr)
-            worst = rows * m + n
+            worst = self._last.take(rows)
             vertices[worst] = _trial(_REFLECTION, self._xbar.take(rows, 0), vertices.take(worst, 0))
         if moves:
             moves = np.array(moves)
@@ -357,39 +393,53 @@ class SearchGroup:
             points[asks] = vertices.take(asked, 0)
         if trials:
             rows = np.array(trials)
-            points[rows] = _trial(kinds, self._xbar.take(rows, 0), vertices.take(rows * m + n, 0))
+            points[rows] = _trial(kinds, self._xbar.take(rows, 0),
+                                  vertices.take(self._last.take(rows), 0))
         return finished
 
     def _sort(self, rows: np.ndarray):
         """Sort the simplices of ``rows`` by value; returns them and their values."""
+        m = self._fsim.shape[1]
         order = self._fsim.take(rows, 0).argsort(axis=1, kind="stable")
-        cells = order + (rows * (self.n + 1))[:, None]
-        sim, fsim = self._sim.reshape(-1, self.n).take(cells, 0), self._fsim.take(cells)
+        cells = order + (rows * m)[:, None]
+        sim, fsim = self._sim.reshape(-1, m - 1).take(cells, 0), self._fsim.take(cells)
         self._sim[rows], self._fsim[rows] = sim, fsim
         return sim, fsim
 
     def _end_steps(self, ends, trials, kinds) -> list[tuple[object, OptResult]]:
         """Sort the simplices of ``ends``, then finish each row that is out of
         budget or converged; the others take their centroid and join
-        ``trials`` for their next reflection."""
-        n = self.n
+        ``trials`` for their next reflection.  The stopping test is
+        ``_stalled``'s: the value test row by row, then the simplex test for
+        all the rows that pass it at once, as one masked max."""
         sim, fsim = self._sort(np.array(ends))
+        values = fsim.tolist()
+        at = [i for i, (r, f) in enumerate(zip(ends, values))
+              if f[self._rows[r].n] - f[0] <= self._tol]
+        stalled = set()
+        if at:
+            spread = np.maximum.reduce(np.abs(sim[at, 1:] - sim[at, :1]), (1, 2), initial=0.0,
+                                       where=self._inner.take([ends[i] for i in at], 0))
+            stalled = {i for i, s in zip(at, spread.tolist()) if s <= XATOL}
         finished, go, reflect = [], [], []
-        for i, (r, f) in enumerate(zip(ends, fsim.tolist())):
+        for i, (r, f) in enumerate(zip(ends, values)):
             row = self._rows[r]
-            if row.calls < row.maxfev and not _stalled(sim, i, f, self._tol):
+            if row.calls < row.maxfev and i not in stalled:
                 row.phase = _REFLECT
                 row.calls += 1
-                row.best, row.second, row.worst = f[0], f[-2], f[-1]
+                row.best, row.second, row.worst = f[0], f[row.n - 1], f[row.n]
                 go.append(i)
                 reflect.append(r)
                 continue
             row.phase = _DONE
-            finished.append((row.tag, OptResult(sim[i, 0].copy(), -np.min(fsim[i]),
-                                                row.calls + n + 1, row.calls < row.maxfev)))
+            finished.append((row.tag, OptResult(
+                sim[i, 0, :row.n].copy(), -np.min(fsim[i, :row.n + 1]),
+                row.calls + row.n + 1, row.calls < row.maxfev)))
         if go:
-            kept = sim if len(go) == len(ends) else sim.take(go, 0)
-            self._xbar[reflect] = np.add.reduce(kept[:, :-1], 1) / n
+            # vertex v is real and not the worst when v < n
+            self._xbar[reflect] = np.add.reduce(
+                sim.take(go, 0)[:, :-1], 1, initial=-0.0,
+                where=self._inner.take(reflect, 0)) / self._n.take(reflect, 0)
             trials += reflect
             kinds += [_REFLECTION] * len(reflect)
         return finished

@@ -270,9 +270,10 @@ def _walk(graph: Graph, nodes, start: int):
     held = common = np.int64(start)  # the nodes some / every reached set holds
     order = None  # argsort of ``sets`` while no set is appended
     pairs, none = [], np.zeros(0, dtype=np.intp)
+    masks = graph.basis_masks
     for v in nodes:
         bit = np.int64(1 << (n - 1 - v))
-        nbrs = sum(1 << (n - 1 - u) for u in graph.adjacency[v])
+        nbrs = masks[v]
         if nbrs & common:
             pairs.append((none, none))
             continue
@@ -398,7 +399,8 @@ class AnsatzEngine:
         self.sigma = tuple(permutation) if permutation is not None else tuple(range(n))
         self.mask = tuple(mask) if mask is not None else None
         self.warm_start = tuple(warm_start) if warm_start is not None else (0,) * n
-        if not graph.is_independent(self.warm_start):
+        start = bits_to_index(self.warm_start)
+        if any(b and start & mask for b, mask in zip(self.warm_start, graph.basis_masks)):
             raise AnsatzError("warm start is not an independent set")
         self._size = param_count(variant, p, n)
         self._live = [i for i in range(self._size) if self.mask is None or self.mask[i]]
@@ -406,7 +408,6 @@ class AnsatzEngine:
         rounds = round_slots(variant, p, n)
         mixers = [(r, node, slots[node]) for r, (slots, _) in enumerate(rounds)
                   for node in self.sigma if slots[node] in live]
-        start = bits_to_index(self.warm_start)
         sets, pairs = _walk(graph, [node for _, node, _ in mixers], start)
         order = sets.argsort()
         self.basis = sets[order]

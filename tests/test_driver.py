@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcdecomp.driver as driver
+import mcdecomp.optimize as opt
 import mcdecomp.qaoa as qaoa
 from mcdecomp.driver import (
     BenchmarkConfig,
@@ -122,17 +123,20 @@ def test_a_bad_start_raises_before_any_point(x0):
 
     with pytest.raises(ValueError, match="x0"):
         maximize(objective, x0)
-    group = SearchGroup(2)
+    group = SearchGroup()
     with pytest.raises(ValueError, match="x0"):
         group.add([np.ones(2), x0], ["good", "bad"])
     assert len(group) == 0
 
 
-def test_a_group_rejects_a_start_of_another_dimension():
-    group = SearchGroup(3)
-    with pytest.raises(ValueError, match="3 coordinates"):
-        group.add([np.ones(2)], ["row"])
-    assert len(group) == 0
+def test_a_group_rejects_starts_and_tags_of_different_lengths():
+    group = SearchGroup()
+    group.add([np.ones(3)], ["row"])
+    for starts, tags in (([np.ones(2), np.full(2, 0.5)], ["a"]), ([np.ones(4)], ["a", "b"])):
+        with pytest.raises(ValueError, match="tags"):
+            group.add(starts, tags)
+    assert group.tags == ["row"]
+    assert group.points.tolist() == [[1.0, 1.0, 1.0]]
 
 
 def test_row_argsort_keeps_the_serial_tie_order():
@@ -169,7 +173,8 @@ def _test_objective(n, seed, kind):
 
 def _drive_group(group, starts, joins, objectives):
     """Step ``group`` until every start has finished; start k joins at step
-    ``joins[k]``, and finished rows are dropped every seventh step."""
+    ``joins[k]``, finished rows are dropped every seventh step, and each
+    objective sees its row's point without the padding."""
     results, step = {}, 0
     while len(results) < len(starts):
         joining = [k for k in range(len(starts)) if joins[k] == step]
@@ -177,7 +182,7 @@ def _drive_group(group, starts, joins, objectives):
             group.add([starts[k] for k in joining], joining)
         if step % 7 == 3:
             group.drop_finished()
-        values = [objectives[k](x) for k, x in zip(group.tags, group.points)]
+        values = [objectives[k](x[:len(starts[k])]) for k, x in zip(group.tags, group.points)]
         for k, result in group.tell(values):
             assert k not in results
             results[k] = result
@@ -188,10 +193,10 @@ def _drive_group(group, starts, joins, objectives):
 def _shrink_budget(n, objective, x0):
     """A budget that cuts the search from ``x0`` inside a shrink, after its
     first move, or None if the search never shrinks."""
-    group = SearchGroup(n)
+    group = SearchGroup()
     group.add([x0], [0])
     while len(group):
-        if not group.tell([objective(group.points[0])]):
+        if not group.tell([objective(group.points[0, :n])]):
             row = group._rows[0]
             if row.phase == _SHRINK and row.k >= 2:
                 # the budget with one call too few for this vertex
@@ -201,16 +206,13 @@ def _shrink_budget(n, objective, x0):
     return None
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 12), budget=st.sampled_from(["none", "small", "shrink"]),
-       rows=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(["smooth", "grid", "coarse",
-                                                                      "plateau", "flat"]),
-                               st.integers(0, 2**16), st.sampled_from([0.0, 0.3, 1.0])),
-                     min_size=1, max_size=5),
-       small=st.integers(0, 1000))
-def test_search_group_rows_equal_serial_searches(n, budget, rows, small):
+def _check_group_rows(rows, budget, small):
+    """Run ``rows`` (dimension, join step, objective kind, seed, share of zero
+    coordinates) in one group under a ``budget`` of "none", "small" (drawn
+    from ``small``) or "shrink" (one that cuts some row inside a shrink), and
+    check that each row's result is serial ``maximize``'s bit for bit."""
     objectives, starts, joins = [], [], []
-    for join, kind, seed, zero_share in rows:
+    for n, join, kind, seed, zero_share in rows:
         rng = np.random.default_rng(seed)
         x0 = rng.uniform(0.0, np.pi, n)
         x0[rng.random(n) < zero_share] = 0.0
@@ -219,19 +221,41 @@ def test_search_group_rows_equal_serial_searches(n, budget, rows, small):
         joins.append(join)
     max_evals = None
     if budget == "small":
-        max_evals = 1 + small % (n + 3)
+        max_evals = 1 + small % (max(map(len, starts)) + 3)
     elif budget == "shrink":
         max_evals = next((b for k in range(len(starts))
-                          if (b := _shrink_budget(n, objectives[k], starts[k])) is not None),
-                         None)
-    got = _drive_group(SearchGroup(n, max_evals), starts, joins, objectives)
+                          if (b := _shrink_budget(len(starts[k]), objectives[k], starts[k]))
+                          is not None), None)
+    got = _drive_group(SearchGroup(max_evals=max_evals), starts, joins, objectives)
     for k, (objective, x0) in enumerate(zip(objectives, starts)):
         want = maximize(objective, x0, max_evals=max_evals)
         assert got[k].x.tobytes() == want.x.tobytes(), k
         assert np.float64(got[k].value).tobytes() == np.float64(want.value).tobytes(), k
         assert (got[k].evals, got[k].converged) == (want.evals, want.converged), k
         if max_evals is not None:
-            assert got[k].evals <= max(max_evals, n + 2), k
+            assert got[k].evals <= max(max_evals, len(x0) + 2), k
+
+
+BUDGETS = st.sampled_from(["none", "small", "shrink"])
+# a row's join step, objective kind, seed and share of zero coordinates
+ROW = (st.integers(0, 30), st.sampled_from(["smooth", "grid", "coarse", "plateau", "flat"]),
+       st.integers(0, 2**16), st.sampled_from([0.0, 0.3, 1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), budget=BUDGETS, rows=st.lists(st.tuples(*ROW), min_size=1, max_size=5),
+       small=st.integers(0, 1000))
+def test_search_group_rows_equal_serial_searches(n, budget, rows, small):
+    _check_group_rows([(n, *row) for row in rows], budget, small)
+
+
+@settings(max_examples=60, deadline=None)
+@given(budget=BUDGETS, rows=st.lists(st.tuples(st.integers(1, 12), *ROW), min_size=2, max_size=8),
+       small=st.integers(0, 1000))
+def test_a_group_of_rows_of_every_dimension_equals_serial_searches(budget, rows, small):
+    # Rows narrower than the group's widest are padded; a wider row joining
+    # later widens the rows already in the group.
+    _check_group_rows(rows, budget, small)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 11])
@@ -249,7 +273,7 @@ def test_no_start_simplex_vertex_is_evaluated_twice(n):
 
     serial, grouped = [], []
     res = maximize(recording(serial), x0)
-    _drive_group(SearchGroup(n), [x0], [0], [recording(grouped)])
+    _drive_group(SearchGroup(), [x0], [0], [recording(grouped)])
     assert res.converged and res.evals == len(serial) > n + 1
     assert grouped == serial
     for vertex in serial[:n + 1]:
@@ -260,7 +284,7 @@ def test_search_group_stops_on_a_probe_spread_of_exactly_tol():
     # Every probe vertex raises the sum, so the probe reads 0 and then tol.
     objective = lambda x: 1e-4 * float(x.sum() > 1.5)
     x0 = np.array([0.5, 1.0, 0.0])
-    got = _drive_group(SearchGroup(3), [x0], [0], [objective])[0]
+    got = _drive_group(SearchGroup(), [x0], [0], [objective])[0]
     assert (got.x is x0, got.value, got.evals, got.converged) == (True, 0.0, 4, True)
     want = maximize(objective, x0)
     assert (want.x is x0, want.value, want.evals, want.converged) == (True, 0.0, 4, True)
@@ -274,7 +298,7 @@ def test_search_group_follows_a_search_cut_inside_a_shrink(n):
     x0 = np.random.default_rng(n).uniform(0.0, np.pi, n)
     budget = _shrink_budget(n, objective, x0)
     assert budget is not None
-    got = _drive_group(SearchGroup(n, budget), [x0], [0], [objective])[0]
+    got = _drive_group(SearchGroup(max_evals=budget), [x0], [0], [objective])[0]
     want = maximize(objective, x0, max_evals=budget)
     assert got.x.tobytes() == want.x.tobytes()
     assert (got.value, got.evals, got.converged) == (want.value, want.evals, False)
@@ -532,6 +556,34 @@ def test_lockstep_is_chosen_per_trial(monkeypatch):
     assert made == {"dqva_execution": 2 * 2}
     assert joined == [2 * 2]
     assert got == want
+
+
+def test_a_lockstep_step_tells_one_group(monkeypatch):
+    # Desk-shaped: SA, MA and DQVA searches of 2, 11 and 5 parameters share
+    # one group, so each batch evaluation is followed by exactly one tell.
+    calls = Counter()
+    held = set()  # the search dimensions one group held at a tell
+    tell, expectations = opt.SearchGroup.tell, driver.EngineBatch.expectations
+
+    def counted_tell(group, values):
+        calls["tell"] += 1
+        held.add(frozenset(len(x0) for *_, x0 in group.tags))
+        return tell(group, values)
+
+    def counted_expectations(batch, points):
+        calls["expectations"] += 1
+        return expectations(batch, points)
+
+    monkeypatch.setattr(opt.SearchGroup, "tell", counted_tell)
+    monkeypatch.setattr(driver.EngineBatch, "expectations", counted_expectations)
+    cfg = BenchmarkConfig(
+        ensemble="erdos_renyi", nodes=10, edge_prob=0.5, graph_count=3,
+        variants=[VariantSpec("sa", 1), VariantSpec("ma", 1), VariantSpec("dqva", 1, 5)],
+        repetitions=1, seed=5,
+    )
+    assert len(list(run_benchmark(cfg))) == 3 * 3
+    assert calls["tell"] == calls["expectations"] > 0
+    assert any({2, 5, 11} <= dims for dims in held)
 
 
 def test_replay_rejects_a_start_point_that_differs_in_one_bit():

@@ -189,6 +189,7 @@ def test_graph_adjacency_equals_edge_scan(n, data):
         scan = tuple(sorted(b if a == v else a for a, b in g.edges if v in (a, b)))
         assert g.neighbors(v) == scan
         assert g.degree(v) == len(scan)
+        assert g.basis_masks[v] == sum(1 << (n - 1 - u) for u in scan)
     assert g.degrees() == [len(g.neighbors(v)) for v in range(n)]
 
 
@@ -197,6 +198,10 @@ def test_graph_adjacency_stays_out_of_eq_hash_and_repr():
     b = Graph(3, frozenset({(2, 1), (1, 0)}))
     assert a == b and hash(a) == hash(b)
     assert "adjacency" not in repr(a)
+    # the basis masks are built on first use and stay out of them too
+    assert "basis_masks" not in vars(a)
+    assert a.basis_masks == (0b010, 0b101, 0b010)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
 def test_graph_rejects_nodes_out_of_range():

@@ -149,6 +149,10 @@ def test_param_counts():
 def test_warm_start_must_be_independent():
     with pytest.raises(AnsatzError):
         validate_spec(PATH5, AnsatzSpec(DQVA, warm_start=(1, 1, 0, 0, 0)))
+    for bad in ((1, 1, 0, 0, 0), (0, 0, 0, 1, 1), (1, 0, 1, 1, 0)):
+        with pytest.raises(AnsatzError, match="warm start"):
+            AnsatzEngine(PATH5, DQVA, 1, warm_start=bad)
+    AnsatzEngine(PATH5, DQVA, 1, warm_start=(1, 0, 1, 0, 1))
 
 
 def test_dqva_all_masked_is_warm_start_only():

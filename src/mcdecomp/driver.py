@@ -16,8 +16,7 @@ from .metrics import mixer_entangling_count
 from . import optimize as opt
 from .qaoa import (
     DQVA, SA, EngineBatch, check_variant, dqva_default_mask, dqva_execution, dqva_outer_loop,
-    independent_set_indices, optimize_single_round, param_count, round_slots,
-    single_round_execution,
+    optimize_single_round, param_count, round_slots, single_round_execution,
 )
 
 
@@ -25,16 +24,12 @@ class DriverError(ValueError):
     pass
 
 
-# ``run_benchmark`` steps the executions of every variant on subspaces of at
-# most this many amplitudes in lockstep.  Desk graphs (10 nodes) hold 28-154; on
-# states of thousands the arithmetic, not the per-call overhead, sets the
-# time, and one ragged batch is no faster than single calls.
-LOCKSTEP_MAX_DIM = 512
-# Engines in one lockstep batch, which bounds its joined state and index arrays.
-# The batch's searches, of every dimension, run as one ``optimize.SearchGroup``,
-# whose step costs about as much for one row as for a few dozen, so the width
-# is set for a group of tens of rows; a wider batch holds more memory.
-LOCKSTEP_WIDTH = 128
+# ``_lockstep`` starts a new execution only while its live rounds hold fewer
+# than this many amplitudes, which bounds a batch's joined state and index
+# arrays.  Every execution runs in the lockstep, however large its subspace:
+# one batch call costs about what the engine's own call costs on a 16-node
+# graph of 1 144 sets, and up to a fifth more on 2^20 sets (see README).
+LOCKSTEP_AMPLITUDES = 4096
 
 
 # Gate-set / budget columns reported on every trial record (zeroed regime).
@@ -301,11 +296,9 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1):
     """Yield TrialRecords for every (graph, variant); reproducible from the seed.
 
     Each trial's seed derives from (master seed, graph index, variant index).
-    The executions of every trial whose engines hold at most
-    ``LOCKSTEP_MAX_DIM`` amplitudes (DQVA with 2**nu within it, or any variant
-    on a graph of at most that many independent sets) are first run together
+    Every execution of every trial is first run in lockstep
     (``_lockstep``), DQVA's inner rounds included; then every trial runs
-    through ``run_trial`` in order, and those executions replay their
+    through ``run_trial`` in order, and its executions replay their
     maximizations there, so the records equal those of serial ``run_trial``
     calls.  Every engine walks its own subspace from its graph.  Trials run
     in one thread: ``jobs`` accepts only 1.
@@ -318,37 +311,26 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1):
         optimum, _ = brute_force_mis(graph)
         if optimum:
             graphs.append((gi, graph, optimum))
-    set_counts: dict[int, int] = {}  # by graph index, counted only when a trial needs it
-
-    def joins(gi: int, graph: Graph, spec: VariantSpec) -> bool:
-        # a DQVA engine reaches at most 2**nu sets; the count raises on too many
-        if spec.variant == DQVA and 2**spec.nu <= LOCKSTEP_MAX_DIM:
-            return True
-        if gi not in set_counts:
-            set_counts[gi] = len(independent_set_indices(graph))
-        return set_counts[gi] <= LOCKSTEP_MAX_DIM
-
-    replays = _lockstep_trials(cfg, [(gi, vi, graph, spec) for gi, graph, _ in graphs
-                                     for vi, spec in enumerate(cfg.variants)
-                                     if joins(gi, graph, spec)])
+    replays = _lockstep_trials(cfg, graphs)
     for gi, graph, optimum in graphs:
         graph_id = f"{cfg.ensemble}-{cfg.nodes}-{gi}"
         for vi, spec in enumerate(cfg.variants):
             yield run_trial(
                 graph, spec, _trial_seed(cfg, gi, vi), optimum, graph_id=graph_id,
                 repetitions=cfg.repetitions, mixer_rounds=cfg.mixer_rounds,
-                max_evals=cfg.max_evals, tol=cfg.tol, optimizer=replays.pop((gi, vi), None),
+                max_evals=cfg.max_evals, tol=cfg.tol, optimizer=replays.pop((gi, vi)),
             )
 
 
-def _lockstep_trials(cfg: BenchmarkConfig, trials) -> dict:
-    """Run every execution of ``trials`` (graph index, variant index, graph,
-    variant) through ``_lockstep``.
+def _lockstep_trials(cfg: BenchmarkConfig, graphs) -> dict:
+    """Run every execution of every variant of ``cfg`` on ``graphs`` (graph
+    index, graph, optimum) through ``_lockstep``.
 
     Returns a replaying optimizer for ``run_trial`` per (graph index,
     variant index).
     """
-    jobs = [((gi, vi), graph, spec, sub) for gi, vi, graph, spec in trials
+    jobs = [((gi, vi), graph, spec, sub) for gi, graph, _ in graphs
+            for vi, spec in enumerate(cfg.variants)
             for sub in _execution_seeds(_trial_seed(cfg, gi, vi), cfg.repetitions)]
     executions = (
         dqva_execution(graph, spec.nu, sub, spec.p, cfg.mixer_rounds) if spec.variant == DQVA
@@ -373,22 +355,23 @@ def _lockstep(executions, max_evals, tol) -> list[list[tuple[np.ndarray, opt.Opt
     until then and their values dropped.  A finished search's result goes
     to its execution at once, and the round that execution yields next
     joins at the rebuild.  A rebuild drops the finished rows, adds those
-    rounds and tops the batch up to ``LOCKSTEP_WIDTH`` with new executions,
-    which start only then, so that at most that many executions are alive
-    at a time.
+    rounds and starts new executions while the live and joining rounds
+    hold fewer than ``LOCKSTEP_AMPLITUDES`` amplitudes; an execution
+    starts only then, so none starts while a round whose subspace passes
+    the bound is live.
     """
     executions = iter(executions)
     runs = []
     ready = []  # the (run index, execution, (engine, x0)) of the rounds to join
     group = opt.SearchGroup(max_evals=max_evals, tol=tol)
-    live = 0
+    held = 0  # the amplitudes of the live and ready rounds
     while True:
-        while live + len(ready) < LOCKSTEP_WIDTH:
+        while held < LOCKSTEP_AMPLITUDES:
             execution = next(executions, None)
             if execution is None:
                 break
             runs.append([])
-            _advance(ready, len(runs) - 1, execution, None)
+            held += _advance(ready, len(runs) - 1, execution, None)
         group.drop_finished()
         group.add([x0 for *_, (_, x0) in ready],
                   [(run, execution, engine, x0) for run, execution, (engine, x0) in ready])
@@ -398,19 +381,22 @@ def _lockstep(executions, max_evals, tol) -> list[list[tuple[np.ndarray, opt.Opt
         batch = EngineBatch(engine for _, _, engine, _ in group.tags)
         live = len(group)
         while 2 * live > len(group):
-            for (run, execution, _, x0), result in group.tell(
+            for (run, execution, engine, x0), result in group.tell(
                     batch.expectations(group.joined_points())):
                 live -= 1
                 runs[run].append((x0, result))
-                _advance(ready, run, execution, result)
+                held += _advance(ready, run, execution, result) - len(engine.basis)
 
 
-def _advance(ready, run, execution, result) -> None:
-    """Send ``result`` to ``execution`` and queue the round it yields next."""
+def _advance(ready, run, execution, result) -> int:
+    """Send ``result`` to ``execution`` and queue the round it yields next;
+    returns that round's amplitude count, or 0 once the execution ends."""
     try:
-        ready.append((run, execution, execution.send(result)))
+        engine, x0 = execution.send(result)
     except StopIteration:
-        pass
+        return 0
+    ready.append((run, execution, (engine, x0)))
+    return len(engine.basis)
 
 
 def _replay(recorded):

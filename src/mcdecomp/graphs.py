@@ -47,17 +47,12 @@ def random_regular(m: int, degree: int = 3, seed=None) -> Graph:
     raise GraphError(f"no simple {degree}-regular pairing found in {PAIRING_TRIES} tries")
 
 
-def neighbor_masks(graph: Graph) -> list[int]:
-    """Per-node neighbor bitmask; node v is bit v (little-endian in the node id)."""
-    return [sum(1 << u for u in nbrs) for nbrs in graph.adjacency]
-
-
 def brute_force_mis(graph: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact maximum independent set by branch and bound; m <= 30."""
     n = graph.n
     if n > 30:
         raise GraphError("exact search is limited to 30 nodes")
-    nbr_mask = neighbor_masks(graph)
+    nbr_mask = graph.basis_masks[::-1]  # by bit: node i is bit n-1-i
 
     best_size = 0
     best_set = 0
@@ -70,12 +65,13 @@ def brute_force_mis(graph: Graph) -> tuple[int, tuple[int, ...]]:
             return
         if size + bin(avail).count("1") <= best_size:
             return
-        # branch on the available vertex with the most available neighbors
+        # branch on the available vertex with the most available neighbors,
+        # the lowest node (highest bit) first among equals
         v, vdeg = -1, -1
         a = avail
         while a:
-            u = (a & -a).bit_length() - 1
-            a &= a - 1
+            u = a.bit_length() - 1
+            a ^= 1 << u
             deg = bin(nbr_mask[u] & avail).count("1")
             if deg > vdeg:
                 v, vdeg = u, deg
@@ -83,7 +79,7 @@ def brute_force_mis(graph: Graph) -> tuple[int, tuple[int, ...]]:
         search(avail & ~(1 << v), chosen, size)
 
     search((1 << n) - 1, 0, 0)
-    witness = tuple((best_set >> i) & 1 for i in range(n))
+    witness = tuple((best_set >> (n - 1 - i)) & 1 for i in range(n))
     if not graph.is_independent(witness):
         raise GraphError(f"search returned a dependent witness {witness}")
     return best_size, witness

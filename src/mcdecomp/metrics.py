@@ -199,13 +199,6 @@ class ThresholdRequirement:
         )
         return f"{left} > {right}"
 
-    def holds(self, fidelities: dict[int, float]) -> bool:
-        lhs = fidelities[self.m] ** self.lhs_exponent
-        rhs = 1.0
-        for i, e in self.rhs:
-            rhs *= fidelities[i] ** e
-        return lhs > rhs
-
 
 def threshold_requirement(m: int) -> ThresholdRequirement:
     """Fidelity requirement for s2_m to beat s2_(m-1) asymptotically."""

@@ -311,7 +311,7 @@ def _find(sets: np.ndarray, order: np.ndarray, values: np.ndarray) -> np.ndarray
     return np.where(sets[at] == values, at, -1)
 
 
-def _evolve(dim, starts, quarter, rounds, params, c, s, js, levels, level_of) -> np.ndarray:
+def _evolve(dim, starts, quarter, rounds, params, c, s, levels, level_of) -> np.ndarray:
     """The ansatz's measurement probabilities over ``dim`` sets, from 1 at ``starts``.
 
     The first round's mixers ``(reached, new, slot)`` run on real
@@ -329,9 +329,10 @@ def _evolve(dim, starts, quarter, rounds, params, c, s, js, levels, level_of) ->
     None) takes exp(i gamma) once per entry of ``levels`` and gathers it
     through ``level_of``, and the probabilities are re*re + im*im.  The
     rounds carry no last phase: it multiplies each amplitude by a number of
-    modulus 1, which no probability sees (see ``AnsatzEngine``).  ``c``,
-    ``s`` and ``js`` are cos, sin and i*sin of ``params``.  A slot or phase
-    is one index for an engine and one per amplitude or level for a batch.
+    modulus 1, which no probability sees (see ``AnsatzEngine``).  ``c``
+    and ``s`` are cos and sin of ``params``, and i*sin is made only when a
+    later round runs.  A slot or phase is one index for an engine and one
+    per amplitude or level for a batch.
     """
     # Ufunc calls, not operators: on a temporary of 256 KiB or more an
     # operator may compute in place with the operands swapped, and a swapped
@@ -345,6 +346,7 @@ def _evolve(dim, starts, quarter, rounds, params, c, s, js, levels, level_of) ->
         mags[reached] = mul(c[slot], t)
     if len(rounds) == 1:
         return mul(mags, mags)
+    js = mul(1j, s)
     amps = mul(mags, _UNIT[quarter])
     for r, (mixers, phase) in enumerate(rounds):
         if r > 0:
@@ -380,8 +382,8 @@ class AnsatzEngine:
     and ``swp`` the upper on the lower, so ``amps[swp]`` lines each
     amplitude up with its rotation partner.  The set-size table ``_levels``
     holds the distinct sizes and ``_level_of`` each set's entry in it, so a
-    phase layer takes one exp per size.  A call runs ``_evolve`` with cos,
-    sin and i*sin of all parameters taken once, as Python scalars, and
+    phase layer takes one exp per size.  A call runs ``_evolve`` with cos
+    and sin of all parameters taken once, as Python scalars, and
     ``expectation`` sums probability times set size with ``_span_sums``.  A
     zero angle is applied, not skipped: cos 0 = 1 and sin 0 = 0 can change
     only the sign of a zero amplitude.  Cross-checked against the
@@ -455,9 +457,8 @@ class AnsatzEngine:
 
     def probabilities(self, full_params) -> np.ndarray:
         params = np.asarray(full_params)
-        s = np.sin(params)
         return _evolve(len(self.basis), self._start, self._quarter, self._rounds, params,
-                       np.cos(params).tolist(), s.tolist(), (1j * s).tolist(),
+                       np.cos(params).tolist(), np.sin(params).tolist(),
                        self._levels, self._level_of)
 
     def probabilities_live(self, live_values) -> np.ndarray:
@@ -533,9 +534,8 @@ class EngineBatch:
         joined end to end in one flat array."""
         params = np.zeros(self._zero + 1)
         params[self._live] = live_points
-        s = np.sin(params)
         probs = _evolve(self._dim, self._starts, self._quarter, self._rounds, params,
-                        np.cos(params), s, 1j * s, self._levels, self._level_of)
+                        np.cos(params), np.sin(params), self._levels, self._level_of)
         return _span_sums(np.multiply(probs, self._w), self._cuts).tolist()
 
 

@@ -417,8 +417,7 @@ def test_desk_recipe_records_are_pinned():
     assert got == PINNED_DESK_RECORDS
 
 
-# The same for sparse n=16 graphs, 3 graphs, seed 0; each holds more than
-# ``LOCKSTEP_MAX_DIM`` independent sets, so these trials take the serial path.
+# The same for sparse n=16 graphs, 3 graphs, seed 0.
 PINNED_SPARSE_RECORDS = [
     ("erdos_renyi-16-0", "sa(p=1)", 124, 8, 1),
     ("erdos_renyi-16-0", "dqva(p=1,nu=5)", 773, 6, 9),
@@ -441,8 +440,6 @@ SPARSE_RECIPE = BenchmarkConfig(
 
 
 def test_sparse_recipe_records_are_pinned():
-    graphs = [driver._make_graph(SPARSE_RECIPE, s) for s in np.random.SeedSequence(0).spawn(3)]
-    assert min(len(qaoa.independent_set_indices(g)) for g in graphs) > driver.LOCKSTEP_MAX_DIM
     got, params = recipe_records(SPARSE_RECIPE)
     assert got == PINNED_SPARSE_RECORDS
     assert params == PINNED_SPARSE_PARAMS
@@ -497,15 +494,15 @@ def _serial_records(cfg):
                             max_evals=cfg.max_evals, tol=cfg.tol)
 
 
-@pytest.mark.parametrize("max_dim,width", [(512, 256), (40, 3)])
+@pytest.mark.parametrize("amplitudes", [4096, 40, 1])
 @pytest.mark.parametrize("max_evals", [None, 5, 40, 90])
-def test_lockstep_records_equal_serial_trials(monkeypatch, max_dim, width, max_evals):
+def test_lockstep_records_equal_serial_trials(monkeypatch, amplitudes, max_evals):
     # Graph 2 is replaced by an empty graph (optimum 0), which is skipped.
-    # With a cutoff of 40 amplitudes some graphs run serially, and a width
-    # of 3 makes the batch top up from the executions not yet started and
-    # DQVA's next inner rounds join part-way; a budget of 5 leaves every
-    # search at most two calls after its probe, and budgets of 40 and 90
-    # cut searches inside reflections and shrinks.
+    # A bound of 40 amplitudes makes the batch top up from the executions
+    # not yet started and DQVA's next inner rounds join part-way, and a bound
+    # of 1 runs one execution at a time; a budget of 5 leaves every search at
+    # most two calls after its probe, and budgets of 40 and 90 cut searches
+    # inside reflections and shrinks.
     make_graph = driver._make_graph
 
     def with_an_empty_graph(cfg, seed):
@@ -519,23 +516,21 @@ def test_lockstep_records_equal_serial_trials(monkeypatch, max_dim, width, max_e
         repetitions=2, seed=3, mixer_rounds=2, max_evals=max_evals,
     )
     want = [repr(r.to_dict()) for r in _serial_records(cfg)]
-    monkeypatch.setattr(driver, "LOCKSTEP_MAX_DIM", max_dim)
-    monkeypatch.setattr(driver, "LOCKSTEP_WIDTH", width)
+    monkeypatch.setattr(driver, "LOCKSTEP_AMPLITUDES", amplitudes)
     got = [repr(r.to_dict()) for r in run_benchmark(cfg)]
     assert len(want) == 4 * 5
     assert got == want
 
 
-def test_lockstep_is_chosen_per_trial(monkeypatch):
-    # Every graph holds more than LOCKSTEP_MAX_DIM sets, so the SA trials run
-    # serially, while each DQVA engine holds at most 2**5 and joins the lockstep.
+def test_every_execution_runs_in_one_lockstep(monkeypatch):
+    # SA engines hold every independent set of these 16-node graphs (1 608
+    # and 1 960), DQVA engines at most 2**5: every execution of both variants
+    # is made once, for the one lockstep, and the records are the serial ones.
     cfg = BenchmarkConfig(
         ensemble="erdos_renyi", nodes=16, density=3.0, graph_count=2,
         variants=[VariantSpec("sa", 1), VariantSpec("dqva", 1, 5)],
         repetitions=2, seed=4, mixer_rounds=2, max_evals=60,
     )
-    graphs = [driver._make_graph(cfg, s) for s in np.random.SeedSequence(4).spawn(2)]
-    assert min(len(qaoa.independent_set_indices(g)) for g in graphs) > driver.LOCKSTEP_MAX_DIM
     want = [repr(r.to_dict()) for r in _serial_records(cfg)]
     made = Counter()
     for name in ("dqva_execution", "single_round_execution"):
@@ -553,9 +548,30 @@ def test_lockstep_is_chosen_per_trial(monkeypatch):
 
     monkeypatch.setattr(driver, "_lockstep", spy)
     got = [repr(r.to_dict()) for r in run_benchmark(cfg)]
-    assert made == {"dqva_execution": 2 * 2}
-    assert joined == [2 * 2]
+    assert made == {"dqva_execution": 2 * 2, "single_round_execution": 2 * 2}
+    assert joined == [2 * 2 * 2]
     assert got == want
+
+
+def test_a_bound_of_one_amplitude_batches_one_engine_at_a_time(monkeypatch):
+    sizes = []
+    batch = driver.EngineBatch
+
+    def counted(engines):
+        engines = list(engines)
+        sizes.append(len(engines))
+        return batch(engines)
+
+    monkeypatch.setattr(driver, "EngineBatch", counted)
+    monkeypatch.setattr(driver, "LOCKSTEP_AMPLITUDES", 1)
+    cfg = BenchmarkConfig(
+        ensemble="erdos_renyi", nodes=8, edge_prob=0.4, graph_count=2,
+        variants=[VariantSpec("sa", 1), VariantSpec("ma", 1), VariantSpec("dqva", 1, 3)],
+        repetitions=2, seed=3, mixer_rounds=2,
+    )
+    assert len(list(run_benchmark(cfg))) == 2 * 3
+    assert len(sizes) >= 2 * 3 * 2  # at least one batch per execution
+    assert set(sizes) == {1}
 
 
 def test_a_lockstep_step_tells_one_group(monkeypatch):

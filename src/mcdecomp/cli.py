@@ -123,10 +123,13 @@ def cmd_decompose(args) -> int:
 
 def _doubling_range(text: str) -> list[int]:
     # "m=40..640" doubles from 40 to 640
-    body = text.split("=", 1)[-1]
-    lo, hi = (int(v) for v in body.split(".."))
+    form = f"--sweep expects m=LO..HI with integers 1 <= LO <= HI, got {text!r}"
+    try:
+        lo, hi = (int(v) for v in text.split("=", 1)[-1].split(".."))
+    except ValueError:
+        raise CliError(form)
     if not 1 <= lo <= hi:
-        raise CliError(f"--sweep needs 1 <= LO <= HI, got {text!r}")
+        raise CliError(form)
     vals = []
     m = lo
     while m <= hi:
@@ -146,13 +149,17 @@ def sweep_counts(sizes, density, variant, p, nu_rule, seed, graphs_per_size: int
     rather than single-instance degree fluctuations.  The dynamic variant
     counts the live mixers of ``driver.dqva_live_nodes``.
     """
+    try:
+        fixed_nu = None if nu_rule in (None, "m/2") else int(nu_rule)
+    except ValueError:
+        raise CliError(f"--nu expects an integer or m/2, got {nu_rule!r}")
     rows = []
     for m in sizes:
         totals = dict.fromkeys(COLUMN_KEYS, 0)
         for gi in range(graphs_per_size):
             graph = erdos_renyi(m, density, seed=seed + 1000 * m + gi)
             if variant == DQVA:
-                nu = max(1, m // 2) if nu_rule in (None, "m/2") else int(nu_rule)
+                nu = max(1, m // 2) if fixed_nu is None else fixed_nu
                 hist = mixer_histogram(graph, 1, dqva_live_nodes(graph, p, nu))
             else:
                 hist = mixer_histogram(graph, p)

@@ -7,6 +7,7 @@ import operator
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
@@ -297,55 +298,38 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1):
 
     Each trial's seed derives from (master seed, graph index, variant index).
     Every execution of every trial is first run in lockstep
-    (``_lockstep``), DQVA's inner rounds included; then every trial runs
-    through ``run_trial`` in order, and its executions replay their
+    (``_lockstep``), DQVA's inner rounds included, in trial order, so its
+    runs come back ``repetitions`` per trial; then every trial runs through
+    ``run_trial`` in order, and its executions replay their runs'
     maximizations there, so the records equal those of serial ``run_trial``
     calls.  Every engine walks its own subspace from its graph.  Trials run
     in one thread: ``jobs`` accepts only 1.
     """
     if jobs != 1:
         raise DriverError(f"jobs must be 1 (trials run serially), got {jobs}")
-    graphs = []
+    trials = []  # (graph id, graph, optimum, variant spec, trial seed)
     for gi, graph_seed in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.graph_count)):
         graph = _make_graph(cfg, graph_seed)
         optimum, _ = brute_force_mis(graph)
         if optimum:
-            graphs.append((gi, graph, optimum))
-    replays = _lockstep_trials(cfg, graphs)
-    for gi, graph, optimum in graphs:
-        graph_id = f"{cfg.ensemble}-{cfg.nodes}-{gi}"
-        for vi, spec in enumerate(cfg.variants):
-            yield run_trial(
-                graph, spec, _trial_seed(cfg, gi, vi), optimum, graph_id=graph_id,
-                repetitions=cfg.repetitions, mixer_rounds=cfg.mixer_rounds,
-                max_evals=cfg.max_evals, tol=cfg.tol, optimizer=replays.pop((gi, vi)),
-            )
-
-
-def _lockstep_trials(cfg: BenchmarkConfig, graphs) -> dict:
-    """Run every execution of every variant of ``cfg`` on ``graphs`` (graph
-    index, graph, optimum) through ``_lockstep``.
-
-    Returns a replaying optimizer for ``run_trial`` per (graph index,
-    variant index).
-    """
-    jobs = [((gi, vi), graph, spec, sub) for gi, graph, _ in graphs
-            for vi, spec in enumerate(cfg.variants)
-            for sub in _execution_seeds(_trial_seed(cfg, gi, vi), cfg.repetitions)]
+            trials += [(f"{cfg.ensemble}-{cfg.nodes}-{gi}", graph, optimum, spec,
+                        _trial_seed(cfg, gi, vi)) for vi, spec in enumerate(cfg.variants)]
     executions = (
         dqva_execution(graph, spec.nu, sub, spec.p, cfg.mixer_rounds) if spec.variant == DQVA
         else single_round_execution(graph, spec.variant, spec.p, sub)
-        for _, graph, spec, sub in jobs)
-    runs: dict = {}
-    for (key, *_), recorded in zip(jobs, _lockstep(executions, cfg.max_evals, cfg.tol)):
-        runs.setdefault(key, []).extend(recorded)
-    return {key: _replay(recorded) for key, recorded in runs.items()}
+        for _, graph, _, spec, seed in trials for sub in _execution_seeds(seed, cfg.repetitions))
+    runs = iter(_lockstep(executions, cfg.max_evals, cfg.tol))
+    for graph_id, graph, optimum, spec, seed in trials:
+        recorded = [pair for run in islice(runs, cfg.repetitions) for pair in run]
+        yield run_trial(graph, spec, seed, optimum, graph_id=graph_id, repetitions=cfg.repetitions,
+                        mixer_rounds=cfg.mixer_rounds, max_evals=cfg.max_evals, tol=cfg.tol,
+                        optimizer=_replay(recorded))
 
 
 def _lockstep(executions, max_evals, tol) -> list[list[tuple[np.ndarray, opt.OptResult]]]:
     """Run the ``executions`` (see ``qaoa.dqva_execution``) with their rounds'
-    searches stepped together; returns each execution's ``(x0, result)`` per
-    round, in order.
+    searches stepped together; returns one run per execution, in the order
+    of ``executions``: its rounds' ``(x0, result)``, in order.
 
     The searches, of every dimension, form one ``optimize.SearchGroup``,
     and each step evaluates its pending points with one ``EngineBatch``

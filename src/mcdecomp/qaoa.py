@@ -330,9 +330,9 @@ def _evolve(dim, starts, quarter, rounds, params, c, s, levels, level_of) -> np.
     through ``level_of``, and the probabilities are re*re + im*im.  The
     rounds carry no last phase: it multiplies each amplitude by a number of
     modulus 1, which no probability sees (see ``AnsatzEngine``).  ``c``
-    and ``s`` are cos and sin of ``params``, and i*sin is made only when a
-    later round runs.  A slot or phase is one index for an engine and one
-    per amplitude or level for a batch.
+    and ``s`` are cos and sin of ``params``, the live values, and i*sin is
+    made only when a later round runs.  A slot or phase is one position in
+    ``params`` for an engine and one per amplitude or level for a batch.
     """
     # Ufunc calls, not operators: on a temporary of 256 KiB or more an
     # operator may compute in place with the operands swapped, and a swapped
@@ -371,7 +371,10 @@ class AnsatzEngine:
     phase layer: that layer multiplies each amplitude by a number of modulus
     1, so neither the expectation nor the readout depends on the last
     round's gamma, and at p=1 the evolution is real throughout (see
-    ``_evolve``).  Each live mixer that couples a pair keeps two position
+    ``_evolve``).  Its parameters are the ``live_param_count`` live values
+    in layout order (see ``round_slots``; ``mask`` marks the dynamic
+    variant's), and each live mixer and phase keeps its slot as its position
+    among them.  Each live mixer that couples a pair keeps two position
     arrays and its slot, in sigma order per round.  In the first round only
     node v's mixer flips v, so every set reached before it holds v as the
     start does: the mixer keeps ``(reached, new, slot)``, those sets and
@@ -382,18 +385,18 @@ class AnsatzEngine:
     and ``swp`` the upper on the lower, so ``amps[swp]`` lines each
     amplitude up with its rotation partner.  The set-size table ``_levels``
     holds the distinct sizes and ``_level_of`` each set's entry in it, so a
-    phase layer takes one exp per size.  A call runs ``_evolve`` with cos
-    and sin of all parameters taken once, as Python scalars, and
-    ``expectation`` sums probability times set size with ``_span_sums``.  A
-    zero angle is applied, not skipped: cos 0 = 1 and sin 0 = 0 can change
-    only the sign of a zero amplitude.  Cross-checked against the
-    full-subspace update and against the circuit path in the tests.
+    phase layer takes one exp per size.  A call raises ``AnsatzError``
+    unless given ``live_param_count`` values, and runs ``_evolve`` with cos
+    and sin of them taken once, as Python scalars, and ``expectation`` sums
+    probability times set size with ``_span_sums``.  A zero angle is
+    applied, not skipped: cos 0 = 1 and sin 0 = 0 can change only the sign
+    of a zero amplitude.  Cross-checked against the full-subspace update and
+    against the circuit path in the tests.
     """
 
     def __init__(self, graph: Graph, variant: str, p: int = 1,
                  permutation=None, mask=None, warm_start=None):
         check_variant(variant, p)
-        self.graph = graph
         self.variant = variant
         self.p = p
         self.n = n = graph.n
@@ -404,12 +407,13 @@ class AnsatzEngine:
         start = bits_to_index(self.warm_start)
         if any(b and start & mask for b, mask in zip(self.warm_start, graph.basis_masks)):
             raise AnsatzError("warm start is not an independent set")
-        self._size = param_count(variant, p, n)
-        self._live = [i for i in range(self._size) if self.mask is None or self.mask[i]]
-        live = set(self._live)
+        # each live slot of the full layout by its position among the live parameters
+        at = {slot: k for k, slot in enumerate(
+            i for i in range(param_count(variant, p, n)) if self.mask is None or self.mask[i])}
+        self.live_param_count = len(at)
         rounds = round_slots(variant, p, n)
-        mixers = [(r, node, slots[node]) for r, (slots, _) in enumerate(rounds)
-                  for node in self.sigma if slots[node] in live]
+        mixers = [(r, node, at[slots[node]]) for r, (slots, _) in enumerate(rounds)
+                  for node in self.sigma if slots[node] in at]
         sets, pairs = _walk(graph, [node for _, node, _ in mixers], start)
         order = sets.argsort()
         self.basis = sets[order]
@@ -440,52 +444,41 @@ class AnsatzEngine:
         # per round: the kept mixers in sigma order, each as the two halves of
         # its span and its slot, and the live phase slot or None; the last
         # round's phase is None, since no probability depends on it
-        self._rounds = [([], phase if phase in live and r < p - 1 else None)
+        self._rounds = [([], at[phase] if phase in at and r < p - 1 else None)
                         for r, (_, phase) in enumerate(rounds)]
         for (r, _, slot), a, b in zip(mixers, spans, spans[1:]):
             if b > a:
                 self._rounds[r][0].append((flat[a:(a + b) // 2], flat[(a + b) // 2:b], slot))
 
-    @property
-    def live_param_count(self) -> int:
-        return len(self._live)
-
-    def full_params(self, live_values) -> np.ndarray:
-        full = np.zeros(self._size)
-        full[self._live] = live_values
-        return full
-
-    def probabilities(self, full_params) -> np.ndarray:
-        params = np.asarray(full_params)
+    def probabilities(self, x) -> np.ndarray:
+        params = np.asarray(x)
+        if params.shape != (self.live_param_count,):
+            raise AnsatzError(f"expected {self.live_param_count} live parameters, "
+                              f"got shape {params.shape}")
         return _evolve(len(self.basis), self._start, self._quarter, self._rounds, params,
                        np.cos(params).tolist(), np.sin(params).tolist(),
                        self._levels, self._level_of)
 
-    def probabilities_live(self, live_values) -> np.ndarray:
-        return self.probabilities(self.full_params(live_values))
-
-    def expectation(self, full_params) -> float:
-        return float(_span_sums(np.multiply(self.probabilities(full_params), self._w), _WHOLE)[0])
-
-    def expectation_live(self, live_values) -> float:
-        return self.expectation(self.full_params(live_values))
+    def expectation(self, x) -> float:
+        return float(_span_sums(np.multiply(self.probabilities(x), self._w), _WHOLE)[0])
 
 
 class EngineBatch:
-    """``expectation_live`` of many engines in one call, over a ragged batch.
+    """``AnsatzEngine.expectation`` of many engines in one call, over a ragged batch.
 
     The engines' subspace states are joined end to end and evolved by the
     engines' kernel, ``_evolve``.  The k-th kept mixer of a round is one
     mixer position: its update runs once for every engine that has it, over
     the engines' position arrays offset to their place in the joined state
     (``reached``/``new`` in the first round, ``idx``/``swp`` later), and
-    reads cos, sin and i*sin per updated amplitude through flat (engine,
-    slot) indices; each engine's ``_quarter`` is joined the same way.  A
-    phase layer takes exp(i gamma w) once per entry of each engine's
+    reads cos, sin and i*sin per updated amplitude at the engine's slot
+    offset by the live parameters of the engines before it, a position in
+    the joined live points; each engine's ``_quarter`` is joined the same
+    way.  A phase layer takes exp(i gamma w) once per entry of each engine's
     set-size table (``AnsatzEngine._levels``), with the engine's gamma read
     the same way, and gathers it per amplitude; an engine without a phase in
-    that round reads an extra slot that holds 0.  Like the engines' rounds,
-    the batch's carry no last phase, so a batch of p=1 engines runs real
+    that round reads the one slot after the joined points, which holds 0.
+    Like the engines' rounds, the batch's carry no last phase, so a batch of p=1 engines runs real
     throughout.  In a batch with deeper engines a p=1 engine's amplitudes
     are its real magnitudes m times the units (-i)^d, multiplied by phases
     of exactly 1, so re*re + im*im = m*m, the bytes of its own call.  Every
@@ -499,10 +492,8 @@ class EngineBatch:
         engines = list(engines)
         dims = [len(e.basis) for e in engines]
         amp_at = np.cumsum([0] + dims)
-        slot_at = np.cumsum([0] + [e._size for e in engines])
+        slot_at = np.cumsum([0] + [e.live_param_count for e in engines])
         self._zero = int(slot_at[-1])
-        self._live = np.concatenate(
-            [at + np.array(e._live, dtype=np.int64) for at, e in zip(slot_at, engines)])
         self._starts = np.array([at + e._start for at, e in zip(amp_at, engines)])
         self._quarter = np.concatenate([e._quarter for e in engines])
         self._cuts = amp_at[:-1]
@@ -531,9 +522,12 @@ class EngineBatch:
 
     def expectations(self, live_points: np.ndarray) -> list[float]:
         """One expectation per engine, from the engines' live parameters
-        joined end to end in one flat array."""
-        params = np.zeros(self._zero + 1)
-        params[self._live] = live_points
+        joined end to end in one flat array; raises ``AnsatzError`` unless it
+        holds the engines' live parameter counts in total."""
+        if np.shape(live_points) != (self._zero,):
+            raise AnsatzError(f"expected {self._zero} joined live parameters, "
+                              f"got shape {np.shape(live_points)}")
+        params = np.concatenate((live_points, [0.0]))
         probs = _evolve(self._dim, self._starts, self._quarter, self._rounds, params,
                         np.cos(params), np.sin(params), self._levels, self._level_of)
         return _span_sums(np.multiply(probs, self._w), self._cuts).tolist()
@@ -563,7 +557,7 @@ def start_point(engine: AnsatzEngine, rng) -> np.ndarray:
 
 def _readout(engine: AnsatzEngine, x):
     """The best measured set at ``x`` and the state's unaccounted mass."""
-    probs = engine.probabilities_live(x)
+    probs = engine.probabilities(x)
     return best_measured_set(probs, engine.basis, engine.n), _unaccounted_mass(probs)
 
 
@@ -574,7 +568,7 @@ def _drive(execution, optimizer):
     try:
         engine, x0 = next(execution)
         while True:
-            res = (optimizer or opt.maximize)(engine.expectation_live, x0)
+            res = (optimizer or opt.maximize)(engine.expectation, x0)
             engine, x0 = execution.send(res)
     except StopIteration as done:
         return done.value
@@ -603,7 +597,7 @@ def dqva_execution(graph: Graph, nu: int, seed=None, p: int = 1, mixer_rounds: i
     """One dynamic-ansatz execution on ``graph`` as a generator.
 
     Each inner round yields ``(engine, x0)`` and must be sent the
-    ``optimize.OptResult`` of maximizing ``engine.expectation_live`` from
+    ``optimize.OptResult`` of maximizing ``engine.expectation`` from
     ``x0``; the generator's return value is the ``ExecutionResult``, with
     ``rounds`` the number of inner rounds and no ``value`` or ``params``.
     Bad arguments raise ``AnsatzError`` here, before any engine is built.

@@ -224,19 +224,6 @@ def circuit_columns(c: Circuit, columns) -> np.ndarray:
     return mat
 
 
-# Rows per block are chosen so that one block holds about this many entries.
-_DEVIATION_BLOCK = 1 << 16
-
-
-def _max_deviation(a: np.ndarray, b: np.ndarray, phase: complex = 1.0) -> float:
-    """max |a - phase * b| over blocks of leading-axis rows, never full-size temporaries."""
-    a2 = a.reshape(len(a), -1) if a.ndim else a.reshape(1, 1)
-    b2 = b.reshape(a2.shape)
-    rows = max(1, _DEVIATION_BLOCK // max(1, a2.shape[1]))
-    return max(float(np.max(np.abs(a2[r:r + rows] - phase * b2[r:r + rows])))
-               for r in range(0, len(a2), rows))
-
-
 def unit_phase(z: complex) -> complex:
     """z / |z|, or 1 when z is too small to carry a phase."""
     return z / abs(z) if abs(z) >= 1e-12 else 1.0
@@ -252,4 +239,4 @@ def phase_aligned_deviation(a: np.ndarray, b: np.ndarray) -> float:
     ref = b.flat[k]
     # no usable reference amplitude: compare without phase alignment
     phase = unit_phase(a.flat[k] / ref if abs(ref) >= 1e-12 else 0.0)
-    return _max_deviation(a, b, phase)
+    return float(np.max(np.abs(a - phase * b)))

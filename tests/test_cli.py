@@ -181,16 +181,19 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("sweep", ["m=0..10", "m=-4..10", "m=10..5"])
+@pytest.mark.parametrize("sweep", ["m=0..10", "m=-4..10", "m=10..5", "m=40", "m=a..b", "m=1..2..4",
+                                   "m=40..80 --nu abc"])
 def test_count_sweep_rejects_bad_range_without_hanging(sweep):
+    # each message names the form expected: m=LO..HI, or for --nu an integer or m/2
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-m", "mcdecomp.cli", "count", "--sweep", sweep],
+    out = subprocess.run([sys.executable, "-m", "mcdecomp.cli", "count", "--sweep", *sweep.split()],
                          capture_output=True, text=True, timeout=30, env=env,
                          preexec_fn=_limit_memory)
     assert out.returncode == 2
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
     assert "Traceback" not in out.stderr
+    assert ("m/2" if "--nu" in sweep else "m=LO..HI") in out.stderr
 
 
 def _qaoa_on_edgeless_28(tmp_path, variant):

@@ -96,9 +96,9 @@ def test_maximize_follows_scipy_nelder_mead(variant, step, monkeypatch):
     budgets = [None, *range(1, 140 if variant == "sa" else 60, 3)]
     for gi in range(3):
         engine = AnsatzEngine(erdos_renyi(10, 4.5, seed=gi), variant, 1)
-        objective = engine.expectation_live
+        objective = engine.expectation
         if step is not None:
-            objective = lambda v, e=engine.expectation_live: round(e(v) / step) * step
+            objective = lambda v, e=engine.expectation: round(e(v) / step) * step
         x0 = np.random.default_rng(gi).uniform(0.0, np.pi, engine.live_param_count)
         for budget in budgets:
             got = maximize(objective, x0, max_evals=budget)
@@ -608,7 +608,7 @@ def test_replay_rejects_a_start_point_that_differs_in_one_bit():
     spec = VariantSpec("ma", 1)
     sub = driver._execution_seeds(11, 1)[0]
     engine, x0 = next(single_round_execution(graph, "ma", 1, sub))
-    result = maximize(engine.expectation_live, x0)
+    result = maximize(engine.expectation, x0)
 
     def trial(recorded):
         return run_trial(graph, spec, 11, optimum, graph_id="g", repetitions=1,

@@ -71,6 +71,13 @@ def scatter(engine, probs):
     return full
 
 
+def live_values(params, mask):
+    """The live values of a full-layout parameter vector: the slots ``mask``
+    marks, or every slot without a mask."""
+    params = np.asarray(params)
+    return params if mask is None else params[np.asarray(mask, dtype=bool)]
+
+
 def last_gamma_zero(spec, n):
     """``spec`` with the last round's gamma at 0.  The engine runs no last
     phase layer, so its probabilities are those of this circuit's state."""
@@ -256,8 +263,7 @@ def test_engine_matches_circuit_dqva():
                       warm_start=warm, nu=4)
     validate_spec(PATH5, spec)
     eng = AnsatzEngine(PATH5, DQVA, 1, sigma, mask, warm)
-    masked_params = [v if mask[i] else 0.0 for i, v in enumerate(params)]
-    fast = scatter(eng, eng.probabilities(np.asarray(masked_params)))
+    fast = scatter(eng, eng.probabilities(live_values(params, mask)))
     assert np.max(np.abs(fast - circuit_probabilities(PATH5, spec))) < 1e-11
 
 
@@ -341,12 +347,13 @@ def test_engine_matches_circuit_on_seeded_graphs():
         circ = apply_circuit(Statevector.zero(n), build_ansatz(graph, spec)).amplitudes
         eng = AnsatzEngine(graph, spec.variant, spec.p, spec.permutation,
                            spec.mask, spec.warm_start)
-        probs = eng.probabilities(np.asarray(spec.params))
+        x = live_values(spec.params, spec.mask)
+        probs = eng.probabilities(x)
         assert np.max(np.abs(scatter(eng, probs) - circuit_probabilities(graph, spec))) < 1e-11
         assert abs(np.sqrt(probs.sum()) - 1.0) < 1e-12
         # the circuit's state at the full parameters, last gamma included
         want = objective_expectation(Statevector(circ, n), graph)
-        assert abs(eng.expectation(np.asarray(spec.params)) - want) < 1e-11
+        assert abs(eng.expectation(x) - want) < 1e-11
 
 
 @st.composite
@@ -383,7 +390,7 @@ def test_engine_matches_circuit_path_on_random_graphs(case):
     validate_spec(graph, spec)
     eng = AnsatzEngine(graph, spec.variant, spec.p, spec.permutation,
                        spec.mask, spec.warm_start)
-    fast = scatter(eng, eng.probabilities(np.asarray(spec.params)))
+    fast = scatter(eng, eng.probabilities(live_values(spec.params, spec.mask)))
     assert np.max(np.abs(fast - circuit_probabilities(graph, spec))) < 1e-11
 
 
@@ -416,7 +423,7 @@ def _assert_batch_matches(engines, points):
     got = EngineBatch(engines).expectations(np.concatenate(points))
     assert len(got) == len(engines)
     for value, engine, x in zip(got, engines, points):
-        assert np.float64(value).tobytes() == np.float64(engine.expectation_live(x)).tobytes()
+        assert np.float64(value).tobytes() == np.float64(engine.expectation(x)).tobytes()
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 16, 41, 100])
@@ -453,7 +460,7 @@ def test_engine_past_numpy_temporary_reuse_size(variant, p):
     for _ in range(20):
         x = rng.uniform(0.0, np.pi, engine.live_param_count)
         got = batch.expectations(x)[0]
-        assert np.float64(got).tobytes() == np.float64(engine.expectation_live(x)).tobytes()
+        assert np.float64(got).tobytes() == np.float64(engine.expectation(x)).tobytes()
 
 
 def test_engine_batch_handles_masks_and_warm_starts():
@@ -521,6 +528,25 @@ def test_engine_rejects_a_bad_layout(variant, layout):
     # the 4-node path: 5 parameter slots at p=1 for the dynamic variant
     with pytest.raises(AnsatzError):
         AnsatzEngine(PATH4, variant, 1, **layout)
+
+
+@pytest.mark.parametrize("variant, mask, x", [
+    (SA, None, [0.3]),
+    (SA, None, [0.1, 0.2, 0.3]),
+    (SA, None, 0.3),
+    (SA, None, [[0.1, 0.2]]),
+    (DQVA, (True, False, True, False, True), [0.1, 0.0, 0.2, 0.0, 0.3]),
+], ids=["short", "long", "scalar", "two-dimensional", "full-layout-of-a-mask"])
+def test_engine_rejects_a_wrong_length_parameter_vector(variant, mask, x):
+    # the engine reads the live values alone: 2 for SA p=1, 3 for this mask
+    engine = AnsatzEngine(PATH4, variant, 1, mask=mask)
+    for call in (engine.probabilities, engine.expectation):
+        with pytest.raises(AnsatzError, match="live parameters"):
+            call(x)
+    batch = EngineBatch([engine, engine])
+    for joined in (np.zeros(2 * engine.live_param_count - 1), np.zeros(2 * engine.live_param_count + 1)):
+        with pytest.raises(AnsatzError, match="joined live parameters"):
+            batch.expectations(joined)
 
 
 def full_subspace_probabilities(graph, variant, p, sigma, mask, warm_start, full_params):
@@ -594,9 +620,9 @@ def test_reach_restricted_engine_is_bitwise_the_unrestricted_update():
         for x in points:
             want, weights = full_subspace_probabilities(graph, variant, p, sigma, mask, warm, x)
             probs = want[at]
-            assert engine.probabilities(x).tobytes() == probs.tobytes()
+            assert engine.probabilities(live_values(x, mask)).tobytes() == probs.tobytes()
             assert not np.any(want[rest])
-            assert np.float64(engine.expectation(x)).tobytes() == \
+            assert np.float64(engine.expectation(live_values(x, mask))).tobytes() == \
                 np.add.reduceat(probs * weights[at], [0])[0].tobytes()
     # not vacuous: from |0...0> each first-layer pair reaches one new set,
     # and a second layer reaches none
@@ -667,21 +693,21 @@ def test_last_gamma_moves_no_measured_value():
         mask = dqva_default_mask(p, n, p + 3, sigma, in_set=warm)
         engines += [AnsatzEngine(graph, SA, p), AnsatzEngine(graph, MA, p, sigma),
                     AnsatzEngine(graph, DQVA, p, sigma, mask, warm)]
-    lasts = [engine._live.index(round_slots(engine.variant, engine.p, n)[-1][1])
-             for engine in engines]
+    lasts = [live_values(np.arange(param_count(engine.variant, engine.p, n)), engine.mask)
+             .tolist().index(round_slots(engine.variant, engine.p, n)[-1][1]) for engine in engines]
     xs = [rng.uniform(0.0, np.pi, engine.live_param_count) for engine in engines]
     for engine, last, x in zip(engines, lasts, xs):
         z = x + 0.7
         z[last] = x[last]
-        assert abs(engine.expectation_live(z) - engine.expectation_live(x)) > 1e-6
+        assert abs(engine.expectation(z) - engine.expectation(x)) > 1e-6
     batch = EngineBatch(engines)
     for shift in (0.7, -2.0, np.pi):
         ys = [x.copy() for x in xs]
         for engine, last, x, y in zip(engines, lasts, xs, ys):
             y[last] += shift
-            assert engine.probabilities_live(x).tobytes() == engine.probabilities_live(y).tobytes()
-            assert np.float64(engine.expectation_live(x)).tobytes() == \
-                np.float64(engine.expectation_live(y)).tobytes()
+            assert engine.probabilities(x).tobytes() == engine.probabilities(y).tobytes()
+            assert np.float64(engine.expectation(x)).tobytes() == \
+                np.float64(engine.expectation(y)).tobytes()
             (bits_x, mass_x), (bits_y, mass_y) = _readout(engine, x), _readout(engine, y)
             assert bits_x == bits_y and np.float64(mass_x).tobytes() == np.float64(mass_y).tobytes()
         assert np.array(batch.expectations(np.concatenate(xs))).tobytes() == \
@@ -785,7 +811,7 @@ def test_dqva_engines_hold_at_most_two_to_the_live_mixers():
             slots = round_slots(DQVA, engine.p, graph.n)
             live = sum(engine.mask[mixers[v]] for mixers, _ in slots for v in range(graph.n))
             assert 1 <= len(engine.basis) <= 2**live
-            engine, x0 = execution.send(maximize(engine.expectation_live, x0))
+            engine, x0 = execution.send(maximize(engine.expectation, x0))
     except StopIteration:
         pass
     assert rounds > 1

@@ -49,7 +49,7 @@ from .metrics import (
     threshold_chain,
     threshold_requirement,
 )
-from .qaoa import DQVA, MA, SA, check_variant
+from .qaoa import DQVA, MA, SA, check_variant, param_count
 from .verify import verify_schemes
 
 SCHEMA = "mcdecomp/1"
@@ -64,6 +64,15 @@ class CliError(Exception):
     def __init__(self, message, code=EXIT_VALIDATION):
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one line, ``error: <prog>:
+    <message>``, and exit 2; ``add_subparsers`` makes every subcommand's
+    parser of the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"error: {self.prog}: {message}\n")
 
 
 def _out_path(path: str | None, default_name: str) -> str | None:
@@ -147,12 +156,19 @@ def sweep_counts(sizes, density, variant, p, nu_rule, seed, graphs_per_size: int
 
     Each size draws a small seeded ensemble so the series reflect the trend
     rather than single-instance degree fluctuations.  The dynamic variant
-    counts the live mixers of ``driver.dqva_live_nodes``.
+    counts the live mixers of ``driver.dqva_live_nodes``; a fixed ``nu``
+    must fit the parameters of the smallest size, checked before any graph
+    is drawn.
     """
     try:
         fixed_nu = None if nu_rule in (None, "m/2") else int(nu_rule)
     except ValueError:
         raise CliError(f"--nu expects an integer or m/2, got {nu_rule!r}")
+    if variant == DQVA and fixed_nu is not None:
+        m = min(sizes)
+        slots = param_count(DQVA, p, m)
+        if fixed_nu > slots:
+            raise CliError(f"nu={fixed_nu} exceeds the {slots} parameters of dqva with p={p} on {m} nodes")
     rows = []
     for m in sizes:
         totals = dict.fromkeys(COLUMN_KEYS, 0)
@@ -299,7 +315,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mcdecomp")
+    ap = _Parser(prog="mcdecomp")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="rewrite a multi-controlled gate")

@@ -29,8 +29,11 @@ class DriverError(ValueError):
 # than this many amplitudes, which bounds a batch's joined state and index
 # arrays.  Every execution runs in the lockstep, however large its subspace:
 # one batch call costs about what the engine's own call costs on a 16-node
-# graph of 1 144 sets, and up to a fifth more on 2^20 sets (see README).
-LOCKSTEP_AMPLITUDES = 4096
+# graph of 1 144 sets, and up to a fifth more on 2^20 sets (see README).  At
+# this bound every desk execution starts at once and a sparse batch holds up
+# to 8 engines, where 4096 let it hold 3-4; 16 384 ran faster still, but the
+# benchmark's peak memory, which grows with every round it keeps, rose too.
+LOCKSTEP_AMPLITUDES = 12_288
 
 
 # Gate-set / budget columns reported on every trial record (zeroed regime).
@@ -334,15 +337,16 @@ def _lockstep(executions, max_evals, tol) -> list[list[tuple[np.ndarray, opt.Opt
     The searches, of every dimension, form one ``optimize.SearchGroup``,
     and each step evaluates its pending points with one ``EngineBatch``
     call and hands the values to one ``tell``.  Building a batch costs
-    about as much per engine as ten of its evals, so it is rebuilt only
-    once half of its searches have finished: finished rows are evaluated
-    until then and their values dropped.  A finished search's result goes
-    to its execution at once, and the round that execution yields next
-    joins at the rebuild.  A rebuild drops the finished rows, adds those
-    rounds and starts new executions while the live and joining rounds
-    hold fewer than ``LOCKSTEP_AMPLITUDES`` amplitudes; an execution
-    starts only then, so none starts while a round whose subspace passes
-    the bound is live.
+    about as much per engine as 14 of its evals on desk graphs and 3 on
+    16-node sparse ones, so it is rebuilt only once half of its searches
+    have finished: finished rows are evaluated until then and their values
+    dropped, and the old batch is released before the new one is built.
+    A finished search's result goes to its execution at once, and the
+    round that execution yields next joins at the rebuild.  A rebuild drops
+    the finished rows, adds those rounds and starts new executions while
+    the live and joining rounds hold fewer than ``LOCKSTEP_AMPLITUDES``
+    amplitudes; an execution starts only then, so none starts while a
+    round whose subspace passes the bound is live.
     """
     executions = iter(executions)
     runs = []
@@ -362,6 +366,7 @@ def _lockstep(executions, max_evals, tol) -> list[list[tuple[np.ndarray, opt.Opt
         ready = []
         if not len(group):
             return runs
+        batch = None  # so the last batch is freed before the next is built
         batch = EngineBatch(engine for _, _, engine, _ in group.tags)
         live = len(group)
         while 2 * live > len(group):

@@ -13,6 +13,7 @@ neighbors onto |0...0>.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -311,49 +312,53 @@ def _find(sets: np.ndarray, order: np.ndarray, values: np.ndarray) -> np.ndarray
     return np.where(sets[at] == values, at, -1)
 
 
-def _evolve(dim, starts, quarter, rounds, params, c, s, levels, level_of) -> np.ndarray:
-    """The ansatz's measurement probabilities over ``dim`` sets, from 1 at ``starts``.
+def _evolve(ansatz, params, c, s) -> np.ndarray:
+    """The measurement probabilities of ``ansatz``, an ``AnsatzEngine`` or an
+    ``EngineBatch``, over its sets, from 1 at its ``_start``.
 
-    The first round's mixers ``(reached, new, slot)`` run on real
-    magnitudes: each writes s*t to its new sides and c*t to its reached
+    The first round's mixers ``(reached, new, slot)`` of ``_rounds`` run on
+    real magnitudes: each writes s*t to its new sides and c*t to its reached
     sides t.  Before node v's mixer every reached set holds v as the start
     does, so each pair has one reached side and a new side at exactly 0;
     the complex update c*t - i*s*0 and c*0 - i*s*t rounds each product
     once, as the real one does up to sign, and rounding is sign-symmetric.
     So the state is then these magnitudes times (-i)^d, d the sets'
     distances from the start.  With no later round the probabilities are
-    the magnitudes squared, and no complex number is made.  Otherwise one
-    product with ``_UNIT[quarter]`` (``quarter`` = d mod 4) makes the
-    complex state, every later round's mixer ``(idx, swp, slot)`` is one
-    complex gather-update-scatter over its stacked pair, a phase (unless
-    None) takes exp(i gamma) once per entry of ``levels`` and gathers it
-    through ``level_of``, and the probabilities are re*re + im*im.  The
-    rounds carry no last phase: it multiplies each amplitude by a number of
-    modulus 1, which no probability sees (see ``AnsatzEngine``).  ``c``
-    and ``s`` are cos and sin of ``params``, the live values, and i*sin is
-    made only when a later round runs.  A slot or phase is one position in
-    ``params`` for an engine and one per amplitude or level for a batch.
+    the magnitudes squared, written over them, and no complex number is
+    made.  Otherwise, and only then, the kernel reads the tables
+    ``_quarter``, ``_levels`` and ``_level_of``: one product with
+    ``_UNIT[_quarter]`` (d mod 4) makes the complex state, every later
+    round's mixer ``(idx, swp, slot)`` is one complex gather-update-scatter
+    over its stacked pair, a phase (unless None) takes exp(i gamma) once per
+    entry of ``_levels`` and gathers it through ``_level_of``, and the
+    probabilities are re*re + im*im.  The rounds carry no last phase: it
+    multiplies each amplitude by a number of modulus 1, which no
+    probability sees (see ``AnsatzEngine``).  ``c`` and ``s`` are cos and
+    sin of ``params``, the live values, and i*sin is made only when a later
+    round runs.  A slot or phase is one position in ``params`` for an
+    engine and one per amplitude or level for a batch.
     """
     # Ufunc calls, not operators: on a temporary of 256 KiB or more an
     # operator may compute in place with the operands swapped, and a swapped
     # complex product rounds differently, so engine and batch would part.
     mul, sub = np.multiply, np.subtract
-    mags = np.zeros(dim)
-    mags[starts] = 1.0
+    rounds = ansatz._rounds
+    mags = np.zeros(len(ansatz._w))
+    mags[ansatz._start] = 1.0
     for reached, new, slot in rounds[0][0]:
         t = mags[reached]
         mags[new] = mul(s[slot], t)
         mags[reached] = mul(c[slot], t)
     if len(rounds) == 1:
-        return mul(mags, mags)
+        return mul(mags, mags, out=mags)
     js = mul(1j, s)
-    amps = mul(mags, _UNIT[quarter])
+    amps = mul(mags, _UNIT[ansatz._quarter])
     for r, (mixers, phase) in enumerate(rounds):
         if r > 0:
             for idx, swp, slot in mixers:
                 amps[idx] = sub(mul(c[slot], amps[idx]), mul(js[slot], amps[swp]))
         if phase is not None:
-            amps = mul(amps, np.exp(mul(1j * params[phase], levels))[level_of])
+            amps = mul(amps, np.exp(mul(1j * params[phase], ansatz._levels))[ansatz._level_of])
     re, im = amps.real, amps.imag
     return np.add(mul(re, re), mul(im, im))
 
@@ -379,16 +384,20 @@ class AnsatzEngine:
     node v's mixer flips v, so every set reached before it holds v as the
     start does: the mixer keeps ``(reached, new, slot)``, those sets and
     their partners, which it reaches first.  Its update is then a real
-    scale, and ``_quarter`` holds each set's distance from the start mod 4,
-    the power of -i that round leaves on it.  A later mixer keeps ``(idx,
-    swp, slot)``: ``idx`` stacks the pairs' lower sides on their upper sides
-    and ``swp`` the upper on the lower, so ``amps[swp]`` lines each
-    amplitude up with its rotation partner.  The set-size table ``_levels``
-    holds the distinct sizes and ``_level_of`` each set's entry in it, so a
-    phase layer takes one exp per size.  A call raises ``AnsatzError``
-    unless given ``live_param_count`` values, and runs ``_evolve`` with cos
-    and sin of them taken once, as Python scalars, and ``expectation`` sums
-    probability times set size with ``_span_sums``.  A zero angle is
+    scale.  A later mixer keeps ``(idx, swp, slot)``: ``idx`` stacks the
+    pairs' lower sides on their upper sides and ``swp`` the upper on the
+    lower, so ``amps[swp]`` lines each amplitude up with its rotation
+    partner.  Three tables are built only when first read, by a round after
+    the first (here, or in a deeper ``EngineBatch`` that the engine joins),
+    so a p=1 engine never builds them: ``_quarter`` holds each set's
+    distance from the start mod 4, the power of -i the first round leaves
+    on it, and the set-size table ``_levels`` holds the distinct sizes and
+    ``_level_of`` each set's entry in it, so a phase layer takes one exp
+    per size.  A call raises ``AnsatzError`` unless given
+    ``live_param_count`` values, and runs ``_evolve`` with cos and sin of
+    them taken once, as Python scalars, and ``expectation`` writes
+    probability times set size over the probabilities and sums it with
+    ``_span_sums``.  A zero angle is
     applied, not skipped: cos 0 = 1 and sin 0 = 0 can change only the sign
     of a zero amplitude.  Cross-checked against the full-subspace update and
     against the circuit path in the tests.
@@ -417,16 +426,10 @@ class AnsatzEngine:
         sets, pairs = _walk(graph, [node for _, node, _ in mixers], start)
         order = sets.argsort()
         self.basis = sets[order]
-        sizes = _set_sizes(self.basis, n)
-        self._w = sizes.astype(float)
-        # the set-size table: the distinct sizes, and each set's entry in it
-        levels = np.bincount(sizes).nonzero()[0]
-        self._levels, self._level_of = levels.astype(float), levels.searchsorted(sizes)
+        self._w = _set_sizes(self.basis, n).astype(float)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
         self._start = int(rank[0])
-        # each set's distance from the start, mod 4: its first-round phase (-i)^d
-        self._quarter = _set_sizes(self.basis ^ start, n) & 3
         # every pair position through the sort at once, one span per mixer: a
         # first-round mixer's (reached, new), its sides that hold the node as
         # the start does and their partners, and a later mixer's (idx, swp),
@@ -450,17 +453,29 @@ class AnsatzEngine:
             if b > a:
                 self._rounds[r][0].append((flat[a:(a + b) // 2], flat[(a + b) // 2:b], slot))
 
+    @cached_property
+    def _quarter(self) -> np.ndarray:
+        # each set's distance from the start, mod 4: its first-round phase (-i)^d
+        return _set_sizes(self.basis ^ self.basis[self._start], self.n) & 3
+
+    @cached_property
+    def _levels(self) -> np.ndarray:
+        return np.unique(self._w)
+
+    @cached_property
+    def _level_of(self) -> np.ndarray:
+        return self._levels.searchsorted(self._w)
+
     def probabilities(self, x) -> np.ndarray:
         params = np.asarray(x)
         if params.shape != (self.live_param_count,):
             raise AnsatzError(f"expected {self.live_param_count} live parameters, "
                               f"got shape {params.shape}")
-        return _evolve(len(self.basis), self._start, self._quarter, self._rounds, params,
-                       np.cos(params).tolist(), np.sin(params).tolist(),
-                       self._levels, self._level_of)
+        return _evolve(self, params, np.cos(params).tolist(), np.sin(params).tolist())
 
     def expectation(self, x) -> float:
-        return float(_span_sums(np.multiply(self.probabilities(x), self._w), _WHOLE)[0])
+        probs = self.probabilities(x)
+        return float(_span_sums(np.multiply(probs, self._w, out=probs), _WHOLE)[0])
 
 
 class EngineBatch:
@@ -473,52 +488,62 @@ class EngineBatch:
     (``reached``/``new`` in the first round, ``idx``/``swp`` later), and
     reads cos, sin and i*sin per updated amplitude at the engine's slot
     offset by the live parameters of the engines before it, a position in
-    the joined live points; each engine's ``_quarter`` is joined the same
-    way.  A phase layer takes exp(i gamma w) once per entry of each engine's
-    set-size table (``AnsatzEngine._levels``), with the engine's gamma read
-    the same way, and gathers it per amplitude; an engine without a phase in
-    that round reads the one slot after the joined points, which holds 0.
-    Like the engines' rounds, the batch's carry no last phase, so a batch of p=1 engines runs real
-    throughout.  In a batch with deeper engines a p=1 engine's amplitudes
-    are its real magnitudes m times the units (-i)^d, multiplied by phases
-    of exactly 1, so re*re + im*im = m*m, the bytes of its own call.  Every
-    probability thus has the bytes of ``AnsatzEngine.probabilities``, and
-    one ``_span_sums`` over the engines' cuts sums probability times set
-    size in the engine's order, so each value is bitwise equal to the
-    engine's own call.
+    the joined live points.  Each position's three arrays are allocated
+    once at their joined length and each engine's part is written into
+    them, offset in place.  A phase layer takes exp(i gamma w) once per
+    entry of each engine's set-size table (``AnsatzEngine._levels``), with
+    the engine's gamma read the same way, and gathers it per amplitude; an
+    engine without a phase in that round reads the one slot after the
+    joined points, which holds 0.  Like the engines' rounds, the batch's
+    carry no last phase, so a batch of p=1 engines runs real throughout and
+    joins none of the engines' ``_quarter``, ``_levels`` and ``_level_of``
+    (nor makes them build theirs); a batch with a deeper engine joins all
+    three, offset the same way.  In a batch with deeper engines a p=1
+    engine's amplitudes are its real magnitudes m times the units (-i)^d,
+    multiplied by phases of exactly 1, so re*re + im*im = m*m, the bytes of
+    its own call.  Every probability thus has the bytes of
+    ``AnsatzEngine.probabilities``, and one ``_span_sums`` over the
+    engines' cuts sums probability times set size in the engine's order, so
+    each value is bitwise equal to the engine's own call.
     """
 
     def __init__(self, engines):
         engines = list(engines)
-        dims = [len(e.basis) for e in engines]
-        amp_at = np.cumsum([0] + dims)
+        amp_at = np.cumsum([0] + [len(e.basis) for e in engines])
         slot_at = np.cumsum([0] + [e.live_param_count for e in engines])
         self._zero = int(slot_at[-1])
-        self._starts = np.array([at + e._start for at, e in zip(amp_at, engines)])
-        self._quarter = np.concatenate([e._quarter for e in engines])
+        self._start = np.array([at + e._start for at, e in zip(amp_at, engines)])
         self._cuts = amp_at[:-1]
         self._w = np.concatenate([e._w for e in engines])
-        level_at = np.cumsum([0] + [len(e._levels) for e in engines])
-        self._levels = np.concatenate([e._levels for e in engines])
-        self._level_of = np.concatenate([at + e._level_of for at, e in zip(level_at, engines)])
+        depth = max(len(e._rounds) for e in engines)
+        if depth > 1:  # only a round after the first reads these tables
+            level_at = np.cumsum([0] + [len(e._levels) for e in engines])
+            self._quarter = np.concatenate([e._quarter for e in engines])
+            self._levels = np.concatenate([e._levels for e in engines])
+            self._level_of = np.concatenate([at + e._level_of for at, e in zip(level_at, engines)])
         self._rounds = []
-        for r in range(max(len(e._rounds) for e in engines)):
+        for r in range(depth):
             here = [(k, e._rounds[r]) for k, e in enumerate(engines) if r < len(e._rounds)]
             mixers = []
             for m in range(max(len(live) for _, (live, _) in here)):
-                idx, swp, slot = zip(*[
-                    (live[m][0] + amp_at[k], live[m][1] + amp_at[k],
-                     np.full(len(live[m][0]), slot_at[k] + live[m][2]))
-                    for k, (live, _) in here if m < len(live)])
-                mixers.append((np.concatenate(idx), np.concatenate(swp), np.concatenate(slot)))
+                kept = [(k, live[m]) for k, (live, _) in here if m < len(live)]
+                size = sum(len(lo) for _, (lo, _, _) in kept)
+                idx, swp, slot = (np.empty(size, dtype=np.intp) for _ in range(3))
+                end = 0
+                for k, (lo, hi, own) in kept:  # own: the slot in engine k's live values
+                    begin, end = end, end + len(lo)
+                    np.add(lo, amp_at[k], out=idx[begin:end])
+                    np.add(hi, amp_at[k], out=swp[begin:end])
+                    slot[begin:end] = slot_at[k] + own
+                mixers.append((idx, swp, slot))
             gammas = [self._zero] * len(engines)
             for k, (_, phase) in here:
                 if phase is not None:
                     gammas[k] = slot_at[k] + phase
+            # a live phase belongs to an engine with a later round, so depth > 1
             phase = (np.repeat(gammas, np.diff(level_at))
                      if any(g != self._zero for g in gammas) else None)
             self._rounds.append((mixers, phase))
-        self._dim = int(amp_at[-1])
 
     def expectations(self, live_points: np.ndarray) -> list[float]:
         """One expectation per engine, from the engines' live parameters
@@ -528,9 +553,8 @@ class EngineBatch:
             raise AnsatzError(f"expected {self._zero} joined live parameters, "
                               f"got shape {np.shape(live_points)}")
         params = np.concatenate((live_points, [0.0]))
-        probs = _evolve(self._dim, self._starts, self._quarter, self._rounds, params,
-                        np.cos(params), np.sin(params), self._levels, self._level_of)
-        return _span_sums(np.multiply(probs, self._w), self._cuts).tolist()
+        probs = _evolve(self, params, np.cos(params), np.sin(params))
+        return _span_sums(np.multiply(probs, self._w, out=probs), self._cuts).tolist()
 
 
 def best_measured_set(probs: np.ndarray, basis: np.ndarray, n: int):

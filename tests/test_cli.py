@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from mcdecomp import cli
 from mcdecomp.cli import main
 from mcdecomp.driver import (
     VariantSpec, entangling_totals, mixer_histogram, run_trial, trial_mixer_histogram,
@@ -194,6 +195,30 @@ def test_count_sweep_rejects_bad_range_without_hanging(sweep):
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
     assert "Traceback" not in out.stderr
     assert ("m/2" if "--nu" in sweep else "m=LO..HI") in out.stderr
+
+
+def test_count_sweep_rejects_a_nu_beyond_the_smallest_size(monkeypatch, capsys):
+    # the qaoa wording, checked before any graph is drawn
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was drawn")
+
+    monkeypatch.setattr(cli, "erdos_renyi", no_graph)
+    assert run_cli(["count", "--sweep", "m=40..80", "--nu", "1000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: nu=1000 exceeds the 41 parameters of dqva with p=1 on 40 nodes\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-controls", "abc"],  # a bad type=int value
+    ["thresholds", "--f1", "x", "--f2", "0.9"],  # a bad type=float value
+    ["qaoa", "--variant", "xx", "--graph", "g.json"],  # a bad choices= value
+    ["qaoa", "--variant", "sa"],  # a missing required flag
+    ["nope"],  # an unknown subcommand
+])
+def test_usage_errors_print_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        run_cli(argv)
+    assert_one_line_error(capsys, stop.value.code)
 
 
 def _qaoa_on_edgeless_28(tmp_path, variant):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -494,7 +495,7 @@ def _serial_records(cfg):
                             max_evals=cfg.max_evals, tol=cfg.tol)
 
 
-@pytest.mark.parametrize("amplitudes", [4096, 40, 1])
+@pytest.mark.parametrize("amplitudes", [driver.LOCKSTEP_AMPLITUDES, 40, 1])
 @pytest.mark.parametrize("max_evals", [None, 5, 40, 90])
 def test_lockstep_records_equal_serial_trials(monkeypatch, amplitudes, max_evals):
     # Graph 2 is replaced by an empty graph (optimum 0), which is skipped.
@@ -572,6 +573,44 @@ def test_a_bound_of_one_amplitude_batches_one_engine_at_a_time(monkeypatch):
     assert len(list(run_benchmark(cfg))) == 2 * 3
     assert len(sizes) >= 2 * 3 * 2  # at least one batch per execution
     assert set(sizes) == {1}
+
+
+def test_lockstep_releases_each_batch_before_building_the_next(monkeypatch):
+    # DQVA's inner rounds join at rebuilds, so the lockstep builds many batches
+    made = []
+    batch = driver.EngineBatch
+
+    def spied(engines):
+        assert all(ref() is None for ref in made), "an earlier batch is alive"
+        made.append(weakref.ref(new := batch(engines)))
+        return new
+
+    monkeypatch.setattr(driver, "EngineBatch", spied)
+    cfg = BenchmarkConfig(
+        ensemble="erdos_renyi", nodes=8, edge_prob=0.4, graph_count=2,
+        variants=[VariantSpec("sa", 1), VariantSpec("dqva", 1, 3)],
+        repetitions=1, seed=3, mixer_rounds=2,
+    )
+    assert len(list(run_benchmark(cfg))) == 2 * 2
+    assert len(made) >= 3
+
+
+def test_a_sparse_batch_holds_many_engines(monkeypatch):
+    # SA engines on 16-node graphs of average degree 3 hold one to two
+    # thousand sets each; at the default bound a batch holds six or more
+    sizes = []
+    batch = driver.EngineBatch
+
+    def counted(engines):
+        engines = list(engines)
+        sizes.append(len(engines))
+        return batch(engines)
+
+    monkeypatch.setattr(driver, "EngineBatch", counted)
+    cfg = BenchmarkConfig(ensemble="erdos_renyi", nodes=16, density=3.0, graph_count=10,
+                          variants=[VariantSpec("sa", 1)], repetitions=1, seed=0)
+    assert len(list(run_benchmark(cfg))) == 10
+    assert max(sizes) >= 6
 
 
 def test_a_lockstep_step_tells_one_group(monkeypatch):

@@ -463,6 +463,29 @@ def test_engine_past_numpy_temporary_reuse_size(variant, p):
         assert np.float64(got).tobytes() == np.float64(engine.expectation(x)).tobytes()
 
 
+def test_a_p1_engine_joins_a_deeper_batch_after_its_own_calls():
+    # A p=1 engine builds _quarter, _levels and _level_of only when a deeper
+    # batch first reads them, after its own calls; the deeper engine comes
+    # after it, so its tables sit at offsets that the p=1 engine's set.
+    graph = erdos_renyi(9, 3.0, seed=4)
+    _, witness = brute_force_mis(graph)
+    warm, sigma = witness[:4] + (0,) * 5, tuple(range(9))
+    shallow = [AnsatzEngine(graph, SA, 1),
+               AnsatzEngine(graph, DQVA, 1, sigma, dqva_default_mask(1, 9, 4, sigma, warm), warm)]
+    rng = np.random.default_rng(5)
+    points = _batch_points(shallow, rng)
+    alone = [engine.expectation(x) for engine, x in zip(shallow, points)]
+    _assert_batch_matches(shallow, points)
+    tables = ("_quarter", "_levels", "_level_of")
+    assert not any(name in vars(e) for e in shallow for name in tables)
+    deep = AnsatzEngine(graph, MA, 2)
+    points.append(rng.uniform(0.0, np.pi, deep.live_param_count))
+    got = EngineBatch(shallow + [deep]).expectations(np.concatenate(points))
+    assert all(name in vars(e) for e in shallow for name in tables)
+    for value, want in zip(got, alone + [deep.expectation(points[-1])]):
+        assert np.float64(value).tobytes() == np.float64(want).tobytes()
+
+
 def test_engine_batch_handles_masks_and_warm_starts():
     rng = np.random.default_rng(3)
     engines = []
